@@ -19,9 +19,8 @@ from .engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                      underapprox_bound)
 from .errors import (BackendMismatch, GuardExceeded, ModelError, NotInvertible,
                      ResilError, SaturationExhausted)
-from .graphs import (Graph, GraphClass, disjoint_union, embeddings,
-                     exists_embedding, graph_of, longest_path, quotient_isolated,
-                     single_node)
+from .graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,
+                     longest_path, quotient_isolated, single_node)
 from .limits import Limits
 from .order import Basis, basis_subset, covers, ideal_intersection_basis, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,

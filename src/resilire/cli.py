@@ -3,7 +3,7 @@
 Subcommands: check, approx, prestar, post, compose.  All results go to
 stdout as JSON (sorted keys, so reports are byte-stable); diagnostics go
 to stderr.  Exit codes for `check`: 0 when a bound was found, 1 when
-none exists, 2 on exhaustion or any error.
+none exists, 2 on exhaustion or any error, unreadable files included.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResilError as exc:
+    except (ResilError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import NotInvertible, SaturationExhausted
+from .errors import GuardExceeded, NotInvertible, SaturationExhausted
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, basis_subset, minimize
 
@@ -89,10 +89,12 @@ def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
 
     Returns Verdict(found, k), Verdict(unbounded) when saturation
     settles before the reachable bad states are covered, or
-    Verdict(exhausted) when the iteration guard trips.
+    Verdict(exhausted) when the iteration guard or a backend's size
+    guard trips; its iteration count is the last completed round.
     """
     targets = [b for b in inst.reachable.elements if inst.bad.contains(b)]
     trace: List[Basis] = []
+    k = 0
     try:
         for k, basis, stable in _saturation(inst.safe, inst.backend, inst.max_iters):
             if keep_trace:
@@ -101,10 +103,9 @@ def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
                 return Verdict(FOUND, k, k, tuple(trace) if keep_trace else None)
             if stable:
                 return Verdict(UNBOUNDED, None, k, tuple(trace) if keep_trace else None)
-    except SaturationExhausted:
+    except (SaturationExhausted, GuardExceeded):
         pass
-    return Verdict(EXHAUSTED, None, inst.max_iters,
-                   tuple(trace) if keep_trace else None)
+    return Verdict(EXHAUSTED, None, k, tuple(trace) if keep_trace else None)
 
 
 def recovery_within(inst: ResilienceInstance, k: int) -> bool:

@@ -23,11 +23,12 @@ class ModelError(ResilError):
 
 
 class GuardExceeded(ResilError):
-    """A configured size guard (overlap or forward exploration) tripped."""
+    """An overlap size guard (`overlap_nodes`, `overlap_count`) tripped."""
 
 
 class SaturationExhausted(ResilError):
-    """The iteration guard was hit before saturation settled.
+    """The iteration guard was hit before saturation settled, or forward
+    exploration exceeded its depth or state cap.
 
     Distinct from an 'unbounded' answer: this is an inconclusive abort.
     """

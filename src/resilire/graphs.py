@@ -6,6 +6,11 @@ explicit search: canonical forms via color refinement plus
 individualization, embeddings via backtracking with degree and label
 pruning.  Graphs are immutable once constructed; equality and hashing
 are by canonical form, i.e. up to isomorphism.
+
+The canonical search prunes twins (nodes an automorphism swaps), which
+keeps symmetric states such as stars cheap without changing any key.
+Candidates are filtered by class membership, an isomorphism invariant,
+before they are canonicalized (`GraphClass.admit`).
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from typing import Dict, Iterator, Optional, Tuple
 # one node of the first ambiguous cell instead of brute-forcing.
 _BRUTE_ORDERINGS = 5040
 
+# "n<i>" / "e<i>": the ids of canonical copies, shared by all of them.
+_NODE_IDS, _EDGE_IDS = [], []
+
 
 class Graph:
     """A finite directed multigraph with node and edge labels.
@@ -28,7 +36,7 @@ class Graph:
     strings, unique per graph; two graphs are equal when isomorphic.
     """
 
-    __slots__ = ("nodes", "edges", "_key", "_hash")
+    __slots__ = ("nodes", "edges", "_key", "_hash", "_counts", "_match")
 
     def __init__(self, nodes: Dict[str, str], edges: Dict[str, Tuple[str, str, str]]):
         for eid, (src, tgt, _lab) in edges.items():
@@ -38,6 +46,8 @@ class Graph:
         self.edges = dict(edges)
         self._key = None
         self._hash = None
+        self._counts = None
+        self._match = None
 
     # -- basic views ---------------------------------------------------
 
@@ -51,9 +61,12 @@ class Graph:
     def degree(self, node_id: str) -> int:
         return sum(1 for (s, t, _l) in self.edges.values() if s == node_id or t == node_id)
 
-    def edge_multiset(self) -> Counter:
-        """Multiplicities of (src, tgt, label) triples."""
-        return Counter((s, t, l) for (s, t, l) in self.edges.values())
+    def label_counts(self) -> Tuple[Counter, Counter]:
+        """Node and edge label multiplicities, computed once."""
+        if self._counts is None:
+            self._counts = (Counter(self.nodes.values()),
+                            Counter(l for (_s, _t, l) in self.edges.values()))
+        return self._counts
 
     # -- identity up to isomorphism -------------------------------------
 
@@ -77,22 +90,19 @@ class Graph:
 
     def canonical(self) -> "Graph":
         """An isomorphic copy with ids n0..nk / e0.. in canonical order."""
-        _n, _m, labels, triples = self.key()
-        nodes = {"n%d" % i: lab for i, lab in enumerate(labels)}
+        key = self.key()
+        n, m, labels, triples = key
+        nid, eid = _NODE_IDS, _EDGE_IDS
+        for ids, prefix, size in ((nid, "n", n), (eid, "e", m)):
+            ids.extend("%s%d" % (prefix, i) for i in range(len(ids), size))
+        nodes = {nid[i]: lab for i, lab in enumerate(labels)}
         edges = {
-            "e%d" % j: ("n%d" % s, "n%d" % t, lab)
+            eid[j]: (nid[s], nid[t], lab)
             for j, (s, t, lab) in enumerate(triples)
         }
-        return Graph(nodes, edges)
-
-    def relabeled(self, prefix: str) -> "Graph":
-        """Copy with every id prefixed, for disjoint unions."""
-        nodes = {prefix + i: l for i, l in self.nodes.items()}
-        edges = {
-            prefix + e: (prefix + s, prefix + t, l)
-            for e, (s, t, l) in self.edges.items()
-        }
-        return Graph(nodes, edges)
+        copy = Graph(nodes, edges)
+        copy._key = key
+        return copy
 
 
 EMPTY_GRAPH = Graph({}, {})
@@ -107,23 +117,6 @@ def graph_of(node_labels, edge_triples) -> Graph:
 
 def single_node(label: str) -> Graph:
     return Graph({"n0": label}, {})
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    ar, br = a.relabeled("a:"), b.relabeled("b:")
-    nodes = dict(ar.nodes)
-    nodes.update(br.nodes)
-    edges = dict(ar.edges)
-    edges.update(br.edges)
-    return Graph(nodes, edges)
-
-
-def add_node(g: Graph, node_id: str, label: str) -> Graph:
-    if node_id in g.nodes:
-        raise ValueError("node id %r already present" % node_id)
-    nodes = dict(g.nodes)
-    nodes[node_id] = label
-    return Graph(nodes, g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +168,37 @@ def _cells(g: Graph, colors: Dict[str, int]):
     return [sorted(groups[c]) for c in sorted(groups)]
 
 
-def _min_encoding(g: Graph, colors: Dict[str, int]) -> tuple:
+def _twin_signatures(g: Graph) -> Dict[str, tuple]:
+    """Nodes with equal signatures (label, loop labels, labeled out- and
+    in-neighbours) are twins.  Twins are never adjacent, so swapping two
+    of them is an automorphism; it preserves any coloring in which they
+    share a cell."""
+    sig = defaultdict(lambda: ([], [], []))
+    for (s, t, l) in g.edges.values():
+        if s == t:
+            sig[s][0].append(l)
+        else:
+            sig[s][1].append((t, l))
+            sig[t][2].append((s, l))
+    return {v: (lab,) + tuple(tuple(sorted(part)) for part in sig[v])
+            for v, lab in g.nodes.items()}
+
+
+def _twin_orderings(cell, twins) -> Iterator[tuple]:
+    """Orderings of a cell up to swaps of twins: one per arrangement of
+    its twin classes, each class in a fixed order."""
+    if len(cell) < 2:
+        yield tuple(cell)
+        return
+    for v in {twins[u]: u for u in cell}.values():
+        for tail in _twin_orderings([u for u in cell if u != v], twins):
+            yield (v,) + tail
+
+
+def _min_encoding(g: Graph, colors: Dict[str, int], twins: Dict[str, tuple]) -> tuple:
     cells = _cells(g, colors)
+    # The brute-force/individualize choice and the target cell ignore
+    # twins: keys must not depend on how much of the search is pruned.
     cost = 1
     for cell in cells:
         cost *= factorial(len(cell))
@@ -184,21 +206,22 @@ def _min_encoding(g: Graph, colors: Dict[str, int]) -> tuple:
             break
     if cost <= _BRUTE_ORDERINGS:
         best = None
-        for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        for parts in itertools.product(*(_twin_orderings(c, twins) for c in cells)):
             ordering = [v for part in parts for v in part]
             enc = _encode(g, ordering)
             if best is None or enc < best:
                 best = enc
         return best
     # Individualize one node of the first ambiguous cell and recurse;
-    # the minimum over all choices is an isomorphism invariant.
+    # the minimum over all choices is an isomorphism invariant, and
+    # twins give equal branches, so one per twin class suffices.
     target = next(c for c in cells if len(c) > 1)
     fresh = max(colors.values()) + 1
     best = None
-    for v in target:
+    for v in {twins[u]: u for u in target}.values():
         branched = dict(colors)
         branched[v] = fresh
-        enc = _min_encoding(g, _refine(g, branched))
+        enc = _min_encoding(g, _refine(g, branched), twins)
         if best is None or enc < best:
             best = enc
     return best
@@ -208,7 +231,8 @@ def _canonical_key(g: Graph) -> tuple:
     if not g.nodes:
         return (0, 0, (), ())
     colors = _refine(g, _initial_colors(g))
-    labels, triples = _min_encoding(g, colors)
+    discrete = len(set(colors.values())) == len(g.nodes)
+    labels, triples = _min_encoding(g, colors, {} if discrete else _twin_signatures(g))
     return (len(g.nodes), len(g.edges), labels, triples)
 
 
@@ -218,30 +242,39 @@ def _canonical_key(g: Graph) -> tuple:
 
 
 class _Adj:
-    """Precomputed adjacency with multiplicities for the matcher."""
+    """Edge multiplicities and degrees for the matcher."""
 
-    __slots__ = ("between", "outdeg", "indeg", "neigh")
+    __slots__ = ("between", "outdeg", "indeg")
 
     def __init__(self, g: Graph):
-        self.between = Counter()
-        self.outdeg = Counter()
-        self.indeg = Counter()
-        self.neigh = defaultdict(set)
-        for (s, t, l) in g.edges.values():
-            self.between[(s, t, l)] += 1
-            self.outdeg[s] += 1
-            self.indeg[t] += 1
-            self.neigh[s].add(t)
-            self.neigh[t].add(s)
+        self.between = Counter((s, t, l) for (s, t, l) in g.edges.values())
+        self.outdeg = Counter(s for (s, _t, _l) in g.edges.values())
+        self.indeg = Counter(t for (_s, t, _l) in g.edges.values())
+
+
+def _pattern_plan(p: Graph):
+    """The matcher's per-pattern work, done once per pattern graph: its
+    adjacency, node order and edge (label, count) lists per node pair."""
+    if p._match is None:
+        adj = _Adj(p)
+        pairs = defaultdict(list)
+        for (s, t, l), cnt in adj.between.items():
+            pairs[(s, t)].append((l, cnt))
+        p._match = (adj, _pattern_order(p, adj), pairs)
+    return p._match
 
 
 def _pattern_order(p: Graph, adj: _Adj):
     """Node order for backtracking: stay connected, rare labels first."""
+    neigh = defaultdict(set)
+    for (s, t, _l) in p.edges.values():
+        neigh[s].add(t)
+        neigh[t].add(s)
     label_freq = Counter(p.nodes.values())
     remaining = set(p.nodes)
     order = []
     while remaining:
-        connected = [v for v in remaining if any(u in adj.neigh[v] for u in order)]
+        connected = [v for v in remaining if any(u in neigh[v] for u in order)]
         pool = connected or sorted(remaining)
         pick = min(
             pool,
@@ -261,8 +294,8 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     """
     if len(pattern.nodes) > len(host.nodes) or pattern.n_edges > host.n_edges:
         return
-    padj, hadj = _Adj(pattern), _Adj(host)
-    order = _pattern_order(pattern, padj)
+    padj, order, pairs = _pattern_plan(pattern)
+    hadj = _Adj(host)
     hosts_by_label = defaultdict(list)
     for v, lab in sorted(host.nodes.items()):
         hosts_by_label[lab].append(v)
@@ -273,13 +306,17 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     def capacity_ok(pv, hv):
         if padj.outdeg[pv] > hadj.outdeg[hv] or padj.indeg[pv] > hadj.indeg[hv]:
             return False
-        for pu in vmap:
-            hu = vmap[pu]
-            for (a, b) in ((pv, pu), (pu, pv)):
-                ha, hb = (hv, hu) if a == pv else (hu, hv)
-                for (s, t, l), cnt in padj.between.items():
-                    if (s, t) == (a, b) and cnt > hadj.between[(ha, hb, l)]:
-                        return False
+        between = hadj.between
+        for l, cnt in pairs.get((pv, pv), ()):
+            if cnt > between[(hv, hv, l)]:
+                return False
+        for pu, hu in vmap.items():
+            for l, cnt in pairs.get((pv, pu), ()):
+                if cnt > between[(hv, hu, l)]:
+                    return False
+            for l, cnt in pairs.get((pu, pv), ()):
+                if cnt > between[(hu, hv, l)]:
+                    return False
         return True
 
     def assign(i):
@@ -326,6 +363,16 @@ def _edge_assignments(pattern: Graph, host: Graph, vmap: dict) -> Iterator[dict]
 
 def exists_embedding(pattern: Graph, host: Graph) -> bool:
     return next(embeddings(pattern, host, nodes_only=True), None) is not None
+
+
+def counts_fit(pattern: Graph, host: Graph) -> bool:
+    """Necessary for an embedding: the host has at least as many nodes
+    and edges of every label as the pattern."""
+    if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
+        return False
+    (pn, pe), (hn, he) = pattern.label_counts(), host.label_counts()
+    return (all(hn[l] >= c for l, c in pn.items())
+            and all(he[l] >= c for l, c in pe.items()))
 
 
 def count_embeddings(pattern: Graph, host: Graph) -> int:
@@ -425,9 +472,13 @@ class GraphClass:
     def normalize(self, g: Graph) -> Graph:
         return quotient_isolated(g, self.quotient_labels).canonical()
 
+    def admit(self, g: Graph) -> Optional[Graph]:
+        """normalize(g) if it lies in the class, else None.  Membership is
+        an isomorphism invariant, so it is decided before canonicalizing."""
+        g = quotient_isolated(g, self.quotient_labels)
+        return g.canonical() if self.contains(g) else None
+
     def contains(self, g: Graph) -> bool:
-        if self.max_path is not None and not path_length_within(g, self.max_path):
-            return False
         counts = Counter(g.nodes.values())
         for lab, (lo, hi) in self.node_count:
             if lo is not None and counts[lab] < lo:
@@ -437,7 +488,7 @@ class GraphClass:
         for required in (self.control_labels, self.marker_labels):
             if required and sum(counts[l] for l in required) != 1:
                 return False
-        return True
+        return self.max_path is None or path_length_within(g, self.max_path)
 
     def control_of(self, g: Graph) -> Optional[str]:
         for lab in g.nodes.values():

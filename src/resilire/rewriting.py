@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, GraphClass, embeddings, exists_embedding
+from .graphs import Graph, GraphClass, counts_fit, embeddings, exists_embedding
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, Wqo, minimize
 
@@ -118,8 +118,8 @@ def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
     seen = {}
     for rule in rules:
         for m in matches(rule, g):
-            h = klass.normalize(apply_rule(rule, g, m))
-            if klass.contains(h):
+            h = klass.admit(apply_rule(rule, g, m))
+            if h is not None:
                 seen.setdefault(h.key(), h)
     return [seen[k] for k in sorted(seen)]
 
@@ -307,8 +307,8 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
         for i, lid in enumerate(rule.deleted_edges):
             ls, lt, ll = rule.left.edges[lid]
             edges["del:e%d" % i] = (placed[ls], placed[lt], ll)
-        cand = klass.normalize(Graph(nodes, edges))
-        if klass.contains(cand):
+        cand = klass.admit(Graph(nodes, edges))
+        if cand is not None:
             results.setdefault(cand.key(), cand)
     out = [results[k] for k in sorted(results)]
     if order is not None:
@@ -327,7 +327,8 @@ class SubgraphOrder(Wqo):
     On a class of bounded path length this is a well-quasi-order, and
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
-    labels).  Embedding checks are memoized by canonical key.
+    labels).  Embedding checks are memoized by canonical key, after a
+    label-count test that refuses most pairs without a search.
     """
 
     def __init__(self, klass: GraphClass, limits: Limits = DEFAULT_LIMITS):
@@ -336,6 +337,8 @@ class SubgraphOrder(Wqo):
         self._cache: Dict[tuple, bool] = {}
 
     def leq(self, a: Graph, b: Graph) -> bool:
+        if not counts_fit(a, b):
+            return False
         ck = (a.key(), b.key())
         hit = self._cache.get(ck)
         if hit is None:
@@ -351,8 +354,8 @@ class SubgraphOrder(Wqo):
 
     def upper_bounds(self, a: Graph, b: Graph):
         for ov in overlaps(a, b, self.limits):
-            u = self.klass.normalize(ov.u)
-            if self.klass.contains(u):
+            u = self.klass.admit(ov.u)
+            if u is not None:
                 yield u
 
 

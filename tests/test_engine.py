@@ -1,6 +1,7 @@
 """Engine behavior: saturation, verdicts, indices, approximations."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -109,6 +110,13 @@ def test_min_recovery_exhausted_with_tiny_guard(supply_built):
         bad=supply_built.bad, safe=supply_built.safe, max_iters=3)
     verdict = min_recovery(inst)
     assert verdict.kind == EXHAUSTED and verdict.iterations == 3
+
+
+def test_min_recovery_overlap_guard_trip_is_exhausted():
+    doc = model.load(fixture_path("pathgame.json"))
+    doc = replace(doc, limits=replace(doc.limits, overlap_count=1))
+    verdict = min_recovery(model.build(doc).instance())
+    assert verdict.kind == EXHAUSTED and verdict.k_min is None
 
 
 def test_recovery_within(supply_built):

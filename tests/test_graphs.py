@@ -1,10 +1,15 @@
 """Graph data type: canonical forms, embeddings, paths, normalization."""
 
 import itertools
+import time
+from math import factorial
 
-from resilire.graphs import (Graph, GraphClass, count_embeddings, embeddings,
-                             exists_embedding, graph_of, longest_path,
-                             path_length_within, quotient_isolated, single_node)
+from resilire.graphs import (_BRUTE_ORDERINGS, Graph, GraphClass, _canonical_key,
+                             _cells, _encode, _initial_colors, _refine,
+                             count_embeddings, embeddings, exists_embedding,
+                             graph_of, longest_path, path_length_within,
+                             quotient_isolated, single_node)
+from resilire.rewriting import SubgraphOrder
 
 from conftest import random_graph, rng_for
 
@@ -177,3 +182,174 @@ def test_class_membership():
     chain = graph_of({"l": "L", "p": "a", "q": "a", "r": "a"},
                      [("l", "p", "x"), ("p", "q", "x"), ("q", "r", "x")])
     assert not klass.contains(chain)  # path of length 3
+
+
+# ---------------------------------------------------------------------------
+# canonical search with twin pruning against the unpruned search
+# ---------------------------------------------------------------------------
+
+
+def reference_min_encoding(g, colors):
+    """The canonical search without twin pruning, kept verbatim."""
+    cells = _cells(g, colors)
+    cost = 1
+    for cell in cells:
+        cost *= factorial(len(cell))
+        if cost > _BRUTE_ORDERINGS:
+            break
+    if cost <= _BRUTE_ORDERINGS:
+        best = None
+        for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+            ordering = [v for part in parts for v in part]
+            enc = _encode(g, ordering)
+            if best is None or enc < best:
+                best = enc
+        return best
+    # Individualize one node of the first ambiguous cell and recurse;
+    # the minimum over all choices is an isomorphism invariant.
+    target = next(c for c in cells if len(c) > 1)
+    fresh = max(colors.values()) + 1
+    best = None
+    for v in target:
+        branched = dict(colors)
+        branched[v] = fresh
+        enc = reference_min_encoding(g, _refine(g, branched))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def reference_key(g):
+    if not g.nodes:
+        return (0, 0, (), ())
+    labels, triples = reference_min_encoding(g, _refine(g, _initial_colors(g)))
+    return (len(g.nodes), len(g.edges), labels, triples)
+
+
+def star(n, hub="h", leaf="l", edge="x"):
+    nodes = {"hub": hub}
+    nodes.update({"v%d" % i: leaf for i in range(n)})
+    return Graph(nodes, {"e%d" % i: ("hub", "v%d" % i, edge) for i in range(n)})
+
+
+def isolated(n, label="l"):
+    return Graph({"v%d" % i: label for i in range(n)}, {})
+
+
+def test_twin_pruned_keys_equal_unpruned_keys():
+    rng = rng_for("twins")
+    for i in range(2000):
+        g = random_graph(rng, ["a", "b"], ["x", "y"], 8, rng.randint(0, 10))
+        if g.nodes and i % 4 == 0:  # loops are part of the twin signature
+            v = rng.choice(sorted(g.nodes))
+            g = Graph(g.nodes, dict(g.edges, loop=(v, v, rng.choice("xy"))))
+        assert _canonical_key(g) == reference_key(g)
+
+
+def test_twin_pruned_keys_on_individualized_symmetric_graphs():
+    for n in (6, 7, 8):
+        for g in (star(n), isolated(n), star(n, hub="l")):
+            assert _canonical_key(g) == reference_key(g)
+
+
+def cycles(*sizes):
+    """Disjoint directed cycles: every node looks alike to refinement."""
+    nodes, edges = {}, {}
+    for c, size in enumerate(sizes):
+        for i in range(size):
+            nodes["c%d_%d" % (c, i)] = "a"
+            edges["c%d_e%d" % (c, i)] = ("c%d_%d" % (c, i), "c%d_%d" % (c, (i + 1) % size), "x")
+    return Graph(nodes, edges)
+
+
+def hubs(n_hubs, leaves):
+    """Hubs with private leaves: leaves of one hub are twins, leaves of
+    different hubs are not, yet all leaves share a cell."""
+    nodes, edges = {}, {}
+    for h in range(n_hubs):
+        nodes["h%d" % h] = "h"
+        for i in range(leaves):
+            nodes["h%d_%d" % (h, i)] = "l"
+            edges["h%d_e%d" % (h, i)] = ("h%d" % h, "h%d_%d" % (h, i), "x")
+    return Graph(nodes, edges)
+
+
+def test_twin_pruned_keys_where_cells_mix_twin_classes():
+    rng = rng_for("mixed-cells")
+    graphs = [cycles(3, 5), cycles(4, 4), cycles(2, 3, 3), cycles(2, 6),
+              hubs(2, 3), hubs(4, 2)]
+    for g in graphs:
+        key = reference_key(g)
+        assert _canonical_key(g) == key
+        for _ in range(3):
+            assert _canonical_key(shuffled_copy(g, rng)) == key
+
+
+def test_symmetric_keys_are_fast_and_invariant():
+    rng = rng_for("symmetric")
+    for g in (star(10), isolated(10)):
+        start = time.perf_counter()
+        key = _canonical_key(g)
+        assert time.perf_counter() - start < 0.5
+        assert shuffled_copy(g, rng).key() == key
+
+
+def test_canonical_copy_carries_its_key():
+    rng = rng_for("handover")
+    for _ in range(50):
+        copy = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8).canonical()
+        assert copy._key == _canonical_key(copy)
+
+
+# ---------------------------------------------------------------------------
+# cheap refusals agree with the searches they skip
+# ---------------------------------------------------------------------------
+
+
+def random_subgraph(rng, g):
+    nodes = {v: l for v, l in g.nodes.items() if rng.random() < 0.8}
+    edges = {e: d for e, d in g.edges.items()
+             if d[0] in nodes and d[1] in nodes and rng.random() < 0.8}
+    return Graph(nodes, edges)
+
+
+def test_leq_prefilter_never_refuses_an_embedding():
+    rng = rng_for("prefilter")
+    order = SubgraphOrder(GraphClass())
+    outcomes = set()
+    for i in range(600):
+        b = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8)
+        if i % 2:
+            a = random_subgraph(rng, b)
+        else:
+            a = random_graph(rng, ["a", "b"], ["x", "y"], 5, 6)
+        expected = exists_embedding(a, b)
+        assert order.leq(a, b) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_nodes_only_embedding_respects_loops():
+    looped = Graph({"v": "a"}, {"e": ("v", "v", "x")})
+    two_cycle = graph_of({"u": "a", "w": "a"}, [("u", "w", "x"), ("w", "u", "x")])
+    assert not exists_embedding(looped, two_cycle)
+    assert exists_embedding(looped, looped)
+
+
+def test_admit_agrees_with_normalize_then_contains():
+    rng = rng_for("admit")
+    classes = [GraphClass(max_path=2, quotient_labels=frozenset({"pt"})),
+               GraphClass(node_count=(("L", (1, 2)),), quotient_labels=frozenset({"pt"})),
+               GraphClass(max_path=3, control_labels=frozenset({"L"}))]
+    admitted = 0
+    for _ in range(300):
+        g = random_graph(rng, ["pt", "L"], ["x"], 5, 4)
+        for klass in classes:
+            norm = klass.normalize(g)
+            got = klass.admit(g)
+            if klass.contains(norm):
+                admitted += 1
+                assert (got.nodes, got.edges) == (norm.nodes, norm.edges)
+            else:
+                assert got is None
+    assert admitted

@@ -142,6 +142,29 @@ def test_cli_env_var_overrides_iterations():
     assert json.loads(proc.stdout)["verdict"] == "exhausted"
 
 
+def test_cli_env_var_not_a_number_exits_two():
+    proc = run_cli("check", fixture_path("supplychain.json"),
+                   env={"RESIL_MAX_ITERS": "abc"})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
+def test_cli_missing_model_file_exits_two(tmp_path):
+    proc = run_cli("check", str(tmp_path / "absent.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
+def test_cli_overlap_guard_trip_is_exhausted(tmp_path):
+    doc = json.loads(open(fixture_path("pathgame.json")).read())
+    doc["limits"] = dict(doc.get("limits", {}), overlap_count=1)
+    path = tmp_path / "guarded.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["verdict"] == "exhausted"
+
+
 def test_cli_approx_report():
     proc = run_cli("approx", fixture_path("supplychain.json"),
                    "--under", "20", "--over")
