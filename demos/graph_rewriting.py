@@ -50,7 +50,7 @@ def main():
         graph_of({"l": "L", "p": "pt"}, []),
         {"l": "l", "p": "p"})
     klass = GraphClass(max_path=4)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     target = graph_of({"l": "L", "p": "pt"}, [("l", "p", "x")])
     preds = rule_predecessor_basis(sever, target, klass, order=order)
     for g in preds:

@@ -43,7 +43,7 @@ def main():
                                       built.safe, built.backend)
         print("   states within %2d steps give a lower bound of %s" % (depth, ku))
     ko = engine.overapprox_bound(built.start, built.bad, built.safe, built.backend)
-    print("   the inverted net gives an upper bound of %s" % ko)
+    print("   forward ideal saturation gives an upper bound of %s" % ko)
 
 
 if __name__ == "__main__":

@@ -15,17 +15,17 @@ from .constraints import (And, BadSet, Exists, NotExists, Or, VectorPattern,
                           anti_ideal_of, ideal_basis_of, negate, satisfies)
 from .engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                      Verdict, backward_step, forward_states, min_recovery,
-                     overapprox_bound, pre_star, recovery_bound, recovery_within,
-                     underapprox_bound)
-from .errors import (BackendMismatch, GuardExceeded, ModelError, NotInvertible,
-                     ResilError, SaturationExhausted)
+                     overapprox_bound, pre_star, recovery_bound, underapprox_bound)
+from .errors import (BackendMismatch, GuardExceeded, ModelError, ResilError,
+                     SaturationExhausted)
 from .graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,
-                     longest_path, quotient_isolated, single_node)
+                     quotient_isolated, single_node)
 from .limits import Limits
-from .order import Basis, basis_subset, covers, ideal_intersection_basis, minimize
+from .order import Basis, basis_subset, covers, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,
                     ProductBackend, SYSTEM, Transition, VectorOrder, enabled,
-                    fire, invert, leq_marking, make_net, min_enabling_cover)
+                    fire, least_successor, leq_marking, make_net,
+                    min_enabling_cover)
 from .rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule,
                         identity_rule, matches, overlaps, rule_predecessor_basis,
                         successors)

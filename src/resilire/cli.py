@@ -30,6 +30,9 @@ def _load(path: str) -> model.BuiltModel:
     doc = model.load(path)
     env_iters = os.environ.get("RESIL_MAX_ITERS")
     if env_iters:
+        if not env_iters.isdecimal() or int(env_iters) < 1:
+            raise ResilError("RESIL_MAX_ITERS must be a positive integer, not %r"
+                             % env_iters)
         doc = replace(doc, limits=replace(doc.limits, max_iters=int(env_iters)))
     return model.build(doc)
 
@@ -153,7 +156,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--under", type=int, default=None, metavar="DEPTH",
                    help="lower bound from states reachable within DEPTH steps")
     p.add_argument("--over", action="store_true",
-                   help="upper bound through the inverted backend")
+                   help="upper bound by forward ideal saturation")
     p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("prestar", help="saturate the safety ideal backwards")

@@ -50,11 +50,6 @@ class ControlAutomaton:
     initial: str
     edges: Tuple[AutomatonEdge, ...]
 
-    def reversed(self) -> "ControlAutomaton":
-        return ControlAutomaton(
-            self.states, self.initial,
-            tuple(AutomatonEdge(e.dst, e.src, e.select) for e in self.edges))
-
     def selected_names(self):
         return sorted({name for e in self.edges for name in e.select})
 

@@ -11,8 +11,10 @@ Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
 of safety, or 'unbounded' when saturation settles first.  When no basis
 of the reachable states is supplied the same bound is approximated from
-below by bounded forward exploration and from above through the
-inverted backend.
+below by bounded forward exploration and from above by forward ideal
+saturation: the same round loop, driven by each backend's one-step
+successor basis of an upward closure (`post_basis`), saturates the
+start's upward closure forwards.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import GuardExceeded, NotInvertible, SaturationExhausted
+from .errors import GuardExceeded, SaturationExhausted
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, basis_subset, minimize
 
@@ -57,31 +59,63 @@ class Verdict:
     trace: Optional[Tuple[Basis, ...]] = None
 
 
+def _round(seed: Basis, current: Basis, step, order) -> Basis:
+    """Basis of up(seed) union the ideals of `step(b)` for b in `current`."""
+    candidates = list(seed.elements)
+    for b in current.elements:
+        candidates.extend(step(b))
+    return minimize(candidates, order)
+
+
 def backward_step(current: Basis, safe: Basis, backend) -> Basis:
     """Basis of (safety ideal) union (one-step predecessors of `current`)."""
-    candidates = list(safe.elements)
-    for b in current.elements:
-        candidates.extend(backend.pre_basis(b))
-    return minimize(candidates, backend.order)
+    return _round(safe, current, backend.pre_basis, backend.order)
 
 
-def _saturation(safe: Basis, backend, max_iters: int):
-    """Yield (k, basis-of-round-k, stable) starting at k=0.
+def _saturation(seed: Basis, step, max_iters: int):
+    """Yield (k, basis-of-round-k, stable) starting at k=0, where round k
+    is `step` applied to round k-1.
 
     `stable` marks the first round whose ideal equals the previous one
     (the fixed point); iteration stops after yielding it.  Raises
     SaturationExhausted when the guard trips first.
     """
-    current = safe
+    current = seed
     yield 0, current, False
     for k in range(1, max_iters + 1):
-        nxt = backward_step(current, safe, backend)
+        nxt = step(current)
         stable = basis_subset(nxt.elements, current)
         yield k, nxt, stable
         if stable:
             return
         current = nxt
     raise SaturationExhausted("no fixed point within %d rounds" % max_iters)
+
+
+def _backward(safe: Basis, backend, max_iters: int):
+    return _saturation(safe, lambda current: backward_step(current, safe, backend),
+                       max_iters)
+
+
+def _cover(targets, rounds, trace: Optional[List[Basis]] = None):
+    """Walk saturation rounds to the first whose ideal holds `targets`.
+
+    Returns (kind, k, error): (found, k) at that round, (unbounded, k)
+    at a fixed point that does not hold them, or (exhausted, last
+    completed round, the guard's exception).  `trace` collects every
+    round's basis.
+    """
+    k = 0
+    try:
+        for k, basis, stable in rounds:
+            if trace is not None:
+                trace.append(basis)
+            if basis_subset(targets, basis):
+                return FOUND, k, None
+            if stable:
+                return UNBOUNDED, k, None
+    except (SaturationExhausted, GuardExceeded) as exc:
+        return EXHAUSTED, k, exc
 
 
 def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
@@ -93,29 +127,11 @@ def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
     guard trips; its iteration count is the last completed round.
     """
     targets = [b for b in inst.reachable.elements if inst.bad.contains(b)]
-    trace: List[Basis] = []
-    k = 0
-    try:
-        for k, basis, stable in _saturation(inst.safe, inst.backend, inst.max_iters):
-            if keep_trace:
-                trace.append(basis)
-            if basis_subset(targets, basis):
-                return Verdict(FOUND, k, k, tuple(trace) if keep_trace else None)
-            if stable:
-                return Verdict(UNBOUNDED, None, k, tuple(trace) if keep_trace else None)
-    except (SaturationExhausted, GuardExceeded):
-        pass
-    return Verdict(EXHAUSTED, None, k, tuple(trace) if keep_trace else None)
-
-
-def recovery_within(inst: ResilienceInstance, k: int) -> bool:
-    """Decide the fixed-bound question: is every reachable bad state
-    recoverable within k steps?"""
-    verdict = min_recovery(inst)
-    if verdict.kind == EXHAUSTED:
-        raise SaturationExhausted(
-            "inconclusive: no fixed point within %d rounds" % inst.max_iters)
-    return verdict.kind == FOUND and verdict.k_min <= k
+    trace: Optional[List[Basis]] = [] if keep_trace else None
+    kind, k, _error = _cover(
+        targets, _backward(inst.safe, inst.backend, inst.max_iters), trace)
+    return Verdict(kind, k if kind == FOUND else None, k,
+                   tuple(trace) if keep_trace else None)
 
 
 def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,
@@ -128,13 +144,12 @@ def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,
     """
     trace: List[Basis] = []
     previous = safe
-    for k, basis, stable in _saturation(safe, backend, max_iters):
+    for k, basis, stable in _backward(safe, backend, max_iters):
         if keep_trace:
             trace.append(basis)
         if stable:
             return (previous, k - 1, trace) if keep_trace else (previous, k - 1)
         previous = basis
-    raise SaturationExhausted("unreachable")  # _saturation raised already
 
 
 def recovery_bound(states, bad, safe: Basis, backend,
@@ -143,15 +158,14 @@ def recovery_bound(states, bad, safe: Basis, backend,
 
     The bad part may be replaced by the antichain of its minimal
     elements without changing the answer (coverage only consults the
-    upward closure against a downward-closed filter).
+    upward closure against a downward-closed filter).  A guard trip
+    raises.
     """
     targets = [s for s in states if bad.contains(s)]
-    for k, basis, stable in _saturation(safe, backend, max_iters):
-        if basis_subset(targets, basis):
-            return k
-        if stable:
-            return INFINITY
-    return INFINITY
+    kind, k, error = _cover(targets, _backward(safe, backend, max_iters))
+    if error is not None:
+        raise error
+    return k if kind == FOUND else INFINITY
 
 
 def forward_states(start, backend, depth: int,
@@ -200,17 +214,16 @@ def overapprox_bound(start, bad, safe: Basis, backend,
                      limits: Limits = DEFAULT_LIMITS):
     """Recovery bound over everything reachable from above the start.
 
-    Runs backward saturation in the inverted backend, which computes the
-    forward closure of the start's upward closure; the result is an
-    upper bound on the true k.  Requires an invertible backend.
+    Saturates the start's upward closure forwards through the backend's
+    `post_basis`; the fixed point covers every reachable state, so the
+    result is an upper bound on the true k.
     """
-    inverse = getattr(backend, "invertible", None)
-    if inverse is None:
-        raise NotInvertible(
-            "the backend has no inverted twin: forward closures of upward-closed "
-            "sets are only computable when every step can be undone exactly "
-            "(swapped flow for nets; rule application must never delete "
-            "dangling edges in either direction)")
     start_basis = minimize([start], backend.order)
-    closure, _index = pre_star(start_basis, inverse, limits.max_iters)
+    closure = start_basis
+    for _k, closure, _stable in _saturation(
+            start_basis,
+            lambda current: _round(start_basis, current, backend.post_basis,
+                                   backend.order),
+            limits.max_iters):
+        pass
     return recovery_bound(closure.elements, bad, safe, backend, limits.max_iters)

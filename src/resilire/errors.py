@@ -33,7 +33,3 @@ class SaturationExhausted(ResilError):
     Distinct from an 'unbounded' answer: this is an inconclusive abort.
     """
 
-
-class NotInvertible(ResilError):
-    """The backend has no inverted twin, so forward closures of upward
-    closed sets cannot be computed by backward saturation."""

@@ -375,36 +375,9 @@ def counts_fit(pattern: Graph, host: Graph) -> bool:
             and all(he[l] >= c for l, c in pe.items()))
 
 
-def count_embeddings(pattern: Graph, host: Graph) -> int:
-    return sum(1 for _ in embeddings(pattern, host))
-
-
 # ---------------------------------------------------------------------------
 # paths and normalization
 # ---------------------------------------------------------------------------
-
-
-def longest_path(g: Graph) -> int:
-    """Length (edge count) of a longest simple undirected path."""
-    best = 0
-    incident = defaultdict(list)
-    for (s, t, _l) in g.edges.values():
-        incident[s].append(t)
-        incident[t].append(s)
-
-    def walk(v, seen, length):
-        nonlocal best
-        if length > best:
-            best = length
-        for w in incident[v]:
-            if w not in seen:
-                seen.add(w)
-                walk(w, seen, length + 1)
-                seen.discard(w)
-
-    for v in g.nodes:
-        walk(v, {v}, 0)
-    return best
 
 
 def path_length_within(g: Graph, bound: int) -> bool:
@@ -478,16 +451,21 @@ class GraphClass:
         g = quotient_isolated(g, self.quotient_labels)
         return g.canonical() if self.contains(g) else None
 
-    def contains(self, g: Graph) -> bool:
+    def contains(self, g: Graph, subgraph: bool = False) -> bool:
+        """Membership; with `subgraph`, whether g embeds in some member,
+        which checks only what subgraphs inherit: the path bound, the
+        count maxima, and at most one control and one marker node."""
         counts = Counter(g.nodes.values())
         for lab, (lo, hi) in self.node_count:
-            if lo is not None and counts[lab] < lo:
+            if lo is not None and counts[lab] < lo and not subgraph:
                 return False
             if hi is not None and counts[lab] > hi:
                 return False
         for required in (self.control_labels, self.marker_labels):
-            if required and sum(counts[l] for l in required) != 1:
-                return False
+            if required:
+                n = sum(counts[l] for l in required)
+                if n > 1 or (n < 1 and not subgraph):
+                    return False
         return self.max_path is None or path_length_within(g, self.max_path)
 
     def control_of(self, g: Graph) -> Optional[str]:

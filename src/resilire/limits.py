@@ -7,8 +7,8 @@ from dataclasses import dataclass
 class Limits:
     """Caps that keep the checker responsive on hostile inputs.
 
-    max_iters bounds backward saturation (a distinct 'exhausted' outcome,
-    never reported as 'unbounded').  overlap_nodes caps the node count of
+    max_iters bounds saturation in both directions (a distinct
+    'exhausted' outcome, never reported as 'unbounded').  overlap_nodes caps the node count of
     enumerated overlap graphs (None means the natural bound |A|+|B|).
     overlap_count caps how many overlaps a single backward step may
     enumerate.  The forward caps bound breadth-first exploration used by

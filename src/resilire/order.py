@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .errors import BackendMismatch
-
 State = Any
 
 
@@ -38,10 +36,6 @@ class Wqo:
         raise NotImplementedError
 
     def size(self, a) -> int:
-        raise NotImplementedError
-
-    def upper_bounds(self, a, b) -> Iterable:
-        """Generators of the intersection ideal up(a) & up(b)."""
         raise NotImplementedError
 
 
@@ -93,19 +87,3 @@ def basis_subset(states: Iterable, basis: Basis) -> bool:
     """True iff every given state lies in the ideal generated by `basis`."""
     return all(covers(basis, s) for s in states)
 
-
-def ideal_intersection_basis(b1: Basis, b2: Basis) -> Basis:
-    """Basis of the intersection of two ideals given by bases.
-
-    Candidates come from the order's pairwise upper-bound generators
-    (componentwise maxima for vectors, overlap graphs for graphs) and
-    are then minimized.
-    """
-    if b1.order is not b2.order:
-        raise BackendMismatch("cannot intersect bases over different orders")
-    order = b1.order
-    candidates: list = []
-    for a in b1.elements:
-        for b in b2.elements:
-            candidates.extend(order.upper_bounds(a, b))
-    return minimize(candidates, order)

@@ -1,5 +1,5 @@
-"""Petri nets: markings, firing, the componentwise order, backward
-coverability steps, net inversion, and the product with a control
+"""Petri nets: markings, firing, the componentwise order, the one-step
+ideal steps in both directions, and the product with a control
 automaton.
 
 A marking is a dense tuple of token counts indexed by the net's place
@@ -115,10 +115,15 @@ def min_enabling_cover(net: PetriNet, m: Marking, t: Transition) -> Marking:
     return Marking(toks, m.state, m.marker)
 
 
-def invert(net: PetriNet) -> PetriNet:
-    """Swap every transition's pre and post: firing runs backwards."""
-    return PetriNet(net.places, tuple(
-        Transition(t.name, t.post, t.pre, t.owner) for t in net.transitions))
+def least_successor(net: PetriNet, m: Marking, t: Transition) -> Marking:
+    """The least marking that firing `t` reaches from above `m`.
+
+    Fire t at max(m, pre), giving max(m - pre, 0) + post: the forward
+    counterpart of `min_enabling_cover`.
+    """
+    toks = tuple(max(have - need, 0) + add
+                 for have, need, add in zip(m.tokens, t.pre, t.post))
+    return Marking(toks, m.state, m.marker)
 
 
 class VectorOrder(Wqo):
@@ -143,24 +148,15 @@ class VectorOrder(Wqo):
     def size(self, a: Marking) -> int:
         return sum(a.tokens)
 
-    def upper_bounds(self, a: Marking, b: Marking):
-        if a.state != b.state or a.marker != b.marker:
-            return []
-        toks = tuple(max(x, y) for x, y in zip(a.tokens, b.tokens))
-        return [Marking(toks, a.state, a.marker)]
-
 
 class PetriBackend:
     """A plain net as a transition system over bare markings."""
 
     kind = "petri"
 
-    def __init__(self, net: PetriNet, _inverse: "PetriBackend" = None):
+    def __init__(self, net: PetriNet):
         self.net = net
         self.order = VectorOrder(len(net.places))
-        if _inverse is None:
-            _inverse = PetriBackend(invert(net), _inverse=self)
-        self.invertible = _inverse
 
     def post_step(self, m: Marking) -> List[Marking]:
         out = []
@@ -171,6 +167,10 @@ class PetriBackend:
 
     def pre_basis(self, m: Marking) -> List[Marking]:
         return sorted({min_enabling_cover(self.net, m, t)
+                       for t in self.net.transitions}, key=self.order.key)
+
+    def post_basis(self, m: Marking) -> List[Marking]:
+        return sorted({least_successor(self.net, m, t)
                        for t in self.net.transitions}, key=self.order.key)
 
     def basis(self, markings) -> Basis:
@@ -185,33 +185,20 @@ class ProductBackend:
     marking; when `annotate` is set the target's marker is the owner of
     t, and steps accept any marker on the left (so the start marker is
     lost after the first step).
-
-    The inverted twin runs the swapped net over the reversed automaton.
-    With markers present the owner constraint swaps sides too
-    (`marker_on_source`), which keeps the inverse an exact reversal of
-    the step relation.
     """
 
     kind = "petri-product"
 
-    def __init__(self, net: PetriNet, automaton, annotate: bool = False,
-                 marker_on_source: bool = False, _inverse: "ProductBackend" = None):
+    def __init__(self, net: PetriNet, automaton, annotate: bool = False):
         self.net = net
         self.automaton = automaton
         self.annotate = annotate
-        self.marker_on_source = marker_on_source
         self.order = VectorOrder(len(net.places))
         self._by_name = {t.name: t for t in net.transitions}
         for edge in automaton.edges:
             for name in edge.select:
                 if name not in self._by_name:
                     raise KeyError("automaton selects unknown transition %r" % name)
-        if _inverse is None:
-            _inverse = ProductBackend(
-                invert(net), automaton.reversed(), annotate,
-                marker_on_source=annotate and not marker_on_source,
-                _inverse=self)
-        self.invertible = _inverse
 
     def _check_state(self, m: Marking):
         if m.state not in self.automaton.states:
@@ -226,42 +213,34 @@ class ProductBackend:
             for name in edge.select:
                 yield edge, self._by_name[name]
 
+    def _target(self, tokens, edge, t: Transition) -> Marking:
+        return Marking(tokens, edge.dst, t.owner if self.annotate else None)
+
     def post_step(self, m: Marking) -> List[Marking]:
         self._check_state(m)
-        out = set()
-        for edge, t in self._steps_from(m):
-            if self.annotate and self.marker_on_source and m.marker != t.owner:
-                continue
-            if not enabled(self.net, m, t):
-                continue
-            nxt = fire(self.net, m, t)
-            if not self.annotate:
-                out.add(Marking(nxt.tokens, edge.dst, None))
-            elif self.marker_on_source:
-                for mk in MARKERS:
-                    out.add(Marking(nxt.tokens, edge.dst, mk))
-            else:
-                out.add(Marking(nxt.tokens, edge.dst, t.owner))
-        return sorted(out, key=self.order.key)
+        return sorted({self._target(fire(self.net, m, t).tokens, edge, t)
+                       for edge, t in self._steps_from(m)
+                       if enabled(self.net, m, t)}, key=self.order.key)
+
+    def post_basis(self, m: Marking) -> List[Marking]:
+        self._check_state(m)
+        return sorted({self._target(least_successor(self.net, m, t).tokens, edge, t)
+                       for edge, t in self._steps_from(m)}, key=self.order.key)
 
     def pre_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
+        markers = MARKERS if self.annotate else (None,)
         out = set()
         for edge in self.automaton.edges:
             if edge.dst != m.state:
                 continue
             for name in edge.select:
                 t = self._by_name[name]
-                if self.annotate and not self.marker_on_source and m.marker != t.owner:
+                if self.annotate and m.marker != t.owner:
                     continue
                 cover = min_enabling_cover(self.net, m, t)
-                if not self.annotate:
-                    out.add(Marking(cover.tokens, edge.src, None))
-                elif self.marker_on_source:
-                    out.add(Marking(cover.tokens, edge.src, t.owner))
-                else:
-                    for mk in MARKERS:
-                        out.add(Marking(cover.tokens, edge.src, mk))
+                for mk in markers:
+                    out.add(Marking(cover.tokens, edge.src, mk))
         return sorted(out, key=self.order.key)
 
     def basis(self, markings) -> Basis:

@@ -16,7 +16,8 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, Optional
 
 from .errors import GuardExceeded
-from .graphs import Graph, GraphClass, counts_fit, embeddings, exists_embedding
+from .graphs import (Graph, GraphClass, counts_fit, embeddings, exists_embedding,
+                     quotient_isolated)
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, Wqo, minimize
 
@@ -331,9 +332,7 @@ class SubgraphOrder(Wqo):
     label-count test that refuses most pairs without a search.
     """
 
-    def __init__(self, klass: GraphClass, limits: Limits = DEFAULT_LIMITS):
-        self.klass = klass
-        self.limits = limits
+    def __init__(self):
         self._cache: Dict[tuple, bool] = {}
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -352,16 +351,11 @@ class SubgraphOrder(Wqo):
     def size(self, a: Graph) -> int:
         return len(a.nodes) + len(a.edges)
 
-    def upper_bounds(self, a: Graph, b: Graph):
-        for ov in overlaps(a, b, self.limits):
-            u = self.klass.admit(ov.u)
-            if u is not None:
-                yield u
-
 
 class GraphBackend:
     """State space of a graph transition system: a rule set acting on a
-    class of graphs, with forward steps and backward coverability steps.
+    class of graphs, with forward steps and one-step ideal steps in both
+    directions.
 
     Backward steps are memoized per (rule, state) because saturation
     revisits surviving basis elements on every round.
@@ -373,8 +367,7 @@ class GraphBackend:
         self.rules = list(rules)
         self.klass = klass
         self.limits = limits
-        self.order = SubgraphOrder(klass, limits)
-        self.invertible = None
+        self.order = SubgraphOrder()
         self._pre_cache: Dict[tuple, tuple] = {}
 
     def normalize(self, g: Graph) -> Graph:
@@ -394,6 +387,30 @@ class GraphBackend:
                 self._pre_cache[ck] = cached
             for cand in cached:
                 out.setdefault(cand.key(), cand)
+        return [out[k] for k in sorted(out)]
+
+    def post_basis(self, g: Graph) -> List[Graph]:
+        """Basis of the one-step successors of g's upward closure.
+
+        A host above g matches a rule's left side in an overlap of the
+        two, and applying the rule there gives a successor below every
+        successor of such a host.  Results are filtered only by the
+        class conditions that subgraphs of members inherit, so one
+        below a `node_count` minimum stays: a larger host brings its
+        successors into the class.
+        """
+        klass = self.klass
+        out: Dict[tuple, Graph] = {}
+        for rule in self.rules:
+            for ov in overlaps(rule.left, g, self.limits):
+                if not klass.contains(ov.u, subgraph=True):
+                    continue
+                match = {"nodes": ov.a_nodes, "edges": ov.a_edges}
+                h = quotient_isolated(apply_rule(rule, ov.u, match),
+                                      klass.quotient_labels)
+                if klass.contains(h, subgraph=True):
+                    h = h.canonical()
+                    out.setdefault(h.key(), h)
         return [out[k] for k in sorted(out)]
 
     def basis(self, graphs) -> Basis:

@@ -285,7 +285,7 @@ def _counting_filter(rule, target):
 def test_acceptance_5b_graph_backward_step_sound_and_complete():
     rng = rng_for("acceptance-prestep")
     klass = GraphClass(max_path=3)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     universe = enumerate_class_graphs(["a", "b"], ["x"], 5, klass, max_edges=6)
     cases = sound_checks = complete_hits = 0
     while cases < 50:
@@ -335,9 +335,22 @@ def test_acceptance_6_approximation_sandwich(supply_built, harvested_models):
         k_over = overapprox_bound(start, bad, safe, backend)
         assert k_under <= k_min <= k_over, (k_under, k_min, k_over)
         ordered += 1
+
+    doc = model.load(fixture_path("adverse_vs_error.json"))
+    graph_bounds = []
+    for built in (model.build(doc), model.build(doc.with_bad({"mode": "error"}))):
+        verdict = min_recovery(built.instance())
+        k_min = verdict.k_min if verdict.kind == FOUND else INFINITY
+        k_under = underapprox_bound(built.start, 6, built.bad, built.safe,
+                                    built.backend)
+        k_over = overapprox_bound(built.start, built.bad, built.safe, built.backend)
+        assert k_under <= k_min <= k_over, (k_under, k_min, k_over)
+        graph_bounds.append((k_under, k_min, k_over))
+    assert graph_bounds == [(1, 1, 1), (INFINITY, INFINITY, INFINITY)]
     announce("ACCEPTANCE 6 PASS: supply chain under-bounds rise to 6 by "
              "depth %d, over-bound %s >= 6; ordering holds on %d random "
-             "models" % (reach_six, over, ordered))
+             "models and on both readings of the graph example (1 <= 1 <= 1, "
+             "unbounded)" % (reach_six, over, ordered))
 
 
 # -- 7: invariant suites -------------------------------------------------------
@@ -401,7 +414,7 @@ def test_acceptance_7_invariant_suites(supply_built):
     from resilire.constraints import GraphDomain
     from resilire.graphs import graph_of, single_node
     klass = GraphClass(max_path=2)
-    dom = GraphDomain(klass, SubgraphOrder(klass))
+    dom = GraphDomain(klass, SubgraphOrder())
     constraint = Or((
         Exists(graph_of({"u": "a", "v": "b"}, [("u", "v", "x")])),
         Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x"), ("v", "u", "x")])),

@@ -67,7 +67,7 @@ def test_inheritance_along_embeddings():
 
 def plain_graph_domain(max_path=3):
     klass = GraphClass(max_path=max_path)
-    return GraphDomain(klass, SubgraphOrder(klass))
+    return GraphDomain(klass, SubgraphOrder())
 
 
 def test_ideal_basis_single_pattern():
@@ -104,7 +104,7 @@ def test_ideal_basis_agrees_with_satisfaction_exhaustively():
 
 def test_ideal_basis_completes_over_control_states():
     klass = GraphClass(max_path=2, control_labels=frozenset(["q0", "q1"]))
-    dom = GraphDomain(klass, SubgraphOrder(klass))
+    dom = GraphDomain(klass, SubgraphOrder())
     basis = ideal_basis_of(Exists(single_node("a")), dom)
     assert sorted(klass.control_of(g) for g in basis.elements) == ["q0", "q1"]
     pinned = ideal_basis_of(Exists(with_control(single_node("a"), "q1")), dom)

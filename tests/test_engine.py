@@ -10,8 +10,8 @@ from resilire.constraints import BadSet
 from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
                              ResilienceInstance, backward_step, forward_states,
                              min_recovery, overapprox_bound, pre_star,
-                             recovery_bound, recovery_within, underapprox_bound)
-from resilire.errors import NotInvertible, SaturationExhausted
+                             recovery_bound, underapprox_bound)
+from resilire.errors import GuardExceeded, SaturationExhausted
 from resilire.limits import Limits
 from resilire.order import Basis, basis_subset, covers, minimize
 from resilire.petri import Marking, PetriBackend, enabled, fire, make_net
@@ -119,19 +119,34 @@ def test_min_recovery_overlap_guard_trip_is_exhausted():
     assert verdict.kind == EXHAUSTED and verdict.k_min is None
 
 
+def test_recovery_bound_overlap_guard_trip_raises():
+    doc = model.load(fixture_path("pathgame.json"))
+    built = model.build(replace(doc, limits=replace(doc.limits, overlap_count=1)))
+    with pytest.raises(GuardExceeded):
+        recovery_bound(built.reachable.elements, built.bad, built.safe,
+                       built.backend, built.doc.limits.max_iters)
+
+
+def recovers_within(inst, k):
+    """The fixed-bound question as `check --k` answers it."""
+    verdict = min_recovery(inst)
+    if verdict.kind == EXHAUSTED:
+        return None
+    return verdict.kind == FOUND and verdict.k_min <= k
+
+
 def test_recovery_within(supply_built):
-    assert recovery_within(supply_built.instance(), 6)
-    assert not recovery_within(supply_built.instance(), 5)
+    assert recovers_within(supply_built.instance(), 6)
+    assert not recovers_within(supply_built.instance(), 5)
     never = BadSet("custom", lambda s: False, "nothing")
-    assert recovery_within(supply_instance(supply_built, bad=never), 0)
+    assert recovers_within(supply_instance(supply_built, bad=never), 0)
 
 
 def test_recovery_within_propagates_exhaustion(supply_built):
     inst = ResilienceInstance(
         backend=supply_built.backend, reachable=supply_built.reachable,
         bad=supply_built.bad, safe=supply_built.safe, max_iters=2)
-    with pytest.raises(SaturationExhausted):
-        recovery_within(inst, 6)
+    assert recovers_within(inst, 6) is None
 
 
 def test_pre_star_whole_space_has_index_zero():
@@ -254,10 +269,15 @@ def test_overapprox_examples(supply_built):
     assert overapprox_bound(Marking((0,)), EVERYTHING, safe, producer) == 1
 
 
-def test_overapprox_needs_invertible_backend(triangle_doc):
+def test_overapprox_on_graph_model(triangle_doc):
     built = model.build(triangle_doc)
-    with pytest.raises(NotInvertible, match="inverted twin"):
-        overapprox_bound(built.start, built.bad, built.safe, built.backend)
+    assert overapprox_bound(built.start, built.bad, built.safe, built.backend) == 1
+
+
+def test_overapprox_exhaustion_raises(supply_built):
+    with pytest.raises(SaturationExhausted):
+        overapprox_bound(supply_built.start, supply_built.bad, supply_built.safe,
+                         supply_built.backend, Limits(max_iters=2))
 
 
 def test_verdict_matches_explicit_oracle_small():

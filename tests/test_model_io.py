@@ -146,7 +146,15 @@ def test_cli_env_var_not_a_number_exits_two():
     proc = run_cli("check", fixture_path("supplychain.json"),
                    env={"RESIL_MAX_ITERS": "abc"})
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith("error: RESIL_MAX_ITERS ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_env_var_not_positive_exits_two(value):
+    proc = run_cli("check", fixture_path("supplychain.json"),
+                   env={"RESIL_MAX_ITERS": value})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: RESIL_MAX_ITERS ")
 
 
 def test_cli_missing_model_file_exits_two(tmp_path):
@@ -173,10 +181,10 @@ def test_cli_approx_report():
     assert "k_under <= k_min <= k_over" == report["guarantee"]
 
 
-def test_cli_approx_over_needs_invertible():
+def test_cli_approx_over_on_graph_model():
     proc = run_cli("approx", fixture_path("adverse_vs_error.json"), "--over")
-    assert proc.returncode == 2
-    assert "inverted" in proc.stderr
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["k_over"] == 1
 
 
 def test_cli_post_depth_zero_is_start():

@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
+from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
+                                  VectorPattern, ideal_basis_of)
 from resilire.errors import BackendMismatch
-from resilire.order import (Basis, basis_subset, covers, ideal_intersection_basis,
-                            minimize)
-from resilire.petri import Marking, VectorOrder
+from resilire.order import Basis, basis_subset, covers, minimize
+from resilire.petri import Marking, VectorOrder, make_net
 
 from conftest import rng_for
 
@@ -109,26 +110,40 @@ def test_basis_subset_round5_fails_round6_holds():
     assert basis_subset(targets, b6)
 
 
+def meet(b1, b2, domain, pattern=lambda s: s):
+    """Basis of up(b1) & up(b2) through the domain's meet, which the
+    library applies to conjunctions of safety patterns."""
+    def either(basis):
+        return Or(tuple(Exists(pattern(s)) for s in basis.elements))
+    return ideal_basis_of(And((either(b1), either(b2))), domain)
+
+
+V2_DOMAIN = MarkingDomain(make_net(["a", "b"], []), V2)
+
+
+def vector_meet(b1, b2):
+    return meet(b1, b2, V2_DOMAIN, lambda m: VectorPattern(m.tokens))
+
+
 def test_intersection_componentwise_max():
     b1 = minimize([Marking((1, 0))], V2)
     b2 = minimize([Marking((0, 1))], V2)
-    meet = ideal_intersection_basis(b1, b2)
-    assert [s.tokens for s in meet.elements] == [(1, 1)]
+    assert [s.tokens for s in vector_meet(b1, b2).elements] == [(1, 1)]
 
 
 def test_intersection_idempotent():
     b = minimize([Marking((2, 0)), Marking((0, 2))], V2)
-    assert ideal_intersection_basis(b, b).elements == b.elements
+    assert vector_meet(b, b).elements == b.elements
 
 
 def test_intersection_against_grid_enumeration():
     b1 = minimize([Marking((2, 0)), Marking((0, 2))], V2)
     b2 = minimize([Marking((1, 1))], V2)
-    meet = ideal_intersection_basis(b1, b2)
-    assert sorted(s.tokens for s in meet.elements) == [(1, 2), (2, 1)]
+    both = vector_meet(b1, b2)
+    assert sorted(s.tokens for s in both.elements) == [(1, 2), (2, 1)]
     universe = grid(V2, 3, 2)
     truth = up_set(b1.elements, V2, universe) & up_set(b2.elements, V2, universe)
-    assert up_set(meet.elements, V2, universe) == truth
+    assert up_set(both.elements, V2, universe) == truth
 
 
 def test_intersection_random_against_grid():
@@ -137,9 +152,9 @@ def test_intersection_random_against_grid():
     for _ in range(30):
         b1 = minimize([rng.choice(universe) for _ in range(3)], V2)
         b2 = minimize([rng.choice(universe) for _ in range(3)], V2)
-        meet = ideal_intersection_basis(b1, b2)
+        both = vector_meet(b1, b2)
         truth = up_set(b1.elements, V2, universe) & up_set(b2.elements, V2, universe)
-        assert up_set(meet.elements, V2, universe) == truth
+        assert up_set(both.elements, V2, universe) == truth
 
 
 def graph_setup():
@@ -147,14 +162,14 @@ def graph_setup():
     from resilire.rewriting import SubgraphOrder
     from conftest import enumerate_class_graphs
     klass = GraphClass(max_path=2)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     universe = enumerate_class_graphs(["a", "b"], ["x"], 4, klass, max_edges=3)
-    return order, universe
+    return klass, order, universe
 
 
 def test_minimize_preserves_upward_closure_on_graphs():
     rng = rng_for("graph-minimize")
-    order, universe = graph_setup()
+    _klass, order, universe = graph_setup()
     for _ in range(25):
         sample = [rng.choice(universe) for _ in range(rng.randint(0, 5))]
         b = minimize(sample, order)
@@ -167,12 +182,13 @@ def test_minimize_preserves_upward_closure_on_graphs():
 
 def test_graph_intersection_against_universe():
     rng = rng_for("graph-intersect")
-    order, universe = graph_setup()
+    klass, order, universe = graph_setup()
+    domain = GraphDomain(klass, order)
     small = [g for g in universe if len(g.nodes) <= 2]
     for _ in range(12):
         b1 = minimize([rng.choice(small) for _ in range(2)], order)
         b2 = minimize([rng.choice(small) for _ in range(2)], order)
-        meet = ideal_intersection_basis(b1, b2)
+        both = meet(b1, b2, domain)
         truth = up_set(b1.elements, order, universe) & \
             up_set(b2.elements, order, universe)
-        assert up_set(meet.elements, order, universe) == truth
+        assert up_set(both.elements, order, universe) == truth

@@ -1,4 +1,4 @@
-"""Net semantics: firing, ordering, backward steps, inversion, product."""
+"""Net semantics: firing, ordering, ideal steps in both directions, product."""
 
 import itertools
 
@@ -6,9 +6,10 @@ import pytest
 
 from resilire.control import make_automaton
 from resilire.errors import BackendMismatch
-from resilire.petri import (ENVIRONMENT, Marking, PetriBackend, ProductBackend,
-                            SYSTEM, enabled, fire, invert, leq_marking, make_net,
-                            min_enabling_cover)
+from resilire.order import covers
+from resilire.petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend,
+                            ProductBackend, SYSTEM, enabled, fire, least_successor,
+                            leq_marking, make_net, min_enabling_cover)
 
 from conftest import rng_for
 
@@ -105,24 +106,34 @@ def test_min_enabling_cover_exact_on_grid():
             assert truth == leq_marking(cov, m)
 
 
-def test_invert_is_involution_and_swaps():
+def test_least_successor_examples():
     net = supply_net()
-    assert invert(invert(net)) == net
-    tr = invert(net).transition("transport")
-    assert tr.pre == (0, 1, 0, 0) and tr.post == (1, 0, 0, 0)
+    assert least_successor(net, M0, net.transition("transport")).tokens == (0, 2, 1, 1)
+    assert least_successor(net, M0, net.transition("ship1")).tokens == (0, 0, 2, 1)
+    zero = Marking((0, 0, 0, 0))
+    assert least_successor(net, zero, net.transition("buy1")).tokens == (0, 0, 0, 0)
 
 
-def test_invert_firing_equivalence_sampled():
-    rng = rng_for("invert-fire")
-    net = supply_net()
-    inv = invert(net)
-    for _ in range(1000):
-        m = Marking(tuple(rng.randint(0, 3) for _ in range(4)))
-        t = rng.choice(net.transitions)
-        if enabled(net, m, t):
-            m2 = fire(net, m, t)
-            assert enabled(inv, m2, inv.transition(t.name))
-            assert fire(inv, m2, inv.transition(t.name)).tokens == m.tokens
+def assert_post_basis_exact(backend, hosts, targets, starts):
+    """up(post_basis(m)) must meet `targets` exactly at the markings above
+    a one-step successor of some host above m.  `hosts` must hold every
+    marking that can step below a target."""
+    steps = {n: backend.post_step(n) for n in hosts}
+    for m in starts:
+        truth = backend.basis([s for n, out in steps.items() if leq_marking(m, n)
+                               for s in out])
+        basis = backend.post_basis(m)
+        for target in targets:
+            assert covers(truth, target) == any(leq_marking(b, target) for b in basis)
+
+
+def test_post_basis_exact_on_grid():
+    rng = rng_for("post-grid")
+    backend = PetriBackend(supply_net())
+    hosts = [Marking(t) for t in itertools.product(range(4), repeat=4)]
+    targets = [Marking(t) for t in itertools.product(range(3), repeat=4)]
+    starts = [Marking(tuple(rng.randint(0, 2) for _ in range(4))) for _ in range(20)]
+    assert_post_basis_exact(backend, hosts, targets, starts)
 
 
 def test_plain_backend_pre_basis_sound_small():
@@ -209,20 +220,17 @@ def test_product_strong_compatibility_sampled():
                        for o in backend.post_step(big))
 
 
-def test_inverted_product_reverses_steps_exactly():
-    rng = rng_for("product-invert")
+def test_product_post_basis_exact_on_grid():
+    rng = rng_for("product-post-grid")
     backend = ProductBackend(supply_net(), supply_automaton())
-    inverse = backend.invertible
     states = list(supply_automaton().states)
-    for _ in range(200):
-        m = Marking(tuple(rng.randint(0, 2) for _ in range(4)),
-                    rng.choice(states))
-        for nxt in backend.post_step(m):
-            assert any(back.tokens == m.tokens and back.state == m.state
-                       for back in inverse.post_step(nxt))
-        for nxt in inverse.post_step(m):
-            assert any(back.tokens == m.tokens and back.state == m.state
-                       for back in backend.post_step(nxt))
+    hosts = [Marking(t, q) for q in states
+             for t in itertools.product(range(4), repeat=4)]
+    targets = [Marking(t, q) for q in states
+               for t in itertools.product(range(3), repeat=4)]
+    starts = [Marking(tuple(rng.randint(0, 2) for _ in range(4)), q)
+              for q in states for _ in range(2)]
+    assert_post_basis_exact(backend, hosts, targets, starts)
 
 
 def test_annotated_product_markers():
@@ -246,16 +254,14 @@ def test_annotated_product_markers():
                for o in backend.post_step(s) if o.state == "e")
 
 
-def test_annotated_inverted_product_reverses_exactly():
-    rng = rng_for("annot-invert")
+def test_annotated_product_post_basis_exact_on_grid():
+    rng = rng_for("annot-post-grid")
     backend = ProductBackend(supply_net(), supply_automaton(), annotate=True)
-    inverse = backend.invertible
     states = list(supply_automaton().states)
-    markers = ["top", "sys", "env"]
-    for _ in range(200):
-        m = Marking(tuple(rng.randint(0, 2) for _ in range(4)),
-                    rng.choice(states), rng.choice(markers))
-        for nxt in backend.post_step(m):
-            assert any(b == m for b in inverse.post_step(nxt))
-        for nxt in inverse.post_step(m):
-            assert any(b == m for b in backend.post_step(nxt))
+    hosts = [Marking(t, q, mk) for q in states for mk in MARKERS
+             for t in itertools.product(range(4), repeat=4)]
+    targets = [Marking(t, q, mk) for q in states for mk in MARKERS
+               for t in itertools.product(range(3), repeat=4)]
+    starts = [Marking(tuple(rng.randint(0, 2) for _ in range(4)), q, mk)
+              for q in states for mk in MARKERS]
+    assert_post_basis_exact(backend, hosts, targets, starts)

@@ -165,7 +165,7 @@ def one_step_covers(rule, g, target, klass):
 
 def test_predecessors_of_edge_deletion_forward_verified():
     klass = GraphClass(max_path=4)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     rule = drop_edge_rule()
     target = graph_of({"l": "L", "p": "pt"}, [("l", "p", "x")])
     preds = rule_predecessor_basis(rule, target, klass, order=order)
@@ -182,7 +182,7 @@ def test_predecessors_of_edge_deletion_forward_verified():
 
 def test_predecessors_of_node_creation_include_empty():
     klass = GraphClass(max_path=4)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     rule = Rule("spawn", "sys", Graph({}, {}), single_node("n"), {})
     preds = rule_predecessor_basis(rule, single_node("n"), klass, order=order)
     assert preds == [Graph({}, {})]
@@ -220,7 +220,7 @@ def random_rule(rng, node_labels=("a", "b"), edge_labels=("x",)):
 def test_backward_step_sound_and_complete_smoke():
     rng = rng_for("pre-smoke")
     klass = GraphClass(max_path=3)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     universe = enumerate_class_graphs(["a", "b"], ["x"], 4, klass, max_edges=4)
     for _ in range(12):
         rule = random_rule(rng)
@@ -234,10 +234,50 @@ def test_backward_step_sound_and_complete_smoke():
                 assert covers(basis, g)
 
 
+def test_post_basis_keeps_results_below_a_count_minimum():
+    """Eating the `a` of a->x leaves one `a`, below the class minimum of
+    two; only hosts with a third `a` step into the class, and their
+    successors must stay covered."""
+    klass = GraphClass(node_count=(("a", (2, None)),))
+    eat = Rule("eat", "sys", graph_of({"a": "a", "x": "x"}, [("a", "x", "e")]),
+               single_node("x"), {"x": "n0"})
+    backend = GraphBackend([eat], klass)
+    g = graph_of({"a1": "a", "x": "x", "a2": "a"}, [("a1", "x", "e")])
+    host = graph_of({"a1": "a", "x": "x", "a2": "a", "a3": "a"}, [("a1", "x", "e")])
+    succ = klass.normalize(graph_of({"x": "x", "a2": "a", "a3": "a"}, []))
+    assert backend.post_step(g) == []
+    assert backend.post_step(host) == [succ]
+    basis = backend.post_basis(g)
+    assert any(backend.order.leq(b, succ) for b in basis)
+
+
+def test_post_basis_covers_class_successors_on_universe():
+    """Every class successor of every class graph above g lies above an
+    element of post_basis(g), on a 4-node universe of a class with count
+    bounds on both sides."""
+    rng = rng_for("post-basis-universe")
+    klass = GraphClass(max_path=3, node_count=(("a", (2, 3)), ("b", (1, 3))))
+    order = SubgraphOrder()
+    universe = enumerate_class_graphs(["a", "b"], ["x"], 4, klass, max_edges=3)
+    checked = 0
+    for _ in range(40):
+        rule = random_rule(rng)
+        backend = GraphBackend([rule], klass)
+        g = random_graph(rng, ["a", "b"], ["x"], 3, 2, klass)
+        basis = backend.post_basis(g)
+        for host in universe:
+            if not order.leq(g, host):
+                continue
+            for h in backend.post_step(host):
+                assert any(order.leq(b, h) for b in basis), (rule, g, host, h)
+                checked += 1
+    assert checked > 1000
+
+
 def test_strong_compatibility_sampled():
     rng = rng_for("strong-compat")
     klass = GraphClass(max_path=4)
-    order = SubgraphOrder(klass)
+    order = SubgraphOrder()
     rules = [token_move_rule("P", "W", "transport"), drop_edge_rule()]
     for _ in range(40):
         rule = rng.choice(rules)
