@@ -41,12 +41,23 @@ def _bound_json(value):
     return "infinity" if value == engine.INFINITY else value
 
 
+def _trace_json(built: model.BuiltModel, bases) -> list:
+    """Per-round report: each round's basis and its elements in the bad set."""
+    return [{"k": i,
+             "basis": built.basis_to_json(basis),
+             "bad_side": [built.state_to_json(s) for s in basis.elements
+                          if built.bad.contains(s)]}
+            for i, basis in enumerate(bases)]
+
+
 def cmd_check(args) -> int:
     built = _load(args.model)
     verdict = engine.min_recovery(built.instance(), keep_trace=args.trace)
     report = {"verdict": verdict.kind, "iterations": verdict.iterations}
     if verdict.kind == engine.FOUND:
         report["k_min"] = verdict.k_min
+    if verdict.kind == engine.EXHAUSTED:
+        report["reason"] = verdict.reason
     if args.k is not None:
         if verdict.kind == engine.EXHAUSTED:
             report["explicit"] = None
@@ -55,13 +66,7 @@ def cmd_check(args) -> int:
                                   and verdict.k_min <= args.k)
             report["k"] = args.k
     if args.trace and verdict.trace is not None:
-        report["trace"] = [
-            {"k": i,
-             "basis": built.basis_to_json(basis),
-             "bad_side": [built.state_to_json(s) for s in basis.elements
-                          if built.bad.contains(s)]}
-            for i, basis in enumerate(verdict.trace)
-        ]
+        report["trace"] = _trace_json(built, verdict.trace)
     _emit(report)
     if verdict.kind == engine.FOUND:
         return EXIT_FOUND
@@ -97,13 +102,7 @@ def cmd_prestar(args) -> int:
             built.safe, built.backend, built.doc.limits.max_iters)
     report = {"basis": built.basis_to_json(basis), "index": index}
     if args.trace:
-        report["trace"] = [
-            {"k": i,
-             "basis": built.basis_to_json(b),
-             "bad_side": [built.state_to_json(s) for s in b.elements
-                          if built.bad.contains(s)]}
-            for i, b in enumerate(trace)
-        ]
+        report["trace"] = _trace_json(built, trace)
     _emit(report)
     return EXIT_FOUND
 

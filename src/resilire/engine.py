@@ -53,10 +53,13 @@ class ResilienceInstance:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision; `reason` says which guard tripped, for `exhausted` only."""
+
     kind: str
     k_min: Optional[int]
     iterations: int
     trace: Optional[Tuple[Basis, ...]] = None
+    reason: Optional[str] = None
 
 
 def _round(seed: Basis, current: Basis, step, order) -> Basis:
@@ -124,14 +127,16 @@ def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
     Returns Verdict(found, k), Verdict(unbounded) when saturation
     settles before the reachable bad states are covered, or
     Verdict(exhausted) when the iteration guard or a backend's size
-    guard trips; its iteration count is the last completed round.
+    guard trips; its iteration count is the last completed round and its
+    reason the guard's message.
     """
     targets = [b for b in inst.reachable.elements if inst.bad.contains(b)]
     trace: Optional[List[Basis]] = [] if keep_trace else None
-    kind, k, _error = _cover(
+    kind, k, error = _cover(
         targets, _backward(inst.safe, inst.backend, inst.max_iters), trace)
     return Verdict(kind, k if kind == FOUND else None, k,
-                   tuple(trace) if keep_trace else None)
+                   tuple(trace) if keep_trace else None,
+                   None if error is None else str(error))
 
 
 def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,

@@ -5,11 +5,17 @@ basis: the antichain of minimal elements, kept in a canonical order so
 that every computation over bases is reproducible byte for byte.
 Downward-closed sets have no useful finite basis and are handled
 elsewhere as membership predicates.
+
+An order may split its states into blocks, sets whose members are never
+comparable across blocks (`Wqo.block`).  Minimization and coverage then
+compare a state only with the elements of its own block; the default is
+a single block, so such an order pays nothing for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 State = Any
@@ -26,7 +32,11 @@ class Wqo:
     * ``size(a)``   -- cheap monotone proxy: ``leq(a, b)`` implies
       ``size(a) <= size(b)``, with equality only when the states are
       order-equivalent.  Minimization sorts on it so that potential
-      dominators are always seen before the states they dominate.
+      dominators are always seen before the states they dominate;
+    * ``block(a)``  -- optional hashable block of ``a``, with the contract
+      ``leq(a, b)`` implies ``block(a) == block(b)``.  States of different
+      blocks are never compared.  The default puts every state in one
+      block.
     """
 
     def leq(self, a, b) -> bool:
@@ -37,6 +47,9 @@ class Wqo:
 
     def size(self, a) -> int:
         raise NotImplementedError
+
+    def block(self, a):
+        return None
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,14 @@ class Basis:
     def covers(self, state) -> bool:
         return covers(self, state)
 
+    @cached_property
+    def by_block(self) -> dict:
+        """The elements grouped by their order's block, built on first use."""
+        index: dict = {}
+        for b in self.elements:
+            index.setdefault(self.order.block(b), []).append(b)
+        return index
+
 
 def minimize(states: Iterable, order: Wqo) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
@@ -65,14 +86,18 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
     Deterministic: duplicates (by canonical key) collapse to their first
     occurrence, elements are examined in (size, key) order, and the
     result is sorted by key.  Of two order-equivalent elements the one
-    with the smaller canonical key is kept.
+    with the smaller canonical key is kept.  A candidate is compared only
+    with the kept elements of its own block.
     """
     by_key: dict = {}
     for s in states:
         by_key.setdefault(order.key(s), s)
     kept: list = []
+    kept_in: dict = {}
     for _, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
-        if not any(order.leq(t, s) for t in kept):
+        peers = kept_in.setdefault(order.block(s), [])
+        if not any(order.leq(t, s) for t in peers):
+            peers.append(s)
             kept.append(s)
     kept.sort(key=order.key)
     return Basis(order, tuple(kept))
@@ -80,7 +105,8 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
 
 def covers(basis: Basis, state) -> bool:
     """Membership of `state` in the ideal generated by `basis`."""
-    return any(basis.order.leq(b, state) for b in basis.elements)
+    peers = basis.by_block.get(basis.order.block(state), ())
+    return any(basis.order.leq(b, state) for b in peers)
 
 
 def basis_subset(states: Iterable, basis: Basis) -> bool:

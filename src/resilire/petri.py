@@ -12,6 +12,7 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BackendMismatch
@@ -99,9 +100,8 @@ def leq_marking(a: Marking, b: Marking) -> bool:
         raise BackendMismatch("markings of different dimension")
     if (a.state is None) != (b.state is None) or (a.marker is None) != (b.marker is None):
         raise BackendMismatch("markings disagree on state/marker presence")
-    if a.state != b.state or a.marker != b.marker:
-        return False
-    return all(x <= y for x, y in zip(a.tokens, b.tokens))
+    return (a.state == b.state and a.marker == b.marker
+            and all(map(le, a.tokens, b.tokens)))
 
 
 def min_enabling_cover(net: PetriNet, m: Marking, t: Transition) -> Marking:
@@ -127,7 +127,11 @@ def least_successor(net: PetriNet, m: Marking, t: Transition) -> Marking:
 
 
 class VectorOrder(Wqo):
-    """Componentwise order on markings with equality on state/marker."""
+    """Componentwise order on markings with equality on state/marker.
+
+    A block is a (state, marker) pair: markings that differ there are
+    never comparable.
+    """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -137,8 +141,9 @@ class VectorOrder(Wqo):
             raise BackendMismatch("not a marking of dimension %d" % self.dimension)
 
     def leq(self, a: Marking, b: Marking) -> bool:
-        self._check(a)
-        self._check(b)
+        if not (isinstance(a, Marking) and isinstance(b, Marking)
+                and len(a.tokens) == self.dimension == len(b.tokens)):
+            raise BackendMismatch("not a marking of dimension %d" % self.dimension)
         return leq_marking(a, b)
 
     def key(self, a: Marking):
@@ -147,6 +152,10 @@ class VectorOrder(Wqo):
 
     def size(self, a: Marking) -> int:
         return sum(a.tokens)
+
+    def block(self, a: Marking):
+        self._check(a)
+        return (a.state, a.marker)
 
 
 class PetriBackend:

@@ -110,6 +110,7 @@ def test_min_recovery_exhausted_with_tiny_guard(supply_built):
         bad=supply_built.bad, safe=supply_built.safe, max_iters=3)
     verdict = min_recovery(inst)
     assert verdict.kind == EXHAUSTED and verdict.iterations == 3
+    assert verdict.reason == "no fixed point within 3 rounds"
 
 
 def test_min_recovery_overlap_guard_trip_is_exhausted():
@@ -117,6 +118,7 @@ def test_min_recovery_overlap_guard_trip_is_exhausted():
     doc = replace(doc, limits=replace(doc.limits, overlap_count=1))
     verdict = min_recovery(model.build(doc).instance())
     assert verdict.kind == EXHAUSTED and verdict.k_min is None
+    assert verdict.reason == "more than 1 overlaps enumerated"
 
 
 def test_recovery_bound_overlap_guard_trip_raises():

@@ -142,6 +142,17 @@ def test_cli_env_var_overrides_iterations():
     assert json.loads(proc.stdout)["verdict"] == "exhausted"
 
 
+def test_cli_exhausted_report_names_the_guard():
+    proc = run_cli("check", fixture_path("supplychain.json"),
+                   env={"RESIL_MAX_ITERS": "1"})
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "verdict": "exhausted", "iterations": 1,
+        "reason": "no fixed point within 1 rounds"}
+    found = json.loads(run_cli("check", fixture_path("supplychain.json")).stdout)
+    assert found == {"verdict": "found", "iterations": 6, "k_min": 6}
+
+
 def test_cli_env_var_not_a_number_exits_two():
     proc = run_cli("check", fixture_path("supplychain.json"),
                    env={"RESIL_MAX_ITERS": "abc"})
@@ -170,7 +181,9 @@ def test_cli_overlap_guard_trip_is_exhausted(tmp_path):
     path.write_text(json.dumps(doc))
     proc = run_cli("check", str(path))
     assert proc.returncode == 2
-    assert json.loads(proc.stdout)["verdict"] == "exhausted"
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "exhausted"
+    assert report["reason"] == "more than 1 overlaps enumerated"
 
 
 def test_cli_approx_report():

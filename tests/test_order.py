@@ -1,14 +1,15 @@
 """Antichain and ideal-basis laws, checked against brute force on grids."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
                                   VectorPattern, ideal_basis_of)
 from resilire.errors import BackendMismatch
-from resilire.order import Basis, basis_subset, covers, minimize
-from resilire.petri import Marking, VectorOrder, make_net
+from resilire.order import Basis, Wqo, basis_subset, covers, minimize
+from resilire.petri import MARKERS, Marking, VectorOrder, make_net
 
 from conftest import rng_for
 
@@ -108,6 +109,127 @@ def test_basis_subset_round5_fails_round6_holds():
     b6 = minimize([m4(*t, state="e") for t in ROUND6_BAD], V4)
     assert not basis_subset(targets, b5)
     assert basis_subset(targets, b6)
+
+
+# The quadratic minimize/covers as they were before blocks: every
+# candidate against every kept element, every state against the basis.
+def reference_minimize(states, order):
+    by_key = {}
+    for s in states:
+        by_key.setdefault(order.key(s), s)
+    kept = []
+    for _, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
+        if not any(order.leq(t, s) for t in kept):
+            kept.append(s)
+    kept.sort(key=order.key)
+    return Basis(order, tuple(kept))
+
+
+def reference_covers(basis, state):
+    return any(basis.order.leq(b, state) for b in basis.elements)
+
+
+V3 = VectorOrder(3)
+
+
+def random_product_markings(rng, count, states=("p", "q"), markers=MARKERS):
+    """Product markings over few token vectors, so that equal vectors
+    recur in different blocks, and with repeats of whole markings."""
+    vectors = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(8)]
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.15:
+            out.append(replace(rng.choice(out)))
+        else:
+            out.append(Marking(rng.choice(vectors), rng.choice(states),
+                               rng.choice(markers)))
+    return out
+
+
+class TaggedOrder(Wqo):
+    """(marking, tag) pairs ordered by the marking alone, so pairs that
+    differ only in their tag are order-equivalent under distinct keys."""
+
+    def leq(self, a, b):
+        return V3.leq(a[0], b[0])
+
+    def key(self, a):
+        return (V3.key(a[0]), a[1])
+
+    def size(self, a):
+        return V3.size(a[0])
+
+    def block(self, a):
+        return V3.block(a[0])
+
+
+class RecordingOrder(VectorOrder):
+    def __init__(self, dimension):
+        super().__init__(dimension)
+        self.pairs = []
+
+    def leq(self, a, b):
+        self.pairs.append((a, b))
+        return super().leq(a, b)
+
+
+def test_blocked_minimize_and_covers_match_reference():
+    rng = rng_for("blocked-reference")
+    queries = 0
+    for trial in range(200):
+        # every tenth sample is from a plain net: one block for all
+        shape = dict(states=(None,), markers=(None,)) if trial % 10 == 0 else {}
+        sample = random_product_markings(rng, rng.randint(0, 24), **shape)
+        got, want = minimize(sample, V3), reference_minimize(sample, V3)
+        assert got.elements == want.elements
+        for s in random_product_markings(rng, 5, **shape) + sample[:3]:
+            queries += 1
+            assert covers(got, s) == reference_covers(want, s)
+        assert basis_subset(sample, got)
+    assert queries >= 500
+
+
+def test_blocked_minimize_keeps_smaller_key_of_equivalents():
+    rng = rng_for("blocked-tagged")
+    order = TaggedOrder()
+    for _ in range(100):
+        sample = [(m, rng.randint(0, 2))
+                  for m in random_product_markings(rng, rng.randint(0, 16))]
+        got, want = minimize(sample, order), reference_minimize(sample, order)
+        assert got.elements == want.elements
+        for s in sample:
+            assert covers(got, s) and reference_covers(want, s)
+
+
+def test_blocked_order_never_compares_across_blocks():
+    order = RecordingOrder(3)
+    rng = rng_for("blocked-recording")
+    for _ in range(50):
+        basis = minimize(random_product_markings(rng, 20), order)
+        for s in random_product_markings(rng, 10):
+            covers(basis, s)
+    assert order.pairs
+    assert all((a.state, a.marker) == (b.state, b.marker) for a, b in order.pairs)
+
+
+def test_vector_leq_refuses_mismatched_markings():
+    a = Marking((1, 2, 3), "p", "sys")
+    for b in (Marking((1, 2), "p", "sys"), Marking((1, 2, 3, 4), "p", "sys"),
+              Marking((1, 2, 3), None, "sys"), Marking((1, 2, 3), "p", None),
+              (1, 2, 3)):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(BackendMismatch):
+                V3.leq(x, y)
+    with pytest.raises(BackendMismatch):
+        V3.leq(Marking((1, 2)), Marking((1, 2)))
+
+
+def test_covers_dimension_mismatch_in_an_empty_block():
+    b = minimize([m4(0, 1, 1, 1, state="e")], V4)
+    with pytest.raises(BackendMismatch):
+        covers(b, Marking((1, 2), "q"))
+    with pytest.raises(BackendMismatch):
+        covers(Basis(V4, ()), Marking((1, 2)))
 
 
 def meet(b1, b2, domain, pattern=lambda s: s):
