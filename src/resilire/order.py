@@ -92,14 +92,12 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
     by_key: dict = {}
     for s in states:
         by_key.setdefault(order.key(s), s)
-    kept: list = []
     kept_in: dict = {}
     for _, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
         peers = kept_in.setdefault(order.block(s), [])
         if not any(order.leq(t, s) for t in peers):
             peers.append(s)
-            kept.append(s)
-    kept.sort(key=order.key)
+    kept = sorted((s for peers in kept_in.values() for s in peers), key=order.key)
     return Basis(order, tuple(kept))
 
 

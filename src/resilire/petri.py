@@ -6,7 +6,8 @@ A marking is a dense tuple of token counts indexed by the net's place
 list, optionally extended by a control-automaton state and an owner
 marker.  The extra components enter the order as equality constraints,
 which keeps it a well-quasi-order because both Q and the marker set are
-finite.
+finite.  Whether they are present is fixed per model, and the order
+refuses a marking of another shape.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def leq_marking(a: Marking, b: Marking) -> bool:
         raise BackendMismatch("markings of different dimension")
     if (a.state is None) != (b.state is None) or (a.marker is None) != (b.marker is None):
         raise BackendMismatch("markings disagree on state/marker presence")
+    return _leq_checked(a, b)
+
+
+def _leq_checked(a: Marking, b: Marking) -> bool:
+    """The order itself, for markings already checked to be comparable."""
     return (a.state == b.state and a.marker == b.marker
             and all(map(le, a.tokens, b.tokens)))
 
@@ -129,22 +135,44 @@ def least_successor(net: PetriNet, m: Marking, t: Transition) -> Marking:
 class VectorOrder(Wqo):
     """Componentwise order on markings with equality on state/marker.
 
-    A block is a (state, marker) pair: markings that differ there are
-    never comparable.
+    The order is fixed to one shape of marking: `has_state` and
+    `has_marker` say whether its markings carry a control state and an
+    owner marker, and a marking of another shape is refused.  A block is
+    a (state, marker) pair: markings that differ there are never
+    comparable.
     """
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, has_state: bool = False,
+                 has_marker: bool = False):
         self.dimension = dimension
+        self._no_state = not has_state
+        self._no_marker = not has_marker
+
+    def _refuse(self, m) -> BackendMismatch:
+        if not isinstance(m, Marking) or len(m.tokens) != self.dimension:
+            return BackendMismatch("not a marking of dimension %d" % self.dimension)
+        return BackendMismatch(
+            "state/marker presence of %r does not fit this order's markings,"
+            " which carry %s control state and %s marker"
+            % (m, "no" if self._no_state else "a", "no" if self._no_marker else "a"))
 
     def _check(self, m: Marking):
-        if not isinstance(m, Marking) or len(m.tokens) != self.dimension:
-            raise BackendMismatch("not a marking of dimension %d" % self.dimension)
+        if not (isinstance(m, Marking) and len(m.tokens) == self.dimension
+                and (m.state is None) is self._no_state
+                and (m.marker is None) is self._no_marker):
+            raise self._refuse(m)
 
     def leq(self, a: Marking, b: Marking) -> bool:
+        # _check inlined for both arguments: this is the hottest call
+        # of backward saturation on Petri products.
+        no_state, no_marker = self._no_state, self._no_marker
         if not (isinstance(a, Marking) and isinstance(b, Marking)
-                and len(a.tokens) == self.dimension == len(b.tokens)):
-            raise BackendMismatch("not a marking of dimension %d" % self.dimension)
-        return leq_marking(a, b)
+                and len(a.tokens) == self.dimension == len(b.tokens)
+                and (a.state is None) is no_state is (b.state is None)
+                and (a.marker is None) is no_marker is (b.marker is None)):
+            self._check(a)
+            raise self._refuse(b)
+        return _leq_checked(a, b)
 
     def key(self, a: Marking):
         self._check(a)
@@ -202,7 +230,8 @@ class ProductBackend:
         self.net = net
         self.automaton = automaton
         self.annotate = annotate
-        self.order = VectorOrder(len(net.places))
+        self.order = VectorOrder(len(net.places), has_state=True,
+                                 has_marker=annotate)
         self._by_name = {t.name: t for t in net.transitions}
         for edge in automaton.edges:
             for name in edge.select:

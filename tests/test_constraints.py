@@ -125,7 +125,7 @@ def test_ideal_basis_rejects_negative():
 
 def test_vector_domain_completion_and_meet():
     net = make_net(["a", "b"], [])
-    dom = MarkingDomain(net, VectorOrder(2), states=("q0", "q1"))
+    dom = MarkingDomain(net, VectorOrder(2, has_state=True), states=("q0", "q1"))
     basis = ideal_basis_of(Exists(VectorPattern((1, 0))), dom)
     assert [(m.tokens, m.state) for m in basis.elements] == \
         [((1, 0), "q0"), ((1, 0), "q1")]
@@ -149,7 +149,7 @@ def test_adverse_bad_set_on_path_game():
 
 def test_error_mode_is_complement_of_safety():
     net = make_net(["p", "w", "s1", "s2"], [])
-    order = VectorOrder(4)
+    order = VectorOrder(4, has_state=True)
     dom = MarkingDomain(net, order, states=("q0",))
     safe = minimize([Marking((0, 1, 1, 1), "q0")], order)
     bad = anti_ideal_of({"mode": "error"}, dom, safe)

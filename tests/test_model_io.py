@@ -242,8 +242,8 @@ def test_cli_compose_rejects_petri():
     assert proc.returncode == 2
 
 
-def test_plain_net_without_automaton(tmp_path):
-    doc = {
+def plain_net_doc():
+    return {
         "format": "resilire/1",
         "kind": "petri",
         "petri": {
@@ -256,6 +256,10 @@ def test_plain_net_without_automaton(tmp_path):
         "bad": {"mode": "error"},
         "b_post": [{"marking": {}}],
     }
+
+
+def test_plain_net_without_automaton(tmp_path):
+    doc = plain_net_doc()
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(doc))
     proc = run_cli("check", str(path))
@@ -265,6 +269,29 @@ def test_plain_net_without_automaton(tmp_path):
     proc = run_cli("approx", str(path), "--under", "3", "--over")
     report = json.loads(proc.stdout)
     assert report["k_under"] == 1 and report["k_over"] == 1
+
+
+@pytest.mark.parametrize("base, section, extra", [
+    (plain_net_doc, "safety", {"state": "p"}),
+    (plain_net_doc, "safety", {"marker": "sys"}),
+    (plain_net_doc, "b_post", {"state": "p"}),
+    (base_doc, "safety", {"marker": "sys"}),
+])
+def test_cli_state_or_marker_the_model_lacks_exits_two(tmp_path, base, section, extra):
+    # A plain net has no control state and an unannotated model no
+    # marker; a pattern or state naming one is a model error, not a
+    # state that nothing covers.
+    doc = base()
+    if section == "b_post":
+        doc["b_post"][0].update(extra)
+    else:
+        doc["safety"].update(extra)
+    doc["bad"] = {"mode": "error"}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "state/marker presence" in proc.stderr
 
 
 def test_quotient_labels_may_not_be_matched_isolated():

@@ -14,6 +14,7 @@ from resilire.petri import MARKERS, Marking, VectorOrder, make_net
 from conftest import rng_for
 
 V4 = VectorOrder(4)
+V4Q = VectorOrder(4, has_state=True)
 V2 = VectorOrder(2)
 
 
@@ -105,8 +106,8 @@ ROUND6_BAD = ROUND5_BAD + [(0, 0, 2, 0), (0, 0, 0, 2)]
 
 def test_basis_subset_round5_fails_round6_holds():
     targets = [m4(*t, state="e") for t in REACHABLE_BAD]
-    b5 = minimize([m4(*t, state="e") for t in ROUND5_BAD], V4)
-    b6 = minimize([m4(*t, state="e") for t in ROUND6_BAD], V4)
+    b5 = minimize([m4(*t, state="e") for t in ROUND5_BAD], V4Q)
+    b6 = minimize([m4(*t, state="e") for t in ROUND6_BAD], V4Q)
     assert not basis_subset(targets, b5)
     assert basis_subset(targets, b6)
 
@@ -129,7 +130,8 @@ def reference_covers(basis, state):
     return any(basis.order.leq(b, state) for b in basis.elements)
 
 
-V3 = VectorOrder(3)
+V3 = VectorOrder(3, has_state=True, has_marker=True)
+V3_PLAIN = VectorOrder(3)
 
 
 def random_product_markings(rng, count, states=("p", "q"), markers=MARKERS):
@@ -165,7 +167,7 @@ class TaggedOrder(Wqo):
 
 class RecordingOrder(VectorOrder):
     def __init__(self, dimension):
-        super().__init__(dimension)
+        super().__init__(dimension, has_state=True, has_marker=True)
         self.pairs = []
 
     def leq(self, a, b):
@@ -178,9 +180,11 @@ def test_blocked_minimize_and_covers_match_reference():
     queries = 0
     for trial in range(200):
         # every tenth sample is from a plain net: one block for all
-        shape = dict(states=(None,), markers=(None,)) if trial % 10 == 0 else {}
+        plain = trial % 10 == 0
+        shape = dict(states=(None,), markers=(None,)) if plain else {}
+        order = V3_PLAIN if plain else V3
         sample = random_product_markings(rng, rng.randint(0, 24), **shape)
-        got, want = minimize(sample, V3), reference_minimize(sample, V3)
+        got, want = minimize(sample, order), reference_minimize(sample, order)
         assert got.elements == want.elements
         for s in random_product_markings(rng, 5, **shape) + sample[:3]:
             queries += 1
@@ -222,14 +226,38 @@ def test_vector_leq_refuses_mismatched_markings():
                 V3.leq(x, y)
     with pytest.raises(BackendMismatch):
         V3.leq(Marking((1, 2)), Marking((1, 2)))
+    # markings that agree with each other but not with the order's shape
+    for order, m in ((V3, Marking((1, 2, 3))), (V3, Marking((1, 2, 3), "p")),
+                     (V3_PLAIN, Marking((1, 2, 3), "p")),
+                     (V3_PLAIN, Marking((1, 2, 3), None, "sys"))):
+        with pytest.raises(BackendMismatch, match="presence"):
+            order.leq(m, m)
 
 
 def test_covers_dimension_mismatch_in_an_empty_block():
-    b = minimize([m4(0, 1, 1, 1, state="e")], V4)
+    b = minimize([m4(0, 1, 1, 1, state="e")], V4Q)
     with pytest.raises(BackendMismatch):
         covers(b, Marking((1, 2), "q"))
     with pytest.raises(BackendMismatch):
         covers(Basis(V4, ()), Marking((1, 2)))
+
+
+def test_blocked_order_refuses_markings_of_another_shape():
+    # Such a marking would sit alone in a block of its own, so no
+    # comparison would ever see it: minimize, covers and basis_subset
+    # must refuse it themselves.
+    plain = minimize([m4(0, 1, 1, 1)], V4)
+    stated = minimize([m4(0, 1, 1, 1, state="e")], V4Q)
+    for basis, odd in ((plain, m4(1, 1, 1, 1, state="e")),
+                       (plain, Marking((1, 1, 1, 1), None, "sys")),
+                       (stated, m4(1, 1, 1, 1)),
+                       (stated, Marking((1, 1, 1, 1), "e", "sys"))):
+        with pytest.raises(BackendMismatch, match="presence"):
+            covers(basis, odd)
+        with pytest.raises(BackendMismatch, match="presence"):
+            basis_subset([odd], basis)
+        with pytest.raises(BackendMismatch, match="presence"):
+            minimize(list(basis) + [odd], basis.order)
 
 
 def meet(b1, b2, domain, pattern=lambda s: s):
