@@ -244,10 +244,8 @@ def ideal_basis_of(c, domain) -> Basis:
 class BadSet:
     """A decidable downward-closed bad condition."""
 
-    def __init__(self, mode: str, fn, description: str):
-        self.mode = mode
+    def __init__(self, fn):
         self._fn = fn
-        self.description = description
 
     def contains(self, state) -> bool:
         return self._fn(state)
@@ -264,11 +262,9 @@ def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> Bad
     if mode == "error":
         if safe_basis is None:
             raise ModelError([("/bad", "error mode needs the safety basis")])
-        return BadSet("error",
-                      lambda s: not covers(safe_basis, s),
-                      "complement of the safety ideal")
+        return BadSet(lambda s: not covers(safe_basis, s))
     if mode == "adverse":
-        states = frozenset(spec.get("states", ()))
+        states = frozenset(spec.get("states") or ())
         env_marker = bool(spec.get("env_marker", False))
         if not states and not env_marker:
             raise ModelError([("/bad",
@@ -279,15 +275,10 @@ def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> Bad
                 return True
             return env_marker and domain.marker_of(s) == ENVIRONMENT
 
-        parts = []
-        if states:
-            parts.append("control state in %s" % sorted(states))
-        if env_marker:
-            parts.append("last step owned by the environment")
-        return BadSet("adverse", fn, " or ".join(parts))
+        return BadSet(fn)
     if mode == "custom":
         c = spec.get("constraint")
         if c is None or polarity(c) != "negative":
             raise ModelError([("/bad", "custom mode needs a negative constraint")])
-        return BadSet("custom", lambda s: satisfies(s, c), "negative constraint")
+        return BadSet(lambda s: satisfies(s, c))
     raise ModelError([("/bad", "unknown bad-set mode %r" % mode)])

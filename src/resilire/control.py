@@ -1,5 +1,5 @@
-"""Control automata and the composition of system and environment
-rule sets into one synchronized transition system.
+"""Control automata, and the flattening of a graph model's automaton
+and annotation into its rule set.
 
 For the graph backend the automaton is compiled away: every selected
 rule is enriched with a control node (the left side carries the edge's
@@ -10,7 +10,8 @@ delete-plus-create, which keeps every rule morphism label-preserving
 and makes the backward step handle them uniformly.
 
 For the Petri backend the same synchronization is realized as a product
-on markings instead of extra places; the step relations agree.
+on markings instead of extra places (`petri.ProductBackend`); the step
+relations agree.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ModelError
-from .graphs import Graph, GraphClass
-from .limits import DEFAULT_LIMITS, Limits
-from .petri import MARKERS, PetriNet, ProductBackend
-from .rewriting import GraphBackend, Rule
+from .graphs import Graph
+from .petri import MARKERS
+from .rewriting import Rule
 
 CONTROL_NODE = "ctl"
 MARKER_NODE = "mrk"
@@ -49,9 +49,6 @@ class ControlAutomaton:
     states: Tuple[str, ...]
     initial: str
     edges: Tuple[AutomatonEdge, ...]
-
-    def selected_names(self):
-        return sorted({name for e in self.edges for name in e.select})
 
 
 def make_automaton(states, initial, edges, rule_names=None) -> ControlAutomaton:
@@ -121,37 +118,3 @@ def mark_rules(enriched: List[Rule]) -> List[Rule]:
             out.append(Rule("%s{%s}" % (rule.name, mk), rule.owner,
                             left, right, rule.node_map, rule.edge_map))
     return out
-
-
-def joint_class(base: GraphClass, automaton: Optional[ControlAutomaton],
-                annotate: bool) -> GraphClass:
-    control = frozenset(automaton.states) if automaton else frozenset()
-    markers = frozenset(MARKERS) if annotate else frozenset()
-    return GraphClass(
-        max_path=base.max_path,
-        node_count=base.node_count,
-        control_labels=control,
-        marker_labels=markers,
-        quotient_labels=base.quotient_labels,
-    )
-
-
-def compose_graph_backend(rules: List[Rule], base_class: GraphClass,
-                          automaton: Optional[ControlAutomaton],
-                          annotate: bool,
-                          limits: Limits = DEFAULT_LIMITS) -> GraphBackend:
-    klass = joint_class(base_class, automaton, annotate)
-    if automaton is not None:
-        rules = enrich_rules(rules, automaton)
-    if annotate:
-        rules = mark_rules(rules)
-    return GraphBackend(rules, klass, limits)
-
-
-def compose_petri_backend(net: PetriNet, automaton: Optional[ControlAutomaton],
-                          annotate: bool) -> ProductBackend:
-    if automaton is None:
-        raise ModelError([("/automaton",
-                           "a Petri model needs a control automaton for composition; "
-                           "use the plain net backend otherwise")])
-    return ProductBackend(net, automaton, annotate)

@@ -6,6 +6,8 @@ Format key: "resilire/1".  Graphs are explicit node/edge lists with
 string ids, rule morphisms are explicit id pairs, markings are objects
 mapping place names to counts (absent means zero).  Everything is
 validated up front; computations never see an inconsistent document.
+Every field is read through one checked reader (`_Reader`), so a
+malformed document is refused with JSON pointers to its faults.
 """
 
 from __future__ import annotations
@@ -22,23 +24,98 @@ from .graphs import Graph, GraphClass
 from .limits import Limits
 from .order import Basis, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,
-                    START_MARKER, SYSTEM, make_net)
-from .rewriting import GraphBackend, Rule
+                    ProductBackend, START_MARKER, SYSTEM, make_net)
+from .rewriting import GraphBackend, Rule, rule_problems
 
 FORMAT = "resilire/1"
 OWNERS = (SYSTEM, ENVIRONMENT)
+LIMIT_FIELDS = ("max_iters", "overlap_nodes", "overlap_count",
+                "forward_depth_cap", "forward_state_cap")
+
+_REQUIRED = object()
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list", dict: "an object"}
 
 
-class _Issues:
+def _pointer(where: str, key) -> str:
+    """`where` extended by one JSON-pointer step (RFC 6901 escaping)."""
+    return "%s/%s" % (where, str(key).replace("~", "~0").replace("/", "~1"))
+
+
+class _Reader:
+    """Reads document fields and collects what is wrong with them.
+
+    A read names what it expects: a JSON type (`int` never accepts a
+    bool) with an optional least value, or a tuple of allowed values.
+    A missing or ill-typed field adds an issue, its JSON pointer and a
+    message, and the read returns the default, so parsing goes on and
+    one error lists every issue.  An optional field given as null
+    counts as absent.
+    """
+
     def __init__(self):
-        self.items: List[Tuple[str, str]] = []
+        self.issues: List[Tuple[str, str]] = []
 
     def add(self, where: str, msg: str):
-        self.items.append((where, msg))
+        self.issues.append((where, msg))
 
     def raise_if_any(self):
-        if self.items:
-            raise ModelError(self.items)
+        if self.issues:
+            raise ModelError(self.issues)
+
+    def fits(self, value, where: str, kind, least: Optional[int] = None) -> bool:
+        if isinstance(kind, tuple):
+            if value in kind:
+                return True
+            self.add(where, "must be one of %s, not %r"
+                     % (", ".join(map(repr, kind)), value))
+            return False
+        if (isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+                and (least is None or value >= least)):
+            return True
+        self.add(where, "must be %s%s" % (
+            _TYPE_NAMES[kind], "" if least is None else " >= %d" % least))
+        return False
+
+    def read(self, obj: dict, key: str, where: str, kind, default=_REQUIRED,
+             least: Optional[int] = None):
+        """obj[key] if it fits `kind`; otherwise `default` (None when the
+        field is required, which makes its absence an issue)."""
+        value = obj.get(key)
+        where = _pointer(where, key)
+        if value is None:
+            if default is _REQUIRED:
+                self.add(where, "is required")
+                return None
+            return default
+        if self.fits(value, where, kind, least):
+            return value
+        return None if default is _REQUIRED else default
+
+    def each(self, obj: dict, key: str, where: str, kind, default=()):
+        """(index, pointer, item) for the items of the list obj[key] that
+        fit `kind`; `default` when the list is absent or not a list."""
+        items = self.read(obj, key, where, list, None)
+        if items is None:
+            return default
+        where = _pointer(where, key)
+        return [(i, _pointer(where, i), item) for i, item in enumerate(items)
+                if self.fits(item, _pointer(where, i), kind)]
+
+    def strings(self, obj: dict, key: str, where: str, kind=str) -> Tuple:
+        return tuple(item for _i, _w, item in self.each(obj, key, where, kind))
+
+    def counts(self, obj: dict, key: str, where: str, places) -> Dict[str, int]:
+        """obj[key] as a map from `places` to non-negative integers."""
+        mapping = self.read(obj, key, where, dict, {})
+        where = _pointer(where, key)
+        out = {}
+        for place, n in mapping.items():
+            if place not in places:
+                self.add(_pointer(where, place), "unknown place %r" % place)
+            elif self.fits(n, _pointer(where, place), int, 0):
+                out[place] = n
+        return out
 
 
 @dataclass(frozen=True)
@@ -68,68 +145,58 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 
 
-def _parse_graph(obj, where: str, issues: _Issues) -> Optional[Graph]:
-    if not isinstance(obj, dict):
-        issues.add(where, "graph must be an object with nodes/edges")
-        return None
+def _parse_graph(obj: dict, where: str, r: _Reader) -> Optional[Graph]:
     nodes = {}
-    for i, n in enumerate(obj.get("nodes", [])):
-        nid = n.get("id", "n%d" % i)
+    for i, nwhere, n in r.each(obj, "nodes", where, dict):
+        nid = r.read(n, "id", nwhere, str, "n%d" % i)
         if nid in nodes:
-            issues.add("%s/nodes/%d" % (where, i), "duplicate node id %r" % nid)
-        if "label" not in n:
-            issues.add("%s/nodes/%d" % (where, i), "node needs a label")
-            continue
-        nodes[nid] = str(n["label"])
+            r.add(nwhere, "duplicate node id %r" % nid)
+        label = r.read(n, "label", nwhere, str)
+        if label is not None:
+            nodes[nid] = label
     edges = {}
     ok = True
-    for i, e in enumerate(obj.get("edges", [])):
-        eid = e.get("id", "e%d" % i)
-        ewhere = "%s/edges/%d" % (where, i)
+    for i, ewhere, e in r.each(obj, "edges", where, dict):
+        eid = r.read(e, "id", ewhere, str, "e%d" % i)
         if eid in edges:
-            issues.add(ewhere, "duplicate edge id %r" % eid)
-        missing = [k for k in ("src", "tgt", "label") if k not in e]
-        if missing:
-            issues.add(ewhere, "edge needs %s" % ", ".join(missing))
+            r.add(ewhere, "duplicate edge id %r" % eid)
+        src, tgt, label = (r.read(e, k, ewhere, str) for k in ("src", "tgt", "label"))
+        if src is None or tgt is None or label is None:
             ok = False
-            continue
-        if e["src"] not in nodes or e["tgt"] not in nodes:
-            issues.add(ewhere, "edge %r references a missing node" % eid)
+        elif src not in nodes or tgt not in nodes:
+            r.add(ewhere, "edge %r references a missing node" % eid)
             ok = False
-            continue
-        edges[eid] = (e["src"], e["tgt"], str(e["label"]))
-    if not ok:
-        return None
-    return Graph(nodes, edges)
+        else:
+            edges[eid] = (src, tgt, label)
+    return Graph(nodes, edges) if ok else None
 
 
-def graph_to_json(g: Graph) -> dict:
-    c = g.canonical()
-    nodes = sorted(c.nodes.items(), key=lambda kv: int(kv[0][1:]))
-    edges = sorted(c.edges.items(), key=lambda kv: int(kv[0][1:]))
+def _graph_json(g: Graph, order=None) -> dict:
+    """Nodes and edges, each sorted by id under `order`."""
     return {
-        "nodes": [{"id": i, "label": l} for i, l in nodes],
+        "nodes": [{"id": i, "label": l} for i, l in sorted(g.nodes.items(), key=order)],
         "edges": [{"id": i, "src": s, "tgt": t, "label": l}
-                  for i, (s, t, l) in edges],
+                  for i, (s, t, l) in sorted(g.edges.items(), key=order)],
     }
 
 
-def _parse_class(obj, where: str, issues: _Issues) -> GraphClass:
-    obj = obj or {}
-    max_path = obj.get("max_path")
-    if max_path is not None and (not isinstance(max_path, int) or max_path < 0):
-        issues.add(where + "/max_path", "must be a non-negative integer")
-        max_path = None
+def graph_to_json(g: Graph) -> dict:
+    # canonical ids are "n<i>" / "e<i>": sort them by number
+    return _graph_json(g.canonical(), order=lambda kv: int(kv[0][1:]))
+
+
+def _parse_class(obj: dict, where: str, r: _Reader) -> GraphClass:
     counts = []
-    for lab, rng in sorted((obj.get("node_count") or {}).items()):
-        lo, hi = rng.get("min"), rng.get("max")
-        counts.append((lab, (lo, hi)))
+    cwhere = _pointer(where, "node_count")
+    for lab, rng in sorted(r.read(obj, "node_count", where, dict, {}).items()):
+        lwhere = _pointer(cwhere, lab)
+        if r.fits(rng, lwhere, dict):
+            counts.append((lab, (r.read(rng, "min", lwhere, int, None, least=0),
+                                 r.read(rng, "max", lwhere, int, None, least=0))))
     return GraphClass(
-        max_path=max_path,
+        max_path=r.read(obj, "max_path", where, int, None, least=0),
         node_count=tuple(counts),
-        control_labels=frozenset(obj.get("control_labels", ())),
-        marker_labels=frozenset(obj.get("marker_labels", ())),
-        quotient_labels=frozenset(obj.get("quotient_isolated", ())),
+        quotient_labels=frozenset(r.strings(obj, "quotient_isolated", where)),
     )
 
 
@@ -142,61 +209,49 @@ def _class_to_json(k: GraphClass) -> dict:
             lab: {key: val for key, val in (("min", lo), ("max", hi)) if val is not None}
             for lab, (lo, hi) in k.node_count
         }
-    if k.control_labels:
-        out["control_labels"] = sorted(k.control_labels)
-    if k.marker_labels:
-        out["marker_labels"] = sorted(k.marker_labels)
     if k.quotient_labels:
         out["quotient_isolated"] = sorted(k.quotient_labels)
     return out
 
 
-def _parse_rules(objs, where: str, issues: _Issues) -> Tuple[Rule, ...]:
+def _parse_rules(section: dict, r: _Reader) -> Tuple[Rule, ...]:
     rules = []
     names = set()
-    for i, obj in enumerate(objs):
-        rwhere = "%s/%d" % (where, i)
-        name = obj.get("name", "rule%d" % i)
+    for i, rwhere, obj in r.each(section, "rules", "/gts", dict):
+        name = r.read(obj, "name", rwhere, str, "rule%d" % i)
         if name in names:
-            issues.add(rwhere, "duplicate rule name %r" % name)
+            r.add(rwhere, "duplicate rule name %r" % name)
         names.add(name)
-        owner = obj.get("owner", SYSTEM)
-        if owner not in OWNERS:
-            issues.add(rwhere + "/owner", "owner must be one of %s" % (OWNERS,))
-            owner = SYSTEM
-        left = _parse_graph(obj.get("left", {}), rwhere + "/left", issues)
-        right = _parse_graph(obj.get("right", {}), rwhere + "/right", issues)
+        owner = r.read(obj, "owner", rwhere, OWNERS, SYSTEM)
+        left = _parse_graph(r.read(obj, "left", rwhere, dict, {}), rwhere + "/left", r)
+        right = _parse_graph(r.read(obj, "right", rwhere, dict, {}), rwhere + "/right", r)
+        mwhere = rwhere + "/map"
+        mp = r.read(obj, "map", rwhere, dict, {})
+        maps = []
+        for key in ("nodes", "edges"):
+            pairs = {}
+            for _j, pwhere, pair in r.each(mp, key, mwhere, list):
+                if len(pair) != 2:
+                    r.add(pwhere, "must be a [left id, right id] pair")
+                elif r.fits(pair[0], pwhere, str) and r.fits(pair[1], pwhere, str):
+                    pairs[pair[0]] = pair[1]
+            maps.append(pairs)
         if left is None or right is None:
             continue
-        mp = obj.get("map", {})
-        node_map = {a: b for a, b in mp.get("nodes", [])}
-        edge_map = {a: b for a, b in mp.get("edges", [])}
-        probe = Rule.__new__(Rule)
-        probe.name, probe.owner = name, owner
-        probe.left, probe.right = left, right
-        probe.node_map, probe.edge_map = node_map, edge_map
-        problems = probe.check_well_formed()
-        if problems:
-            for p in problems:
-                issues.add(rwhere + "/map", "rule %r: %s" % (name, p))
-            continue
-        rules.append(Rule(name, owner, left, right, node_map, edge_map))
+        problems = rule_problems(left, right, *maps)
+        for p in problems:
+            r.add(mwhere, "rule %r: %s" % (name, p))
+        if not problems:
+            rules.append(Rule(name, owner, left, right, *maps))
     return tuple(rules)
 
 
 def _rule_to_json(r: Rule) -> dict:
-    def graph_raw(g: Graph) -> dict:
-        return {
-            "nodes": [{"id": i, "label": l} for i, l in sorted(g.nodes.items())],
-            "edges": [{"id": i, "src": s, "tgt": t, "label": l}
-                      for i, (s, t, l) in sorted(g.edges.items())],
-        }
-
     return {
         "name": r.name,
         "owner": r.owner,
-        "left": graph_raw(r.left),
-        "right": graph_raw(r.right),
+        "left": _graph_json(r.left),
+        "right": _graph_json(r.right),
         "map": {
             "nodes": [[a, b] for a, b in sorted(r.node_map.items())],
             "edges": [[a, b] for a, b in sorted(r.edge_map.items())],
@@ -204,253 +259,225 @@ def _rule_to_json(r: Rule) -> dict:
     }
 
 
-def _parse_constraint(obj, kind: str, net: Optional[PetriNet],
-                      where: str, issues: _Issues):
-    if not isinstance(obj, dict) or "op" not in obj:
-        issues.add(where, "constraint needs an 'op' key")
+def _parse_literal(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
+                   states: Tuple[str, ...], markers: Tuple[str, ...]):
+    """A state literal, as written in constraint leaves and in b_post:
+    a `marking` (Petri models) or a `graph`, absent meaning empty, with
+    an optional control `state` and owner `marker` from the model's
+    `states` and `markers`.  Returns (tokens or graph, state, marker);
+    a graph gets the state and marker nodes added.  The first is None
+    when the literal is unusable."""
+    state = r.read(obj, "state", where, str, None)
+    marker = r.read(obj, "marker", where, MARKERS, None)
+    # A marking order refuses a state or marker its model lacks; a graph
+    # order would take the node for one of an ordinary label.
+    if state is not None and (states or net is None) and state not in states:
+        r.add(_pointer(where, "state"), "unknown automaton state %r" % state)
+    if marker is not None and net is None and marker not in markers:
+        r.add(_pointer(where, "marker"), "the model is not annotated")
+    if net is not None:
+        return net.weights(r.counts(obj, "marking", where, net.places)), state, marker
+    g = _parse_graph(r.read(obj, "graph", where, dict, {}), _pointer(where, "graph"), r)
+    if g is not None and state is not None:
+        g = ctl.with_control(g, state)
+    if g is not None and marker is not None:
+        g = ctl.with_marker(g, marker)
+    return g, state, marker
+
+
+def _parse_constraint(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
+                      states: Tuple[str, ...], markers: Tuple[str, ...]):
+    op = r.read(obj, "op", where, ("and", "or", "exists", "not_exists"))
+    if op is None:
         return None
-    op = obj["op"]
     if op in ("and", "or"):
         parts = tuple(
-            p for p in (
-                _parse_constraint(a, kind, net, "%s/args/%d" % (where, i), issues)
-                for i, a in enumerate(obj.get("args", ())))
+            p for p in (_parse_constraint(a, w, r, net, states, markers)
+                        for _i, w, a in r.each(obj, "args", where, dict))
             if p is not None)
         if not parts:
-            issues.add(where, "'%s' needs at least one argument" % op)
+            r.add(where, "'%s' needs at least one argument" % op)
             return None
         return cns.And(parts) if op == "and" else cns.Or(parts)
-    if op in ("exists", "not_exists"):
-        if kind == "petri":
-            marking = obj.get("marking")
-            if marking is None:
-                issues.add(where, "a marking pattern needs a 'marking' object")
-                return None
-            try:
-                tokens = net.weights(marking)
-            except KeyError as exc:
-                issues.add(where + "/marking", str(exc))
-                return None
-            pattern = cns.VectorPattern(tokens, obj.get("state"), obj.get("marker"))
-        else:
-            g = _parse_graph(obj.get("graph", {}), where + "/graph", issues)
-            if g is None:
-                return None
-            state = obj.get("state")
-            if state is not None:
-                g = ctl.with_control(g, state)
-            if obj.get("marker") is not None:
-                g = ctl.with_marker(g, obj["marker"])
-            pattern = g
-        return cns.Exists(pattern) if op == "exists" else cns.NotExists(pattern)
-    issues.add(where, "unknown constraint op %r" % op)
-    return None
+    body, state, marker = _parse_literal(obj, where, r, net, states, markers)
+    if body is None:
+        return None
+    pattern = body if net is None else cns.VectorPattern(body, state, marker)
+    return cns.Exists(pattern) if op == "exists" else cns.NotExists(pattern)
 
 
-def _constraint_to_json(c, kind: str, net: Optional[PetriNet]) -> dict:
+def _marking_to_json(net: PetriNet, m) -> dict:
+    """A marking or marking pattern: its nonzero counts, state and marker."""
+    out = {"marking": {p: n for p, n in zip(net.places, m.tokens) if n}}
+    if m.state is not None:
+        out["state"] = m.state
+    if m.marker is not None:
+        out["marker"] = m.marker
+    return out
+
+
+def _constraint_to_json(c, net: Optional[PetriNet]) -> dict:
     if isinstance(c, (cns.And, cns.Or)):
         op = "and" if isinstance(c, cns.And) else "or"
-        return {"op": op,
-                "args": [_constraint_to_json(p, kind, net) for p in c.parts]}
-    op = "exists" if isinstance(c, cns.Exists) else "not_exists"
-    pat = c.pattern
-    if kind == "petri":
-        out = {"op": op, "marking": {p: n for p, n in zip(net.places, pat.tokens) if n}}
-        if pat.state is not None:
-            out["state"] = pat.state
-        if pat.marker is not None:
-            out["marker"] = pat.marker
-        return out
-    return {"op": op, "graph": graph_to_json(pat)}
+        return {"op": op, "args": [_constraint_to_json(p, net) for p in c.parts]}
+    out = (_marking_to_json(net, c.pattern) if net is not None
+           else {"graph": graph_to_json(c.pattern)})
+    out["op"] = "exists" if isinstance(c, cns.Exists) else "not_exists"
+    return out
 
 
-def _parse_state(obj, kind: str, doc_bits: dict, where: str, issues: _Issues):
-    """Parse a state literal (used by b_post)."""
-    net = doc_bits.get("net")
-    automaton = doc_bits.get("automaton")
-    annotate = doc_bits.get("annotate", False)
-    control_labels = doc_bits.get("control_labels") or (
-        automaton.states if automaton else ())
-    state = obj.get("state")
-    marker = obj.get("marker")
-    if state is not None and control_labels and state not in control_labels:
-        issues.add(where, "unknown automaton state %r" % state)
+def _parse_b_post(obj: dict, r: _Reader, net: Optional[PetriNet],
+                  states: Tuple[str, ...], markers: Tuple[str, ...]) -> Optional[tuple]:
+    """The reachable basis; unlike a pattern, each state must name its
+    control state and marker when the model has them."""
+    items = r.each(obj, "b_post", "", dict, None)
+    if items is None:
         return None
-    if marker is not None and marker not in MARKERS:
-        issues.add(where, "unknown marker %r" % marker)
-        return None
-    if kind == "petri":
-        try:
-            tokens = net.weights(obj.get("marking", {}))
-        except KeyError as exc:
-            issues.add(where + "/marking", str(exc))
-            return None
-        if automaton is not None and state is None:
-            issues.add(where, "state component required with a control automaton")
-            return None
-        if annotate and marker is None:
-            issues.add(where, "marker component required in an annotated model")
-            return None
-        return Marking(tokens, state, marker)
-    g = _parse_graph(obj.get("graph", {}), where + "/graph", issues)
-    if g is None:
-        return None
-    has_control = any(l in control_labels for l in g.nodes.values())
-    if control_labels and not has_control:
-        if state is None:
-            issues.add(where, "state component required with a control automaton")
-            return None
-        g = ctl.with_control(g, state)
-    if annotate and not any(l in MARKERS for l in g.nodes.values()):
-        if marker is None:
-            issues.add(where, "marker component required in an annotated model")
-            return None
-        g = ctl.with_marker(g, marker)
-    return g
-
-
-def _parse_limits(obj, where: str, issues: _Issues) -> Limits:
-    obj = obj or {}
-    kw = {}
-    for field in ("max_iters", "overlap_nodes", "overlap_count",
-                  "forward_depth_cap", "forward_state_cap"):
-        if field in obj:
-            v = obj[field]
-            if not isinstance(v, int) or v < 1:
-                issues.add("%s/%s" % (where, field), "must be a positive integer")
-            else:
-                kw[field] = v
-    return Limits(**kw)
+    out = []
+    for _i, where, item in items:
+        body, state, marker = _parse_literal(item, where, r, net, states, markers)
+        if body is None:
+            continue
+        labels = set() if net is not None else set(body.nodes.values())
+        if states and state is None and not labels & set(states):
+            r.add(where, "state component required with a control automaton")
+        elif markers and marker is None and not labels & set(markers):
+            r.add(where, "marker component required in an annotated model")
+        else:
+            out.append(body if net is None else Marking(body, state, marker))
+    return tuple(out)
 
 
 def from_dict(obj: dict) -> ModelDocument:
-    issues = _Issues()
-    if obj.get("format") != FORMAT:
-        issues.add("/format", "expected %r" % FORMAT)
-    kind = obj.get("kind")
-    if kind not in ("petri", "gts"):
-        issues.add("/kind", "kind must be 'petri' or 'gts'")
-        issues.raise_if_any()
-    annotate = bool(obj.get("annotate", False))
-    limits = _parse_limits(obj.get("limits"), "/limits", issues)
+    if not isinstance(obj, dict):
+        raise ModelError([("/", "a model document must be a JSON object")])
+    r = _Reader()
+    r.read(obj, "format", "", (FORMAT,))
+    kind = r.read(obj, "kind", "", ("petri", "gts"))
+    if kind is None:
+        r.raise_if_any()
+    annotate = r.read(obj, "annotate", "", bool, False)
+    notes = r.read(obj, "notes", "", str, None)
+    limits_obj = r.read(obj, "limits", "", dict, {})
+    limits = {}
+    for field in LIMIT_FIELDS:
+        value = r.read(limits_obj, field, "/limits", int, None, least=1)
+        if value is not None:
+            limits[field] = value
 
     net = petri_start = None
     rules = base_class = gts_start = None
-    rule_names = None
     labels_in_use = set()
+    section = r.read(obj, kind, "", dict)
+    if section is None:
+        r.raise_if_any()
     if kind == "petri":
-        section = obj.get("petri")
-        if not isinstance(section, dict):
-            issues.add("/petri", "missing petri section")
-            issues.raise_if_any()
+        places = r.strings(section, "places", "/petri")
+        specs = [{"name": r.read(t, "name", w, str),
+                  "owner": r.read(t, "owner", w, OWNERS, SYSTEM),
+                  "pre": r.counts(t, "pre", w, places),
+                  "post": r.counts(t, "post", w, places)}
+                 for _i, w, t in r.each(section, "transitions", "/petri", dict)]
+        petri_start = r.counts(section, "start", "/petri", places)
+        r.raise_if_any()
         try:
-            net = make_net(section.get("places", ()), section.get("transitions", ()))
-        except (KeyError, ValueError) as exc:
-            issues.add("/petri", str(exc))
-            issues.raise_if_any()
-        petri_start = dict(section.get("start", {}))
-        try:
-            net.weights(petri_start)
-        except KeyError as exc:
-            issues.add("/petri/start", str(exc))
+            net = make_net(places, specs)
+        except ValueError as exc:  # duplicate place or transition names
+            r.add("/petri", str(exc))
+            r.raise_if_any()
         rule_names = {t.name for t in net.transitions}
     else:
-        section = obj.get("gts")
-        if not isinstance(section, dict):
-            issues.add("/gts", "missing gts section")
-            issues.raise_if_any()
-        base_class = _parse_class(section.get("class"), "/gts/class", issues)
-        rules = _parse_rules(section.get("rules", ()), "/gts/rules", issues)
-        rule_names = {r.name for r in rules}
+        base_class = _parse_class(r.read(section, "class", "/gts", dict, {}),
+                                  "/gts/class", r)
+        rules = _parse_rules(section, r)
+        rule_names = {rule.name for rule in rules}
         if base_class.quotient_labels:
             # States are normalized by erasing isolated nodes with these
             # labels, so no rule may require one on its left side.
-            for i, r in enumerate(rules):
-                for nid, lab in r.left.nodes.items():
-                    if lab in base_class.quotient_labels and r.left.degree(nid) == 0:
-                        issues.add("/gts/rules/%d/left" % i,
-                                   "rule %r matches an isolated %r node, which "
-                                   "the quotient erases from every state"
-                                   % (r.name, lab))
-        gts_start = _parse_graph(section.get("start", {"nodes": []}),
-                                 "/gts/start", issues)
-        for r in rules:
-            for g in (r.left, r.right):
+            for i, rule in enumerate(rules):
+                for nid, lab in rule.left.nodes.items():
+                    if lab in base_class.quotient_labels and rule.left.degree(nid) == 0:
+                        r.add("/gts/rules/%d/left" % i,
+                              "rule %r matches an isolated %r node, which "
+                              "the quotient erases from every state"
+                              % (rule.name, lab))
+        gts_start = _parse_graph(r.read(section, "start", "/gts", dict, {}),
+                                 "/gts/start", r)
+        for rule in rules:
+            for g in (rule.left, rule.right):
                 labels_in_use.update(g.nodes.values())
                 labels_in_use.update(l for (_s, _t, l) in g.edges.values())
         if gts_start is not None:
             labels_in_use.update(gts_start.nodes.values())
 
     automaton = None
-    if obj.get("automaton") is not None:
-        a = obj["automaton"]
-        try:
-            automaton = ctl.make_automaton(
-                a.get("states", ()), a.get("initial"), a.get("edges", ()), rule_names)
-        except ModelError as exc:
-            issues.items.extend(exc.issues)
+    a = r.read(obj, "automaton", "", dict, None)
+    if a is not None:
+        seen = len(r.issues)
+        edges = [{"from": r.read(e, "from", w, str), "to": r.read(e, "to", w, str),
+                  "select": r.strings(e, "select", w)}
+                 for _i, w, e in r.each(a, "edges", "/automaton", dict)]
+        declared = r.strings(a, "states", "/automaton")
+        initial = r.read(a, "initial", "/automaton", str)
+        if len(r.issues) == seen:
+            try:
+                automaton = ctl.make_automaton(declared, initial, edges, rule_names)
+            except ModelError as exc:
+                r.issues.extend(exc.issues)
         if automaton is not None and labels_in_use & set(automaton.states):
-            issues.add("/automaton/states",
-                       "automaton states must be disjoint from graph labels: %s"
-                       % sorted(labels_in_use & set(automaton.states)))
-    if annotate and automaton is None:
-        issues.add("/annotate", "annotation needs a control automaton")
+            r.add("/automaton/states",
+                  "automaton states must be disjoint from graph labels: %s"
+                  % sorted(labels_in_use & set(automaton.states)))
+    if annotate and a is None:
+        r.add("/annotate", "annotation needs a control automaton")
     if kind == "gts" and labels_in_use & set(MARKERS) and annotate:
-        issues.add("/gts", "marker labels %s are reserved in annotated models"
-                   % sorted(labels_in_use & set(MARKERS)))
+        r.add("/gts", "marker labels %s are reserved in annotated models"
+              % sorted(labels_in_use & set(MARKERS)))
 
-    control_labels = tuple(obj.get("control_labels", ()))
-    marker_labels = tuple(obj.get("marker_labels", ()))
+    control_labels = r.strings(obj, "control_labels", "")
+    marker_labels = r.strings(obj, "marker_labels", "", MARKERS)
+    for key, labels in (("control_labels", control_labels),
+                        ("marker_labels", marker_labels)):
+        if labels and (kind == "petri" or a is not None or annotate):
+            r.add("/" + key, "only a flattened graph document (no automaton, "
+                             "no annotate) may list %s" % key)
+    states = control_labels or (automaton.states if automaton else ())
+    markers = MARKERS if annotate or marker_labels else ()
 
-    safety = None
-    if "safety" not in obj:
-        issues.add("/safety", "missing safety constraint")
-    else:
-        safety = _parse_constraint(obj["safety"], kind, net, "/safety", issues)
+    safety = r.read(obj, "safety", "", dict)
+    if safety is not None:
+        safety = _parse_constraint(safety, "/safety", r, net, states, markers)
         if safety is not None and cns.polarity(safety) != "positive":
-            issues.add("/safety", "safety must be a positive constraint")
+            r.add("/safety", "safety must be a positive constraint")
 
-    bad_spec = obj.get("bad")
-    if not isinstance(bad_spec, dict) or "mode" not in bad_spec:
-        issues.add("/bad", "missing bad-set spec with a 'mode'")
-        bad_spec = {"mode": "error"}
-    else:
+    bad_spec = r.read(obj, "bad", "", dict)
+    if bad_spec is not None:
         bad_spec = dict(bad_spec)
-        if bad_spec["mode"] == "adverse":
-            known = set(control_labels) or (set(automaton.states) if automaton else set())
-            unknown = set(bad_spec.get("states", ())) - known
-            if bad_spec.get("states") and not known:
-                issues.add("/bad/states", "no control automaton to observe")
-            elif unknown:
-                issues.add("/bad/states", "unknown states %s" % sorted(unknown))
-            if bad_spec.get("env_marker") and not (annotate or marker_labels):
-                issues.add("/bad/env_marker", "needs an annotated model")
-        elif bad_spec["mode"] == "custom":
-            c = _parse_constraint(bad_spec.get("constraint"), kind, net,
-                                  "/bad/constraint", issues)
+        mode = r.read(bad_spec, "mode", "/bad", ("adverse", "error", "custom"))
+        if mode == "adverse":
+            observed = set(r.strings(bad_spec, "states", "/bad"))
+            if observed and not states:
+                r.add("/bad/states", "no control automaton to observe")
+            elif observed - set(states):
+                r.add("/bad/states", "unknown states %s" % sorted(observed - set(states)))
+            if r.read(bad_spec, "env_marker", "/bad", bool, False) and not markers:
+                r.add("/bad/env_marker", "needs an annotated model")
+        elif mode == "custom":
+            c = r.read(bad_spec, "constraint", "/bad", dict)
+            if c is not None:
+                c = _parse_constraint(c, "/bad/constraint", r, net, states, markers)
             if c is not None and cns.polarity(c) != "negative":
-                issues.add("/bad/constraint", "must be a negative constraint")
+                r.add("/bad/constraint", "must be a negative constraint")
             bad_spec["constraint"] = c
-        elif bad_spec["mode"] != "error":
-            issues.add("/bad/mode", "unknown mode %r" % bad_spec["mode"])
 
-    b_post = None
-    if obj.get("b_post") is not None:
-        bits = {"net": net, "automaton": automaton, "annotate": annotate,
-                "control_labels": control_labels}
-        states = []
-        for i, s in enumerate(obj["b_post"]):
-            st = _parse_state(s, kind, bits, "/b_post/%d" % i, issues)
-            if st is not None:
-                states.append(st)
-        b_post = tuple(states)
+    b_post = _parse_b_post(obj, r, net, states, markers)
 
-    issues.raise_if_any()
+    r.raise_if_any()
     return ModelDocument(
         kind=kind, annotate=annotate, net=net, petri_start=petri_start,
         rules=rules, base_class=base_class, gts_start=gts_start,
         automaton=automaton, safety=safety, bad_spec=bad_spec, b_post=b_post,
-        limits=limits, notes=obj.get("notes"),
+        limits=Limits(**limits), notes=notes,
         control_labels=control_labels, marker_labels=marker_labels,
     )
 
@@ -494,17 +521,26 @@ class BuiltModel:
             safe=self.safe, max_iters=self.doc.limits.max_iters)
 
     def state_to_json(self, state) -> dict:
-        return state_to_json(state, self.doc, self.backend)
+        if self.doc.kind == "petri":
+            return _marking_to_json(self.doc.net, state)
+        klass = self.backend.klass
+        out = {"graph": graph_to_json(state)}
+        q = klass.control_of(state)
+        mk = klass.marker_of(state)
+        if q is not None:
+            out["state"] = q
+        if mk is not None:
+            out["marker"] = mk
+        return out
 
     def basis_to_json(self, basis: Basis) -> list:
         return [self.state_to_json(s) for s in basis.elements]
 
 
 def build(doc: ModelDocument) -> BuiltModel:
-    issues = _Issues()
     if doc.kind == "petri":
         if doc.automaton is not None:
-            backend = ctl.compose_petri_backend(doc.net, doc.automaton, doc.annotate)
+            backend = ProductBackend(doc.net, doc.automaton, doc.annotate)
         else:
             backend = PetriBackend(doc.net)
         domain = cns.MarkingDomain(
@@ -515,29 +551,18 @@ def build(doc: ModelDocument) -> BuiltModel:
             doc.automaton.initial if doc.automaton else None,
             START_MARKER if doc.annotate else None)
     else:
-        base = doc.base_class
-        if doc.control_labels or doc.marker_labels:
-            # A flattened document: control/marker structure is already in
-            # the rules, only the class needs the label sets.
-            base = GraphClass(
-                max_path=base.max_path, node_count=base.node_count,
-                control_labels=frozenset(doc.control_labels),
-                marker_labels=frozenset(doc.marker_labels),
-                quotient_labels=base.quotient_labels)
-            backend = GraphBackend(list(doc.rules), base, doc.limits)
-        else:
-            backend = ctl.compose_graph_backend(
-                list(doc.rules), base, doc.automaton, doc.annotate, doc.limits)
-        domain = cns.GraphDomain(backend.klass, backend.order, doc.limits)
-        start = doc.gts_start
-        if doc.automaton is not None:
-            start = ctl.with_control(
-                start, doc.automaton.initial,
-                START_MARKER if doc.annotate else None)
-        start = backend.normalize(start)
-        if not backend.klass.contains(start):
-            issues.add("/gts/start", "start graph lies outside the state class")
-    issues.raise_if_any()
+        # The automaton and annotation live in the flattened rules; the
+        # class only needs their label sets.
+        flat = compose_document(doc)
+        klass = replace(flat.base_class,
+                        control_labels=frozenset(flat.control_labels),
+                        marker_labels=frozenset(flat.marker_labels))
+        backend = GraphBackend(list(flat.rules), klass, doc.limits)
+        domain = cns.GraphDomain(klass, backend.order, doc.limits)
+        start = backend.normalize(flat.gts_start)
+        if not klass.contains(start):
+            raise ModelError([("/gts/start",
+                               "start graph lies outside the state class")])
 
     safe = cns.ideal_basis_of(doc.safety, domain)
     bad = cns.anti_ideal_of(doc.bad_spec, domain, safe)
@@ -554,25 +579,6 @@ def build(doc: ModelDocument) -> BuiltModel:
                     for i in outside])
         reachable = minimize(states, backend.order)
     return BuiltModel(doc, backend, domain, safe, bad, reachable, start)
-
-
-def state_to_json(state, doc: ModelDocument, backend) -> dict:
-    if doc.kind == "petri":
-        out = {"marking": {p: n for p, n in zip(doc.net.places, state.tokens) if n}}
-        if state.state is not None:
-            out["state"] = state.state
-        if state.marker is not None:
-            out["marker"] = state.marker
-        return out
-    klass = backend.klass
-    out = {"graph": graph_to_json(state)}
-    q = klass.control_of(state)
-    mk = klass.marker_of(state)
-    if q is not None:
-        out["state"] = q
-    if mk is not None:
-        out["marker"] = mk
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +618,14 @@ def to_dict(doc: ModelDocument) -> dict:
         out["control_labels"] = list(doc.control_labels)
     if doc.marker_labels:
         out["marker_labels"] = list(doc.marker_labels)
-    out["safety"] = _constraint_to_json(doc.safety, doc.kind, doc.net)
+    out["safety"] = _constraint_to_json(doc.safety, doc.net)
     bad = dict(doc.bad_spec)
     if bad.get("mode") == "custom":
-        bad["constraint"] = _constraint_to_json(bad["constraint"], doc.kind, doc.net)
+        bad["constraint"] = _constraint_to_json(bad["constraint"], doc.net)
     out["bad"] = bad
     if doc.b_post is not None:
         if doc.kind == "petri":
-            out["b_post"] = [state_to_json(s, doc, None) for s in doc.b_post]
+            out["b_post"] = [_marking_to_json(doc.net, s) for s in doc.b_post]
         else:
             out["b_post"] = [{"graph": graph_to_json(g)} for g in doc.b_post]
     out["limits"] = {
@@ -645,22 +651,16 @@ def compose_document(doc: ModelDocument) -> ModelDocument:
         raise ModelError([
             ("/kind", "only graph models can be flattened; the Petri product "
                       "is built at run time")])
-    if doc.automaton is None and not doc.annotate:
+    if doc.automaton is None:  # the loader refuses annotate without one
         return doc
-    rules = list(doc.rules)
-    control_labels: Tuple[str, ...] = doc.control_labels
-    start = doc.gts_start
-    if doc.automaton is not None:
-        rules = ctl.enrich_rules(rules, doc.automaton)
-        control_labels = tuple(doc.automaton.states)
-        start = ctl.with_control(start, doc.automaton.initial,
-                                 START_MARKER if doc.annotate else None)
-    marker_labels: Tuple[str, ...] = doc.marker_labels
+    rules = ctl.enrich_rules(list(doc.rules), doc.automaton)
+    marker_labels: Tuple[str, ...] = ()
     if doc.annotate:
         rules = ctl.mark_rules(rules)
         marker_labels = MARKERS
-    b_post = doc.b_post
+    start = ctl.with_control(doc.gts_start, doc.automaton.initial,
+                             START_MARKER if doc.annotate else None)
     return replace(
         doc, rules=tuple(rules), automaton=None, annotate=False,
-        gts_start=start, control_labels=control_labels,
-        marker_labels=marker_labels, b_post=b_post)
+        gts_start=start, control_labels=tuple(doc.automaton.states),
+        marker_labels=marker_labels)

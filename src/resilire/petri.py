@@ -189,8 +189,6 @@ class VectorOrder(Wqo):
 class PetriBackend:
     """A plain net as a transition system over bare markings."""
 
-    kind = "petri"
-
     def __init__(self, net: PetriNet):
         self.net = net
         self.order = VectorOrder(len(net.places))
@@ -223,8 +221,6 @@ class ProductBackend:
     t, and steps accept any marker on the left (so the start marker is
     lost after the first step).
     """
-
-    kind = "petri-product"
 
     def __init__(self, net: PetriNet, automaton, annotate: bool = False):
         self.net = net

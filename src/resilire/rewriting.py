@@ -34,46 +34,45 @@ class Rule:
         self.right = right
         self.node_map = dict(node_map)
         self.edge_map = dict(edge_map)
-        self._validate()
+        problems = rule_problems(left, right, self.node_map, self.edge_map)
+        if problems:
+            raise ValueError("rule %r: %s" % (name, "; ".join(problems)))
         self.deleted_nodes = sorted(set(left.nodes) - set(self.node_map))
         self.deleted_edges = sorted(set(left.edges) - set(self.edge_map))
         self.created_nodes = sorted(set(right.nodes) - set(self.node_map.values()))
         self.created_edges = sorted(set(right.edges) - set(self.edge_map.values()))
 
-    def _validate(self):
-        problems = self.check_well_formed()
-        if problems:
-            raise ValueError("rule %r: %s" % (self.name, "; ".join(problems)))
-
-    def check_well_formed(self) -> List[str]:
-        problems = []
-        nm, em = self.node_map, self.edge_map
-        for lid, rid in nm.items():
-            if lid not in self.left.nodes:
-                problems.append("mapped node %r not in left graph" % lid)
-            elif rid not in self.right.nodes:
-                problems.append("node %r maps to missing %r" % (lid, rid))
-            elif self.left.nodes[lid] != self.right.nodes[rid]:
-                problems.append("node map %r->%r changes the label" % (lid, rid))
-        for lid, rid in em.items():
-            if lid not in self.left.edges:
-                problems.append("mapped edge %r not in left graph" % lid)
-                continue
-            if rid not in self.right.edges:
-                problems.append("edge %r maps to missing %r" % (lid, rid))
-                continue
-            ls, lt, ll = self.left.edges[lid]
-            rs, rt, rl = self.right.edges[rid]
-            if ll != rl:
-                problems.append("edge map %r->%r changes the label" % (lid, rid))
-            if nm.get(ls) != rs or nm.get(lt) != rt:
-                problems.append("edge map %r->%r breaks incidence" % (lid, rid))
-        if len(set(nm.values())) != len(nm) or len(set(em.values())) != len(em):
-            problems.append("map is not injective on its domain")
-        return problems
-
     def __repr__(self):
         return "Rule(%s)" % self.name
+
+
+def rule_problems(left: Graph, right: Graph, nm: dict, em: dict) -> List[str]:
+    """Why the id maps are not an injective, label-preserving partial
+    morphism from `left` to `right` (empty when they are one)."""
+    problems = []
+    for lid, rid in nm.items():
+        if lid not in left.nodes:
+            problems.append("mapped node %r not in left graph" % lid)
+        elif rid not in right.nodes:
+            problems.append("node %r maps to missing %r" % (lid, rid))
+        elif left.nodes[lid] != right.nodes[rid]:
+            problems.append("node map %r->%r changes the label" % (lid, rid))
+    for lid, rid in em.items():
+        if lid not in left.edges:
+            problems.append("mapped edge %r not in left graph" % lid)
+            continue
+        if rid not in right.edges:
+            problems.append("edge %r maps to missing %r" % (lid, rid))
+            continue
+        ls, lt, ll = left.edges[lid]
+        rs, rt, rl = right.edges[rid]
+        if ll != rl:
+            problems.append("edge map %r->%r changes the label" % (lid, rid))
+        if nm.get(ls) != rs or nm.get(lt) != rt:
+            problems.append("edge map %r->%r breaks incidence" % (lid, rid))
+    if len(set(nm.values())) != len(nm) or len(set(em.values())) != len(em):
+        problems.append("map is not injective on its domain")
+    return problems
 
 
 def identity_rule(name: str, owner: str) -> Rule:
@@ -360,8 +359,6 @@ class GraphBackend:
     Backward steps are memoized per (rule, state) because saturation
     revisits surviving basis elements on every round.
     """
-
-    kind = "gts"
 
     def __init__(self, rules, klass: GraphClass, limits: Limits = DEFAULT_LIMITS):
         self.rules = list(rules)

@@ -180,11 +180,9 @@ def harvested_models():
         if rng.random() < 0.6:
             chosen = frozenset(q for q in qs if rng.random() < 0.5) \
                 or frozenset(qs[:1])
-            bad = BadSet("adverse", lambda s, c=chosen: s.state in c,
-                         "state in %s" % sorted(chosen))
+            bad = BadSet(lambda s, c=chosen: s.state in c)
         else:
-            bad = BadSet("error", lambda s, b=safe: not covers(b, s),
-                         "outside safety")
+            bad = BadSet(lambda s, b=safe: not covers(b, s))
         keep.append((backend, start, safe, bad, states))
     assert len(keep) >= 50, "generator failed to produce enough finite models"
     return keep

@@ -3,13 +3,12 @@
 import pytest
 
 from resilire import model
-from resilire.control import (compose_graph_backend, enrich_rules, make_automaton,
-                              mark_rules, with_control)
+from resilire.control import enrich_rules, make_automaton, mark_rules, with_control
 from resilire.engine import min_recovery
 from resilire.errors import ModelError
 from resilire.graphs import Graph, GraphClass, graph_of, single_node
 from resilire.petri import ENVIRONMENT, MARKERS, SYSTEM
-from resilire.rewriting import Rule, successors
+from resilire.rewriting import GraphBackend, Rule, successors
 
 from conftest import fixture_path
 
@@ -81,8 +80,9 @@ def test_marked_steps_track_owner():
         ["q0"], "q0",
         [{"from": "q0", "to": "q0", "select": ["grow", "shrink"]}],
         {"grow", "shrink"})
-    backend = compose_graph_backend(sample_rules(), GraphClass(max_path=2),
-                                    autom, annotate=True)
+    klass = GraphClass(max_path=2, control_labels=frozenset(autom.states),
+                       marker_labels=frozenset(MARKERS))
+    backend = GraphBackend(mark_rules(enrich_rules(sample_rules(), autom)), klass)
     start = with_control(single_node("P"), "q0", "top")
     start = backend.normalize(start)
     for succ in backend.post_step(start):
@@ -97,26 +97,6 @@ def test_marked_steps_track_owner():
                  if sum(1 for l in s.nodes.values() if l == "t") == 0]
     assert env_succs and all(backend.klass.marker_of(s) == ENVIRONMENT
                              for s in env_succs)
-
-
-def test_petri_composition_is_the_product():
-    from resilire.control import compose_petri_backend
-    from resilire.petri import Marking, ProductBackend, make_net
-    net = make_net(["a", "b"], [
-        {"name": "move", "owner": "sys", "pre": {"a": 1}, "post": {"b": 1}},
-        {"name": "lose", "owner": "env", "pre": {"b": 1}, "post": {}},
-    ])
-    autom = make_automaton(["q0", "q1"], "q0",
-                           [{"from": "q0", "to": "q1", "select": ["move"]},
-                            {"from": "q1", "to": "q0", "select": ["lose"]}],
-                           {"move", "lose"})
-    composed = compose_petri_backend(net, autom, annotate=False)
-    product = ProductBackend(net, autom, annotate=False)
-    for tokens in ((0, 0), (1, 0), (2, 1)):
-        for q in ("q0", "q1"):
-            m = Marking(tokens, q)
-            assert composed.post_step(m) == product.post_step(m)
-            assert composed.pre_basis(m) == product.pre_basis(m)
 
 
 def test_path_game_start_offers_only_point_creation():
@@ -135,6 +115,17 @@ def test_flattened_document_equals_original():
     v1 = min_recovery(model.build(doc).instance())
     v2 = min_recovery(model.build(flat).instance())
     assert (v1.kind, v1.k_min) == (v2.kind, v2.k_min)
+
+
+@pytest.mark.parametrize("name", ["pathgame.json", "adverse_vs_error.json"])
+def test_building_a_graph_model_equals_building_its_flattening(name):
+    doc = model.load(fixture_path(name))
+    direct, flat = model.build(doc), model.build(model.compose_document(doc))
+    assert direct.safe.elements == flat.safe.elements
+    assert direct.reachable.elements == flat.reachable.elements
+    assert direct.start.key() == flat.start.key()
+    assert [r.name for r in direct.backend.rules] == [r.name for r in flat.backend.rules]
+    assert direct.backend.klass == flat.backend.klass
 
 
 def test_flattened_document_round_trips():

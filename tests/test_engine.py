@@ -18,7 +18,7 @@ from resilire.petri import Marking, PetriBackend, enabled, fire, make_net
 
 from conftest import explore, fixture_path, recovery_oracle, rng_for
 
-EVERYTHING = BadSet("custom", lambda s: True, "all states")
+EVERYTHING = BadSet(lambda s: True)
 
 
 def two_place_net(rng):
@@ -90,7 +90,7 @@ def test_first_backward_round_minimizes_published_generating_set(supply_built):
 
 
 def test_min_recovery_vacuous_when_no_bad_reachable(supply_built):
-    never = BadSet("custom", lambda s: False, "nothing")
+    never = BadSet(lambda s: False)
     verdict = min_recovery(supply_instance(supply_built, bad=never))
     assert verdict.kind == FOUND and verdict.k_min == 0
 
@@ -140,7 +140,7 @@ def recovers_within(inst, k):
 def test_recovery_within(supply_built):
     assert recovers_within(supply_built.instance(), 6)
     assert not recovers_within(supply_built.instance(), 5)
-    never = BadSet("custom", lambda s: False, "nothing")
+    never = BadSet(lambda s: False)
     assert recovers_within(supply_instance(supply_built, bad=never), 0)
 
 

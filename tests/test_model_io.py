@@ -1,12 +1,13 @@
 """Document loading, validation messages, reports, and the CLI."""
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
 
-from resilire import model
+from resilire import cli, model
 from resilire.errors import ModelError
 
 from conftest import fixture_path
@@ -57,6 +58,14 @@ def test_non_injective_rule_is_rejected_by_name():
     assert any("injective" in msg and "close_cycle" in msg
                for _loc, msg in err.value.issues)
     assert any("/gts/rules/0" in loc for loc, _msg in err.value.issues)
+
+
+def test_petri_transition_owner_is_checked():
+    doc = base_doc()
+    doc["petri"]["transitions"][1]["owner"] = "nobody"
+    with pytest.raises(ModelError) as err:
+        model.from_dict(doc)
+    assert [loc for loc, _msg in err.value.issues] == ["/petri/transitions/1/owner"]
 
 
 def test_unknown_selected_rule():
@@ -294,6 +303,42 @@ def test_cli_state_or_marker_the_model_lacks_exits_two(tmp_path, base, section, 
     assert "state/marker presence" in proc.stderr
 
 
+def graph_doc():
+    return json.loads(open(fixture_path("adverse_vs_error.json")).read())
+
+
+def graph_doc_without_automaton():
+    doc = graph_doc()
+    doc.pop("automaton")
+    doc["safety"].pop("state")
+    for state in doc["b_post"]:
+        state.pop("state")
+    return doc
+
+
+@pytest.mark.parametrize("base, section, extra", [
+    (graph_doc_without_automaton, "safety", {"state": "q0"}),
+    (graph_doc_without_automaton, "b_post", {"state": "q0"}),
+    (graph_doc_without_automaton, "safety", {"marker": "sys"}),
+    (graph_doc, "b_post", {"marker": "sys"}),
+])
+def test_cli_graph_state_or_marker_the_model_lacks_exits_two(tmp_path, base,
+                                                             section, extra):
+    # In a graph model such a state or marker would be read as a node
+    # with an ordinary label, which no reachable state carries.
+    doc = base()
+    target = doc["b_post"][0] if section == "b_post" else doc["safety"]
+    target.update(extra)
+    doc["bad"] = {"mode": "error"}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    (key,) = extra
+    pointer = "/b_post/0/" if section == "b_post" else "/safety/"
+    assert pointer + key + ":" in proc.stderr
+
+
 def test_quotient_labels_may_not_be_matched_isolated():
     doc = json.loads(open(fixture_path("pathgame.json")).read())
     doc["gts"]["rules"].append({
@@ -317,3 +362,70 @@ def test_adverse_mode_needs_an_automaton(tmp_path):
     }
     with pytest.raises(ModelError, match="no control automaton"):
         model.from_dict(doc)
+
+
+@pytest.mark.parametrize("name, key, labels", [
+    ("adverse_vs_error.json", "control_labels", ["q0", "q1"]),
+    ("adverse_vs_error.json", "marker_labels", ["sys"]),
+    ("adverse_vs_error_petri.json", "control_labels", ["q0", "q1"]),
+])
+def test_cli_label_sets_outside_a_flattened_graph_document_exit_two(
+        tmp_path, name, key, labels):
+    # Label sets describe a flattened graph document; beside an automaton
+    # or in a Petri model they used to be taken as one, or ignored.
+    doc = json.loads(open(fixture_path(name)).read())
+    doc[key] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "/" + key in proc.stderr
+
+
+MUTANT_VALUES = [None, True, -1, 1, "x", [], {}, [1], {"a": 1}]
+
+
+def field_paths(obj, prefix=()):
+    """The path of every value below the document root."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", ["supplychain.json", "adverse_vs_error.json",
+                                  "adverse_vs_error_petri.json"])
+def test_single_field_mutants_are_refused_or_answered(tmp_path, monkeypatch,
+                                                      capsys, name):
+    # Each field replaced by a value of another JSON type or range either
+    # builds or is refused with located issues; a mutant that builds
+    # gets an answer or a refusal from `check`, never a traceback.
+    monkeypatch.setenv("RESIL_MAX_ITERS", "20")
+    text = open(fixture_path(name)).read()
+    path = tmp_path / "mutant.json"
+    for field in field_paths(json.loads(text)):
+        for value in MUTANT_VALUES:
+            doc = json.loads(text)
+            parent = doc
+            for key in field[:-1]:
+                parent = parent[key]
+            parent[field[-1]] = copy.deepcopy(value)
+            mutant = "%s with %s = %r" % (name, "/".join(map(str, field)), value)
+            try:
+                model.build(model.from_dict(doc))
+            except ModelError as exc:
+                assert all(loc.startswith("/") for loc, _msg in exc.issues), mutant
+                continue
+            except Exception as exc:
+                pytest.fail("%s raised %r" % (mutant, exc))
+            path.write_text(json.dumps(doc))
+            try:
+                assert cli.main(["check", str(path)]) in (0, 1, 2), mutant
+            except Exception as exc:
+                pytest.fail("check on %s raised %r" % (mutant, exc))
+    capsys.readouterr()
