@@ -14,8 +14,9 @@ from .control import (AutomatonEdge, ControlAutomaton, enrich_rules, mark_rules,
 from .constraints import (And, BadSet, Exists, NotExists, Or, VectorPattern,
                           anti_ideal_of, ideal_basis_of, negate, satisfies)
 from .engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
-                     Verdict, backward_step, forward_states, min_recovery,
-                     overapprox_bound, pre_star, recovery_bound, underapprox_bound)
+                     Verdict, approx_bounds, backward_step, forward_states,
+                     min_recovery, overapprox_bound, pre_star, recovery_bound,
+                     underapprox_bound)
 from .errors import (BackendMismatch, GuardExceeded, ModelError, ResilError,
                      SaturationExhausted)
 from .graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,

@@ -3,7 +3,8 @@
 Subcommands: check, approx, prestar, post, compose.  All results go to
 stdout as JSON (sorted keys, so reports are byte-stable); diagnostics go
 to stderr.  Exit codes for `check`: 0 when a bound was found, 1 when
-none exists, 2 on exhaustion or any error, unreadable files included.
+none exists, 2 on exhaustion or any error, unreadable files and
+uncaught exceptions included.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from . import engine, model
@@ -80,14 +82,14 @@ def cmd_approx(args) -> int:
     report = {"guarantee": "k_under <= k_min <= k_over"}
     if args.under is None and not args.over:
         raise ResilError("nothing to do: pass --under DEPTH and/or --over")
+    k_under, k_over = engine.approx_bounds(
+        built.start, built.bad, built.safe, built.backend, depth=args.under,
+        over=args.over, limits=built.doc.limits)
     if args.under is not None:
-        report["k_under"] = _bound_json(engine.underapprox_bound(
-            built.start, args.under, built.bad, built.safe, built.backend,
-            built.doc.limits))
+        report["k_under"] = _bound_json(k_under)
         report["depth"] = args.under
     if args.over:
-        report["k_over"] = _bound_json(engine.overapprox_bound(
-            built.start, built.bad, built.safe, built.backend, built.doc.limits))
+        report["k_over"] = _bound_json(k_over)
     _emit(report)
     return EXIT_FOUND
 
@@ -181,6 +183,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ResilError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return EXIT_ERROR
+    except Exception as exc:  # a fault of the checker: never an answer's exit code
+        traceback.print_exc(file=sys.stderr)
+        sys.stderr.write("error: internal %s: %s\n" % (type(exc).__name__, exc))
         return EXIT_ERROR
 
 

@@ -1,11 +1,19 @@
 """Backend-independent resilience engine.
 
 The decision procedure is backward ideal saturation: starting from the
-basis of the safety ideal, each round adjoins the basis of the one-step
-predecessor ideal and minimizes.  The sequence of ideals is monotone
-and, over a well-quasi-order, eventually stationary, so saturation
+basis of the safety ideal I_0, round k+1 builds the basis of
+I_{k+1} = I_k union pre(I_k).  The sequence of ideals is monotone and,
+over a well-quasi-order, eventually stationary, so saturation
 terminates; a configurable iteration guard additionally bounds every
 loop and reports a distinct 'exhausted' outcome when it trips.
+
+Rounds are frontier-only.  An element of round k's basis that was
+already in round k-1's has its predecessors in I_k, so round k+1
+minimizes round k's basis together with the one-step basis of the
+*fresh* elements of round k alone, and each basis element is stepped
+exactly once.  Bases are canonical, so a round without fresh elements
+has the previous round's ideal: it is the fixed point.  `backward_step`
+keeps the full one-step operator as a reference.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
@@ -14,7 +22,8 @@ of the reachable states is supplied the same bound is approximated from
 below by bounded forward exploration and from above by forward ideal
 saturation: the same round loop, driven by each backend's one-step
 successor basis of an upward closure (`post_basis`), saturates the
-start's upward closure forwards.
+start's upward closure forwards.  Both bounds are then read off one
+backward saturation.
 """
 
 from __future__ import annotations
@@ -62,63 +71,75 @@ class Verdict:
     reason: Optional[str] = None
 
 
-def _round(seed: Basis, current: Basis, step, order) -> Basis:
+def _round(seed, current, step, order) -> Basis:
     """Basis of up(seed) union the ideals of `step(b)` for b in `current`."""
-    candidates = list(seed.elements)
-    for b in current.elements:
+    candidates = list(seed)
+    for b in current:
         candidates.extend(step(b))
     return minimize(candidates, order)
 
 
 def backward_step(current: Basis, safe: Basis, backend) -> Basis:
-    """Basis of (safety ideal) union (one-step predecessors of `current`)."""
+    """Basis of (safety ideal) union (one-step predecessors of `current`).
+
+    The full one-step operator; saturation itself only steps the fresh
+    elements of each round and yields the same bases.
+    """
     return _round(safe, current, backend.pre_basis, backend.order)
 
 
-def _saturation(seed: Basis, step, max_iters: int):
-    """Yield (k, basis-of-round-k, stable) starting at k=0, where round k
-    is `step` applied to round k-1.
+def _saturation(seed: Basis, step, order, max_iters: int):
+    """Yield (k, basis-of-round-k, stable) starting at k=0.
 
-    `stable` marks the first round whose ideal equals the previous one
-    (the fixed point); iteration stops after yielding it.  Raises
-    SaturationExhausted when the guard trips first.
+    Round k+1 is the basis of round k's ideal together with the ideals
+    of `step(b)` for the fresh elements b of round k: those whose key
+    is not in round k-1 (all of round 0).  `stable` marks the first
+    round without fresh elements, which is the fixed point; iteration
+    stops after yielding it.  Raises SaturationExhausted when the guard
+    trips first.
     """
-    current = seed
+    key = order.key
+    current, fresh = seed, seed.elements
+    known = {key(b) for b in fresh}
     yield 0, current, False
     for k in range(1, max_iters + 1):
-        nxt = step(current)
-        stable = basis_subset(nxt.elements, current)
+        nxt = _round(current, fresh, step, order)
+        fresh = [b for b in nxt if key(b) not in known]
+        stable = not fresh
         yield k, nxt, stable
         if stable:
             return
-        current = nxt
+        current, known = nxt, {key(b) for b in nxt}
     raise SaturationExhausted("no fixed point within %d rounds" % max_iters)
 
 
 def _backward(safe: Basis, backend, max_iters: int):
-    return _saturation(safe, lambda current: backward_step(current, safe, backend),
-                       max_iters)
+    return _saturation(safe, backend.pre_basis, backend.order, max_iters)
 
 
-def _cover(targets, rounds, trace: Optional[List[Basis]] = None):
-    """Walk saturation rounds to the first whose ideal holds `targets`.
+def _cover(target_lists, rounds, trace: Optional[List[Basis]] = None):
+    """Walk saturation rounds until each list of targets lies in a
+    round's ideal.
 
-    Returns (kind, k, error): (found, k) at that round, (unbounded, k)
-    at a fixed point that does not hold them, or (exhausted, last
-    completed round, the guard's exception).  `trace` collects every
-    round's basis.
+    Returns (found, k, error): found[i] is the first round whose ideal
+    holds target_lists[i], or None if the walk ended before that, at
+    the fixed point or because a guard tripped.  k is the last round
+    walked (for a trip, the last completed one) and error the guard's
+    exception, else None.  `trace` collects every round's basis.
     """
+    found: List[Optional[int]] = [None] * len(target_lists)
     k = 0
     try:
         for k, basis, stable in rounds:
             if trace is not None:
                 trace.append(basis)
-            if basis_subset(targets, basis):
-                return FOUND, k, None
-            if stable:
-                return UNBOUNDED, k, None
+            for i, targets in enumerate(target_lists):
+                if found[i] is None and basis_subset(targets, basis):
+                    found[i] = k
+            if stable or None not in found:
+                return found, k, None
     except (SaturationExhausted, GuardExceeded) as exc:
-        return EXHAUSTED, k, exc
+        return found, k, exc
 
 
 def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
@@ -132,10 +153,10 @@ def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
     """
     targets = [b for b in inst.reachable.elements if inst.bad.contains(b)]
     trace: Optional[List[Basis]] = [] if keep_trace else None
-    kind, k, error = _cover(
-        targets, _backward(inst.safe, inst.backend, inst.max_iters), trace)
-    return Verdict(kind, k if kind == FOUND else None, k,
-                   tuple(trace) if keep_trace else None,
+    (k_min,), k, error = _cover(
+        [targets], _backward(inst.safe, inst.backend, inst.max_iters), trace)
+    kind = FOUND if k_min is not None else UNBOUNDED if error is None else EXHAUSTED
+    return Verdict(kind, k_min, k, tuple(trace) if keep_trace else None,
                    None if error is None else str(error))
 
 
@@ -157,6 +178,17 @@ def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,
         previous = basis
 
 
+def _recovery_bounds(state_lists, bad, safe: Basis, backend, max_iters: int) -> list:
+    """`recovery_bound` of each list of states, from one backward
+    saturation that runs until every list is answered.  A guard trip
+    before that raises."""
+    target_lists = [[s for s in states if bad.contains(s)] for states in state_lists]
+    found, _k, error = _cover(target_lists, _backward(safe, backend, max_iters))
+    if error is not None:
+        raise error
+    return [INFINITY if k is None else k for k in found]
+
+
 def recovery_bound(states, bad, safe: Basis, backend,
                    max_iters: int = DEFAULT_LIMITS.max_iters):
     """Least k covering the bad part of `states` in k rounds, else inf.
@@ -166,11 +198,7 @@ def recovery_bound(states, bad, safe: Basis, backend,
     upward closure against a downward-closed filter).  A guard trip
     raises.
     """
-    targets = [s for s in states if bad.contains(s)]
-    kind, k, error = _cover(targets, _backward(safe, backend, max_iters))
-    if error is not None:
-        raise error
-    return k if kind == FOUND else INFINITY
+    return _recovery_bounds([states], bad, safe, backend, max_iters)[0]
 
 
 def forward_states(start, backend, depth: int,
@@ -203,6 +231,29 @@ def forward_states(start, backend, depth: int,
     return layers
 
 
+def approx_bounds(start, bad, safe: Basis, backend, depth: Optional[int] = None,
+                  over: bool = False, limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """(k_under, k_over) from one backward saturation; each is None
+    unless asked for, by a forward `depth` or by `over`.
+
+    See `underapprox_bound` and `overapprox_bound` for what they bound.
+    """
+    asked = []
+    if depth is not None:
+        layers = forward_states(start, backend, depth, limits)
+        asked.append(minimize([s for layer in layers for s in layer],
+                              backend.order).elements)
+    if over:
+        start_basis = minimize([start], backend.order)
+        for _k, closure, _stable in _saturation(start_basis, backend.post_basis,
+                                                backend.order, limits.max_iters):
+            pass
+        asked.append(closure.elements)
+    bounds = iter(_recovery_bounds(asked, bad, safe, backend, limits.max_iters))
+    return (next(bounds) if depth is not None else None,
+            next(bounds) if over else None)
+
+
 def underapprox_bound(start, depth: int, bad, safe: Basis, backend,
                       limits: Limits = DEFAULT_LIMITS):
     """Recovery bound over the states reachable within `depth` steps.
@@ -210,9 +261,7 @@ def underapprox_bound(start, depth: int, bad, safe: Basis, backend,
     A lower bound on the true k; nondecreasing in `depth` and eventually
     exact.  The forward set is minimized to an antichain first.
     """
-    layers = forward_states(start, backend, depth, limits)
-    seen = minimize([s for layer in layers for s in layer], backend.order)
-    return recovery_bound(seen.elements, bad, safe, backend, limits.max_iters)
+    return approx_bounds(start, bad, safe, backend, depth=depth, limits=limits)[0]
 
 
 def overapprox_bound(start, bad, safe: Basis, backend,
@@ -223,12 +272,4 @@ def overapprox_bound(start, bad, safe: Basis, backend,
     `post_basis`; the fixed point covers every reachable state, so the
     result is an upper bound on the true k.
     """
-    start_basis = minimize([start], backend.order)
-    closure = start_basis
-    for _k, closure, _stable in _saturation(
-            start_basis,
-            lambda current: _round(start_basis, current, backend.post_basis,
-                                   backend.order),
-            limits.max_iters):
-        pass
-    return recovery_bound(closure.elements, bad, safe, backend, limits.max_iters)
+    return approx_bounds(start, bad, safe, backend, over=True, limits=limits)[1]

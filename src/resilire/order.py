@@ -9,7 +9,10 @@ elsewhere as membership predicates.
 An order may split its states into blocks, sets whose members are never
 comparable across blocks (`Wqo.block`).  Minimization and coverage then
 compare a state only with the elements of its own block; the default is
-a single block, so such an order pays nothing for it.
+a single block, so such an order pays nothing for it.  Within a block,
+minimization asks an antichain index whether a kept element lies below
+the candidate (`Wqo.antichain_index`); the default index scans with
+`leq`, and an order may answer from a structure of its own instead.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ class Wqo:
     * ``block(a)``  -- optional hashable block of ``a``, with the contract
       ``leq(a, b)`` implies ``block(a) == block(b)``.  States of different
       blocks are never compared.  The default puts every state in one
-      block.
+      block;
+    * ``antichain_index()`` -- optional: a fresh, empty index with
+      ``add(s)`` and ``covers(s)``, where ``covers(s)`` tells whether some
+      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one per
+      block for the duration of one call.  The default scans the added
+      states with ``leq``.
     """
 
     def leq(self, a, b) -> bool:
@@ -50,6 +58,23 @@ class Wqo:
 
     def block(self, a):
         return None
+
+    def antichain_index(self):
+        return _ScanIndex(self)
+
+
+class _ScanIndex:
+    """The default antichain index: a list scanned with the order's `leq`."""
+
+    def __init__(self, order: Wqo):
+        self._order = order
+        self._items: list = []
+
+    def add(self, s) -> None:
+        self._items.append(s)
+
+    def covers(self, s) -> bool:
+        return any(self._order.leq(t, s) for t in self._items)
 
 
 @dataclass(frozen=True)
@@ -86,19 +111,25 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
     Deterministic: duplicates (by canonical key) collapse to their first
     occurrence, elements are examined in (size, key) order, and the
     result is sorted by key.  Of two order-equivalent elements the one
-    with the smaller canonical key is kept.  A candidate is compared only
-    with the kept elements of its own block.
+    with the smaller canonical key is kept.  A candidate is checked only
+    against the kept elements of its own block, through that block's
+    antichain index.
     """
     by_key: dict = {}
     for s in states:
         by_key.setdefault(order.key(s), s)
-    kept_in: dict = {}
-    for _, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
-        peers = kept_in.setdefault(order.block(s), [])
-        if not any(order.leq(t, s) for t in peers):
-            peers.append(s)
-    kept = sorted((s for peers in kept_in.values() for s in peers), key=order.key)
-    return Basis(order, tuple(kept))
+    indexes: dict = {}
+    kept = []
+    for k, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
+        block = order.block(s)
+        index = indexes.get(block)
+        if index is None:
+            index = indexes[block] = order.antichain_index()
+        if not index.covers(s):
+            index.add(s)
+            kept.append((k, s))
+    kept.sort(key=lambda ks: ks[0])
+    return Basis(order, tuple(s for _, s in kept))
 
 
 def covers(basis: Basis, state) -> bool:

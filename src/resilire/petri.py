@@ -139,7 +139,7 @@ class VectorOrder(Wqo):
     `has_marker` say whether its markings carry a control state and an
     owner marker, and a marking of another shape is refused.  A block is
     a (state, marker) pair: markings that differ there are never
-    comparable.
+    comparable.  Its antichain index is a token trie per block.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -185,6 +185,47 @@ class VectorOrder(Wqo):
         self._check(a)
         return (a.state, a.marker)
 
+    def antichain_index(self) -> "_TokenTrie":
+        return _TokenTrie(self)
+
+
+class _TokenTrie:
+    """Antichain index of `VectorOrder`: per (state, marker) block, a trie
+    of token vectors keyed coordinate by coordinate.
+
+    `covers(m)` descends only into children whose token count is at most
+    m's in that coordinate, so whole subtrees of vectors that exceed m
+    somewhere are skipped at once instead of compared one by one.
+    """
+
+    def __init__(self, order: VectorOrder):
+        self._order = order
+        self._roots: dict = {}
+
+    def add(self, m: Marking) -> None:
+        self._order._check(m)
+        node = self._roots.setdefault((m.state, m.marker), {})
+        for v in m.tokens:
+            node = node.setdefault(v, {})
+
+    def covers(self, m: Marking) -> bool:
+        self._order._check(m)
+        root = self._roots.get((m.state, m.marker))
+        if root is None:
+            return False
+        tokens = m.tokens
+        depth = len(tokens)
+        stack = [(root, 0)]
+        while stack:
+            node, i = stack.pop()
+            if i == depth:
+                return True
+            bound = tokens[i]
+            for v, child in node.items():
+                if v <= bound:
+                    stack.append((child, i + 1))
+        return False
+
 
 class PetriBackend:
     """A plain net as a transition system over bare markings."""
@@ -201,12 +242,12 @@ class PetriBackend:
         return sorted(set(out), key=self.order.key)
 
     def pre_basis(self, m: Marking) -> List[Marking]:
-        return sorted({min_enabling_cover(self.net, m, t)
-                       for t in self.net.transitions}, key=self.order.key)
+        return list({min_enabling_cover(self.net, m, t)
+                     for t in self.net.transitions})
 
     def post_basis(self, m: Marking) -> List[Marking]:
-        return sorted({least_successor(self.net, m, t)
-                       for t in self.net.transitions}, key=self.order.key)
+        return list({least_successor(self.net, m, t)
+                     for t in self.net.transitions})
 
     def basis(self, markings) -> Basis:
         return minimize(markings, self.order)
@@ -229,10 +270,13 @@ class ProductBackend:
         self.order = VectorOrder(len(net.places), has_state=True,
                                  has_marker=annotate)
         self._by_name = {t.name: t for t in net.transitions}
+        self._into: Dict[str, List[Tuple[str, Transition]]] = {}
         for edge in automaton.edges:
             for name in edge.select:
                 if name not in self._by_name:
                     raise KeyError("automaton selects unknown transition %r" % name)
+                self._into.setdefault(edge.dst, []).append(
+                    (edge.src, self._by_name[name]))
 
     def _check_state(self, m: Marking):
         if m.state not in self.automaton.states:
@@ -258,24 +302,20 @@ class ProductBackend:
 
     def post_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
-        return sorted({self._target(least_successor(self.net, m, t).tokens, edge, t)
-                       for edge, t in self._steps_from(m)}, key=self.order.key)
+        return list({self._target(least_successor(self.net, m, t).tokens, edge, t)
+                     for edge, t in self._steps_from(m)})
 
     def pre_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
         markers = MARKERS if self.annotate else (None,)
         out = set()
-        for edge in self.automaton.edges:
-            if edge.dst != m.state:
+        for src, t in self._into.get(m.state, ()):
+            if self.annotate and m.marker != t.owner:
                 continue
-            for name in edge.select:
-                t = self._by_name[name]
-                if self.annotate and m.marker != t.owner:
-                    continue
-                cover = min_enabling_cover(self.net, m, t)
-                for mk in markers:
-                    out.add(Marking(cover.tokens, edge.src, mk))
-        return sorted(out, key=self.order.key)
+            tokens = min_enabling_cover(self.net, m, t).tokens
+            for mk in markers:
+                out.add(Marking(tokens, src, mk))
+        return list(out)
 
     def basis(self, markings) -> Basis:
         return minimize(markings, self.order)

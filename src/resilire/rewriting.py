@@ -355,9 +355,6 @@ class GraphBackend:
     """State space of a graph transition system: a rule set acting on a
     class of graphs, with forward steps and one-step ideal steps in both
     directions.
-
-    Backward steps are memoized per (rule, state) because saturation
-    revisits surviving basis elements on every round.
     """
 
     def __init__(self, rules, klass: GraphClass, limits: Limits = DEFAULT_LIMITS):
@@ -365,7 +362,6 @@ class GraphBackend:
         self.klass = klass
         self.limits = limits
         self.order = SubgraphOrder()
-        self._pre_cache: Dict[tuple, tuple] = {}
 
     def normalize(self, g: Graph) -> Graph:
         return self.klass.normalize(g)
@@ -375,14 +371,9 @@ class GraphBackend:
 
     def pre_basis(self, g: Graph) -> List[Graph]:
         out: Dict[tuple, Graph] = {}
-        for i, rule in enumerate(self.rules):
-            ck = (i, g.key())
-            cached = self._pre_cache.get(ck)
-            if cached is None:
-                cached = tuple(rule_predecessor_basis(
-                    rule, g, self.klass, order=None, limits=self.limits))
-                self._pre_cache[ck] = cached
-            for cand in cached:
+        for rule in self.rules:
+            for cand in rule_predecessor_basis(rule, g, self.klass, order=None,
+                                               limits=self.limits):
                 out.setdefault(cand.key(), cand)
         return [out[k] for k in sorted(out)]
 

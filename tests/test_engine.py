@@ -5,16 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from resilire import model
+from resilire import engine, model
 from resilire.constraints import BadSet
+from resilire.control import make_automaton
 from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
-                             ResilienceInstance, backward_step, forward_states,
+                             ResilienceInstance, _round, _saturation,
+                             approx_bounds, backward_step, forward_states,
                              min_recovery, overapprox_bound, pre_star,
                              recovery_bound, underapprox_bound)
 from resilire.errors import GuardExceeded, SaturationExhausted
 from resilire.limits import Limits
 from resilire.order import Basis, basis_subset, covers, minimize
-from resilire.petri import Marking, PetriBackend, enabled, fire, make_net
+from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
+                            PetriBackend, ProductBackend, enabled, fire, make_net)
 
 from conftest import explore, fixture_path, recovery_oracle, rng_for
 
@@ -55,6 +58,88 @@ def test_backward_step_matches_grid_enumeration():
                 enabled(net, m, t) and covers(current, fire(net, m, t))
                 for t in net.transitions)
             assert truth == covers(stepped, m)
+
+
+def full_rounds(seed, one_round, limit=500):
+    """Reference saturation: iterate a full one-step operator up to the
+    first round whose ideal equals the previous round's."""
+    rounds = [seed]
+    while len(rounds) <= limit:
+        rounds.append(one_round(rounds[-1]))
+        if basis_subset(rounds[-1].elements, rounds[-2]):
+            return rounds
+    raise AssertionError("reference saturation did not settle")
+
+
+def assert_frontier_rounds_match(seed, step, order, one_round):
+    """Frontier-only saturation yields the reference's bases, round by
+    round, and flags exactly its last round as stable."""
+    want = full_rounds(seed, one_round)
+    got = list(_saturation(seed, step, order, len(want) + 5))
+    assert [k for k, _, _ in got] == list(range(len(want)))
+    assert [[order.key(b) for b in basis] for _, basis, _ in got] == \
+        [[order.key(b) for b in basis] for basis in want]
+    assert [stable for _, _, stable in got] == [False] * (len(want) - 1) + [True]
+    return len(want)
+
+
+def assert_both_directions_match(backend, safe, start):
+    order = backend.order
+    backward = assert_frontier_rounds_match(
+        safe, backend.pre_basis, order,
+        lambda current: backward_step(current, safe, backend))
+    start_basis = minimize([start], order)
+    forward = assert_frontier_rounds_match(
+        start_basis, backend.post_basis, order,
+        lambda current: _round(start_basis, current, backend.post_basis, order))
+    return backward, forward
+
+
+@pytest.mark.parametrize("fixture", ["supplychain.json", "adverse_vs_error_petri.json",
+                                     "adverse_vs_error.json"])
+def test_frontier_rounds_equal_full_rounds_on_fixtures(fixture):
+    built = model.build(model.load(fixture_path(fixture)))
+    backward, forward = assert_both_directions_match(built.backend, built.safe,
+                                                     built.start)
+    assert backward > 2 and forward > 2
+
+
+def random_product(rng):
+    """A small random net under a random control automaton, annotated
+    with owner markers half of the time, with a safety basis and a start."""
+    places = ["a", "b", "c"]
+    weights = (0, 0, 0, 1, 1, 2)
+    specs = [{"name": "t%d" % i, "owner": rng.choice((SYSTEM, ENVIRONMENT)),
+              "pre": {p: rng.choice(weights) for p in places},
+              "post": {p: rng.choice(weights) for p in places}}
+             for i in range(rng.randint(1, 4))]
+    names = [spec["name"] for spec in specs]
+    states = ["q0", "q1", "q2"][:rng.randint(1, 3)]
+    edges = [{"from": rng.choice(states), "to": rng.choice(states),
+              "select": rng.sample(names, rng.randint(1, len(names)))}
+             for _ in range(rng.randint(1, 4))]
+    annotate = rng.random() < 0.5
+    backend = ProductBackend(make_net(places, specs),
+                             make_automaton(states, states[0], edges, set(names)),
+                             annotate)
+    markers = MARKERS if annotate else (None,)
+
+    def tokens():
+        return tuple(rng.randint(0, 3) for _ in places)
+
+    safe = minimize([Marking(tokens(), rng.choice(states), rng.choice(markers))
+                     for _ in range(rng.randint(1, 3))], backend.order)
+    start = Marking(tokens(), states[0], START_MARKER if annotate else None)
+    return backend, safe, start
+
+
+def test_frontier_rounds_equal_full_rounds_on_random_products():
+    rng = rng_for("frontier-rounds")
+    longest = 0
+    for _ in range(30):
+        rounds = assert_both_directions_match(*random_product(rng))
+        longest = max(longest, *rounds)
+    assert longest >= 6
 
 
 def supply_instance(built, bad=None):
@@ -269,6 +354,29 @@ def test_overapprox_examples(supply_built):
         ["p"], [{"name": "t", "pre": {}, "post": {"p": 1}}]))
     safe = minimize([Marking((1,))], producer.order)
     assert overapprox_bound(Marking((0,)), EVERYTHING, safe, producer) == 1
+
+
+def test_approx_bounds_share_one_backward_saturation(supply_built, monkeypatch):
+    args = (supply_built.start, supply_built.bad, supply_built.safe,
+            supply_built.backend)
+    separate = (underapprox_bound(supply_built.start, 12, *args[1:]),
+                overapprox_bound(*args))
+    saturations = []
+    backward = engine._backward
+    monkeypatch.setattr(engine, "_backward",
+                        lambda *a: saturations.append(a) or backward(*a))
+    assert approx_bounds(*args, depth=12, over=True) == separate
+    assert len(saturations) == 1
+    assert approx_bounds(*args, over=True) == (None, separate[1])
+    assert approx_bounds(*args, depth=12) == (separate[0], None)
+
+
+def test_approx_bounds_guard_trip_raises():
+    doc = model.load(fixture_path("pathgame.json"))
+    built = model.build(replace(doc, limits=replace(doc.limits, overlap_count=1)))
+    with pytest.raises(GuardExceeded):
+        approx_bounds(built.start, built.bad, built.safe, built.backend, depth=1,
+                      limits=built.doc.limits)
 
 
 def test_overapprox_on_graph_model(triangle_doc):

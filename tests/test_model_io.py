@@ -9,6 +9,7 @@ import pytest
 
 from resilire import cli, model
 from resilire.errors import ModelError
+from resilire.petri import ProductBackend
 
 from conftest import fixture_path
 
@@ -181,6 +182,18 @@ def test_cli_missing_model_file_exits_two(tmp_path):
     proc = run_cli("check", str(tmp_path / "absent.json"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+def test_cli_uncaught_exception_exits_two(monkeypatch, capsys):
+    """A fault inside a computation must not exit 1, the code of an
+    `unbounded` answer."""
+    def broken(self, m):
+        raise RuntimeError("broken step")
+    monkeypatch.setattr(ProductBackend, "pre_basis", broken)
+    assert cli.main(["check", fixture_path("supplychain.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: internal RuntimeError: broken step"
 
 
 def test_cli_overlap_guard_trip_is_exhausted(tmp_path):

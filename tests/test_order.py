@@ -216,6 +216,59 @@ def test_blocked_order_never_compares_across_blocks():
     assert all((a.state, a.marker) == (b.state, b.marker) for a, b in order.pairs)
 
 
+V6 = VectorOrder(6, has_state=True, has_marker=True)
+V6_PLAIN = VectorOrder(6)
+
+
+def test_token_trie_matches_quadratic_reference():
+    """Minimization through the per-block token trie, and the trie's own
+    `covers`, agree with a plain `leq` scan.  Vectors recur across
+    blocks, and queries sit one token off the stored vectors."""
+    rng = rng_for("trie-reference")
+    answers = []
+    for trial in range(150):
+        plain = trial % 5 == 0
+        order = V6_PLAIN if plain else V6
+        states, markers = ((None,), (None,)) if plain else (("p", "q"), MARKERS)
+        vectors = [tuple(rng.randint(0, 4) for _ in range(6))
+                   for _ in range(rng.randint(1, 12))]
+        sample = [Marking(rng.choice(vectors), rng.choice(states), rng.choice(markers))
+                  for _ in range(rng.randint(0, 60))]
+        got, want = minimize(sample, order), reference_minimize(sample, order)
+        assert got.elements == want.elements
+        stored = sample[:len(sample) // 2]
+        index = order.antichain_index()
+        for m in stored:
+            index.add(m)
+        queries = list(sample)
+        for m in sample[:10]:
+            i = rng.randrange(6)
+            for delta in (-1, 1):
+                tokens = list(m.tokens)
+                tokens[i] = max(tokens[i] + delta, 0)
+                queries.append(replace(m, tokens=tuple(tokens)))
+        for q in queries:
+            answers.append(index.covers(q))
+            assert answers[-1] == any(order.leq(t, q) for t in stored)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def test_token_trie_refuses_markings_of_another_shape():
+    for order, good, odd in (
+            (V3, Marking((1, 2, 3), "p", "sys"), Marking((1, 2, 3), "p")),
+            (V3, Marking((1, 2, 3), "p", "sys"), Marking((1, 2), "p", "sys")),
+            (V3_PLAIN, Marking((1, 2, 3)), Marking((1, 2, 3), "p")),
+            (V3_PLAIN, Marking((1, 2, 3)), Marking((1, 2)))):
+        empty, index = order.antichain_index(), order.antichain_index()
+        index.add(good)
+        for target in (empty, index):
+            with pytest.raises(BackendMismatch):
+                target.covers(odd)
+            with pytest.raises(BackendMismatch):
+                target.add(odd)
+        assert index.covers(good) and not empty.covers(good)
+
+
 def test_vector_leq_refuses_mismatched_markings():
     a = Marking((1, 2, 3), "p", "sys")
     for b in (Marking((1, 2), "p", "sys"), Marking((1, 2, 3, 4), "p", "sys"),
