@@ -39,6 +39,13 @@ def _load(path: str) -> model.BuiltModel:
     return model.build(doc)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("must be a non-negative integer, not %r" % text)
+    return int(text)
+
+
 def _bound_json(value):
     return "infinity" if value == engine.INFINITY else value
 
@@ -146,7 +153,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide the minimal recovery bound")
     p.add_argument("model")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_count, default=None,
                    help="also answer the fixed-bound question for this k")
     p.add_argument("--trace", action="store_true",
                    help="include every saturation round in the report")
@@ -154,7 +161,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="bound k_min without a reachability basis")
     p.add_argument("model")
-    p.add_argument("--under", type=int, default=None, metavar="DEPTH",
+    p.add_argument("--under", type=_count, default=None, metavar="DEPTH",
                    help="lower bound from states reachable within DEPTH steps")
     p.add_argument("--over", action="store_true",
                    help="upper bound by forward ideal saturation")
@@ -167,7 +174,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("post", help="minimized antichain of bounded forward reach")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.set_defaults(fn=cmd_post)
 
     p = sub.add_parser("compose", help="flatten automaton and annotation into rules")

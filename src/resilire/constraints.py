@@ -175,12 +175,7 @@ class GraphDomain:
             variants = [ctl.with_marker(g, mk)
                         for g in variants
                         for mk in sorted(self.klass.marker_labels)]
-        done = []
-        for g in variants:
-            g = self.klass.normalize(g)
-            if self.klass.contains(g):
-                done.append(g)
-        return done
+        return [h for h in map(self.klass.admit, variants) if h is not None]
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
         return [ov.u for ov in overlaps(p, q, self.limits)]

@@ -54,10 +54,6 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def degree(self, node_id: str) -> int:
         return sum(1 for (s, t, _l) in self.edges.values() if s == node_id or t == node_id)
 
@@ -292,7 +288,7 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     only node maps are yielded (edge capacity is still verified, so a
     full morphism exists for every yielded node map).
     """
-    if len(pattern.nodes) > len(host.nodes) or pattern.n_edges > host.n_edges:
+    if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
         return
     padj, order, pairs = _pattern_plan(pattern)
     hadj = _Adj(host)

@@ -559,8 +559,8 @@ def build(doc: ModelDocument) -> BuiltModel:
                         marker_labels=frozenset(flat.marker_labels))
         backend = GraphBackend(list(flat.rules), klass, doc.limits)
         domain = cns.GraphDomain(klass, backend.order, doc.limits)
-        start = backend.normalize(flat.gts_start)
-        if not klass.contains(start):
+        start = klass.admit(flat.gts_start)
+        if start is None:
             raise ModelError([("/gts/start",
                                "start graph lies outside the state class")])
 
@@ -570,9 +570,8 @@ def build(doc: ModelDocument) -> BuiltModel:
     if doc.b_post is not None:
         states = list(doc.b_post)
         if doc.kind == "gts":
-            states = [backend.normalize(g) for g in states]
-            outside = [i for i, g in enumerate(states)
-                       if not backend.klass.contains(g)]
+            states = [backend.klass.admit(g) for g in states]
+            outside = [i for i, g in enumerate(states) if g is None]
             if outside:
                 raise ModelError([
                     ("/b_post/%d" % i, "state lies outside the state class")

@@ -4,20 +4,21 @@ Rules are partial morphisms given by explicit id correspondences that
 are injective and label-preserving on their domain.  Forward
 application deletes the match images of unmapped left-hand items (plus
 any edges left dangling), then adds fresh copies of the created
-right-hand items.  The backward step enumerates overlaps of the
-right-hand side with a target graph and reconstructs the minimal
-graphs that can reach the target's upward closure in one application.
+right-hand items.  Every step is one such application: the backward
+step applies the inverse rule at the overlaps of the right-hand side
+with a target graph that meet the dangling condition, which gives the
+minimal graphs reaching the target's upward closure in one step.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .errors import GuardExceeded
-from .graphs import (Graph, GraphClass, counts_fit, embeddings, exists_embedding,
-                     quotient_isolated)
+from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
+                     exists_embedding, quotient_isolated)
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, Wqo, minimize
 
@@ -41,6 +42,17 @@ class Rule:
         self.deleted_edges = sorted(set(left.edges) - set(self.edge_map))
         self.created_nodes = sorted(set(right.nodes) - set(self.node_map.values()))
         self.created_edges = sorted(set(right.edges) - set(self.edge_map.values()))
+        self._inverse = None
+
+    def inverse(self) -> "Rule":
+        """The rule read right to left: it deletes what this rule creates
+        and creates what this rule deletes.  Built once."""
+        if self._inverse is None:
+            self._inverse = Rule(self.name, self.owner, self.right, self.left,
+                                 {r: l for l, r in self.node_map.items()},
+                                 {r: l for l, r in self.edge_map.items()})
+            self._inverse._inverse = self
+        return self._inverse
 
     def __repr__(self):
         return "Rule(%s)" % self.name
@@ -76,7 +88,6 @@ def rule_problems(left: Graph, right: Graph, nm: dict, em: dict) -> List[str]:
 
 
 def identity_rule(name: str, owner: str) -> Rule:
-    from .graphs import EMPTY_GRAPH
     return Rule(name, owner, EMPTY_GRAPH, EMPTY_GRAPH, {})
 
 
@@ -88,15 +99,15 @@ def matches(rule: Rule, g: Graph) -> Iterator[dict]:
 def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
     """Apply the rule at a match; deletion wins and dangling edges go."""
     vmap, emap = match["nodes"], match["edges"]
-    if set(vmap) != set(rule.left.nodes) or set(emap) != set(rule.left.edges):
+    if vmap.keys() != rule.left.nodes.keys() or emap.keys() != rule.left.edges.keys():
         raise ValueError("match must be total on the left-hand side")
     doomed_nodes = {vmap[v] for v in rule.deleted_nodes}
     doomed_edges = {emap[e] for e in rule.deleted_edges}
     nodes = {v: l for v, l in g.nodes.items() if v not in doomed_nodes}
     edges = {
-        e: (s, t, l)
-        for e, (s, t, l) in g.edges.items()
-        if e not in doomed_edges and s not in doomed_nodes and t not in doomed_nodes
+        e: d
+        for e, d in g.edges.items()
+        if e not in doomed_edges and d[0] not in doomed_nodes and d[1] not in doomed_nodes
     }
     # Glue in fresh copies of created items along the preserved part.
     placed: Dict[str, str] = {}
@@ -129,24 +140,18 @@ def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
 # ---------------------------------------------------------------------------
 
 
-class Overlap:
-    """A jointly surjective pair of injective embeddings A >-> U <-< B.
+class Overlap(NamedTuple):
+    """A jointly surjective pair of injective embeddings A >-> U <-< B,
+    kept as U and the embedding of A.
 
-    U's node ids are "a:<id>" for items from A (merged items keep the A
-    id) and "b:<id>" for items only from B.  node_pairs / edge_pairs
-    record which A items were identified with which B items.
+    U's ids are "a:<id>" for items from A (merged items keep the A id)
+    and "b:<id>" for items only from B.  `match` embeds A into U as the
+    {"nodes", "edges"} maps `apply_rule` takes; all overlaps of one
+    enumeration share it.
     """
 
-    __slots__ = ("u", "node_pairs", "edge_pairs", "a_nodes", "b_nodes", "a_edges", "b_edges")
-
-    def __init__(self, u, node_pairs, edge_pairs, a_nodes, b_nodes, a_edges, b_edges):
-        self.u = u
-        self.node_pairs = node_pairs
-        self.edge_pairs = edge_pairs
-        self.a_nodes = a_nodes
-        self.b_nodes = b_nodes
-        self.a_edges = a_edges
-        self.b_edges = b_edges
+    u: Graph
+    match: dict
 
 
 def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overlap]:
@@ -159,6 +164,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
     if node_cap is None:
         node_cap = len(a.nodes) + len(b.nodes)
     a_ids = sorted(a.nodes)
+    match = {"nodes": {aid: "a:" + aid for aid in a.nodes},
+             "edges": {aeid: "a:" + aeid for aeid in a.edges}}
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
@@ -194,7 +201,7 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
             edge_pairs: Dict[str, str] = {}
             for part in combo:
                 edge_pairs.update(part)
-            out.append(_assemble(a, b, node_pairs, edge_pairs))
+            out.append(Overlap(_glue(a, b, node_pairs, edge_pairs), match))
             if len(out) > limits.overlap_count:
                 raise GuardExceeded(
                     "more than %d overlaps enumerated" % limits.overlap_count)
@@ -218,37 +225,20 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
     return out
 
 
-def _assemble(a, b, node_pairs, edge_pairs) -> Overlap:
-    b_node_home = {}
-    nodes = {}
-    a_nodes = {}
-    for aid, lab in a.nodes.items():
-        nodes["a:" + aid] = lab
-        a_nodes[aid] = "a:" + aid
-    b_nodes = {}
-    for aid, bid in node_pairs.items():
-        b_node_home[bid] = "a:" + aid
-        b_nodes[bid] = "a:" + aid
+def _glue(a, b, node_pairs, edge_pairs) -> Graph:
+    """The union U of `a` and `b` identified along the pairs."""
+    nodes = {"a:" + aid: lab for aid, lab in a.nodes.items()}
+    home = {bid: "a:" + aid for aid, bid in node_pairs.items()}
     for bid, lab in b.nodes.items():
-        if bid not in b_node_home:
+        if bid not in home:
+            home[bid] = "b:" + bid
             nodes["b:" + bid] = lab
-            b_nodes[bid] = "b:" + bid
+    edges = {"a:" + aeid: ("a:" + s, "a:" + t, l) for aeid, (s, t, l) in a.edges.items()}
     merged_edges = set(edge_pairs.values())
-    edges = {}
-    a_edges = {}
-    for aeid, (s, t, l) in a.edges.items():
-        edges["a:" + aeid] = ("a:" + s, "a:" + t, l)
-        a_edges[aeid] = "a:" + aeid
-    b_edges = {}
-    for aeid, beid in edge_pairs.items():
-        b_edges[beid] = "a:" + aeid
     for beid, (s, t, l) in b.edges.items():
         if beid not in merged_edges:
-            edges["b:" + beid] = (b_nodes[s], b_nodes[t], l)
-            b_edges[beid] = "b:" + beid
-    u = Graph(nodes, edges)
-    return Overlap(u, dict(node_pairs), dict(edge_pairs),
-                   a_nodes, b_nodes, a_edges, b_edges)
+            edges["b:" + beid] = (home[s], home[t], l)
+    return Graph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -259,57 +249,27 @@ def _assemble(a, b, node_pairs, edge_pairs) -> Overlap:
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
                            order: Optional[Wqo] = None,
                            limits: Limits = DEFAULT_LIMITS) -> List[Graph]:
-    """Minimal class graphs G with a one-step successor above `target`.
+    """Minimal class graphs G with a one-step successor above `target`:
+    the inverse rule applied at each overlap of the rule's right side
+    with the target that meets the dangling condition.
 
-    For each overlap of the rule's right side with the target:
-
-    * drop the overlap if a target edge that is not an image of a
-      right-hand edge touches a node the rule creates (no host can
-      supply such an edge on a fresh node);
-    * delete the created items;
-    * glue in a fresh copy of the deleted part of the left side along
-      the preserved correspondence.
-
-    The union over all overlaps, filtered to the class, generates the
-    one-step predecessor ideal; the caller's fixed-point loop supplies
-    the reflexive part.
+    The condition drops an overlap in which a target-only edge touches
+    a node the rule creates: no host can supply an edge on a fresh
+    node.  The results, filtered to the class, generate the one-step
+    predecessor ideal; the caller's fixed-point loop supplies the
+    reflexive part.
     """
+    inverse = rule.inverse()
     results: Dict[tuple, Graph] = {}
     for ov in overlaps(rule.right, target, limits):
-        created_u_nodes = {ov.a_nodes[rid] for rid in rule.created_nodes}
-        created_u_edges = {ov.a_edges[rid] for rid in rule.created_edges}
-        # (a) reject impossible targets: a pure-target edge on a created node
-        rejected = False
-        for beid, ueid in ov.b_edges.items():
-            if ueid.startswith("b:"):
-                s, t, _l = ov.u.edges[ueid]
-                if s in created_u_nodes or t in created_u_nodes:
-                    rejected = True
-                    break
-        if rejected:
-            continue
-        # (b) remove created items
-        nodes = {v: l for v, l in ov.u.nodes.items() if v not in created_u_nodes}
-        edges = {
-            e: d
-            for e, d in ov.u.edges.items()
-            if e not in created_u_edges and d[0] not in created_u_nodes
-            and d[1] not in created_u_nodes
-        }
-        # (c) glue a fresh copy of the deleted left part
-        placed = {}
-        for lid, rid in rule.node_map.items():
-            placed[lid] = ov.a_nodes[rid]
-        for i, lid in enumerate(rule.deleted_nodes):
-            nid = "del:n%d" % i
-            nodes[nid] = rule.left.nodes[lid]
-            placed[lid] = nid
-        for i, lid in enumerate(rule.deleted_edges):
-            ls, lt, ll = rule.left.edges[lid]
-            edges["del:e%d" % i] = (placed[ls], placed[lt], ll)
-        cand = klass.admit(Graph(nodes, edges))
-        if cand is not None:
-            results.setdefault(cand.key(), cand)
+        created = {ov.match["nodes"][rid] for rid in rule.created_nodes}
+        for e, (s, t, _l) in ov.u.edges.items():
+            if (s in created or t in created) and e.startswith("b:"):
+                break
+        else:
+            cand = klass.admit(apply_rule(inverse, ov.u, ov.match))
+            if cand is not None:
+                results.setdefault(cand.key(), cand)
     out = [results[k] for k in sorted(results)]
     if order is not None:
         out = list(minimize(out, order).elements)
@@ -393,8 +353,7 @@ class GraphBackend:
             for ov in overlaps(rule.left, g, self.limits):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
-                match = {"nodes": ov.a_nodes, "edges": ov.a_edges}
-                h = quotient_isolated(apply_rule(rule, ov.u, match),
+                h = quotient_isolated(apply_rule(rule, ov.u, ov.match),
                                       klass.quotient_labels)
                 if klass.contains(h, subgraph=True):
                     h = h.canonical()

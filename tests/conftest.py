@@ -7,6 +7,7 @@ bounds come from shortest-path distances on the explicit state graph.
 """
 
 import itertools
+import json
 import random
 from collections import Counter, deque
 from pathlib import Path
@@ -46,6 +47,13 @@ def triangle_petri_doc():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def pinned_reports():
+    """(args, sha256) pairs from report_digests.json: the digest of the
+    stdout of `resil args`, with args[1] a fixture file name."""
+    doc = json.loads((Path(__file__).resolve().parent / "report_digests.json").read_text())
+    return [(r["args"], r["sha256"]) for r in doc["reports"]]
 
 
 # ---------------------------------------------------------------------------

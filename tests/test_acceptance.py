@@ -5,6 +5,7 @@ the two worked examples or computed by an independent oracle inside the
 test (explicit search, grid enumeration, or forward re-application).
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -28,7 +29,7 @@ from resilire.control import make_automaton
 
 import conftest
 from conftest import (enumerate_class_graphs, explore, fixture_path,
-                      random_graph, recovery_oracle, rng_for)
+                      pinned_reports, random_graph, recovery_oracle, rng_for)
 from test_rewriting import random_rule
 
 
@@ -88,8 +89,11 @@ def test_acceptance_2_path_game():
     target = built.reachable.elements[0]
     assert not verdict.trace[12].covers(target)
     assert verdict.trace[13].covers(target)
-    proc = run_cli("check", fixture_path("pathgame.json"))
+    proc = run_cli("check", fixture_path("pathgame.json"), "--trace")
     assert json.loads(proc.stdout)["k_min"] == 13
+    pinned = {tuple(args): sha for args, sha in pinned_reports()}
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == pinned[("check", "pathgame.json", "--trace")])
     elapsed = time.time() - t0
     assert elapsed < 1800.0
     announce("ACCEPTANCE 2 PASS: path game k_min=13, twelfth basis splits "

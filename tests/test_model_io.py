@@ -1,6 +1,7 @@
 """Document loading, validation messages, reports, and the CLI."""
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from resilire import cli, model
 from resilire.errors import ModelError
 from resilire.petri import ProductBackend
 
-from conftest import fixture_path
+from conftest import fixture_path, pinned_reports
 
 FIXTURE_NAMES = ["supplychain.json", "pathgame.json", "adverse_vs_error.json",
                  "adverse_vs_error_petri.json"]
@@ -117,6 +118,20 @@ def test_cli_check_reports_are_byte_stable():
     assert a.stdout == b.stdout
 
 
+# The path game's pinned `check --trace` takes 20 s; acceptance 2 checks it.
+CHEAP_REPORTS = [(args, sha) for args, sha in pinned_reports()
+                 if args[1] != "pathgame.json"]
+
+
+@pytest.mark.parametrize("args, sha256", CHEAP_REPORTS,
+                         ids=["_".join(a.lstrip("-") for a in args)
+                              for args, _ in CHEAP_REPORTS])
+def test_cli_reports_keep_their_pinned_bytes(args, sha256):
+    proc = run_cli(args[0], fixture_path(args[1]), *args[2:])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
 def test_cli_check_explicit_flag():
     proc = run_cli("check", fixture_path("supplychain.json"), "--k", "5")
     report = json.loads(proc.stdout)
@@ -176,6 +191,15 @@ def test_cli_env_var_not_positive_exits_two(value):
                    env={"RESIL_MAX_ITERS": value})
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: RESIL_MAX_ITERS ")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("approx", "--under", "-3"), ("post", "--depth", "-2"), ("check", "--k", "-1")])
+def test_cli_negative_count_exits_two(command, option, value):
+    proc = run_cli(command, fixture_path("supplychain.json"), option, value)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: argument %s: must be a non-negative integer, not '%s'" % (option, value))
 
 
 def test_cli_missing_model_file_exits_two(tmp_path):

@@ -234,6 +234,82 @@ def test_backward_step_sound_and_complete_smoke():
                 assert covers(basis, g)
 
 
+def reference_predecessor_keys(rule, target, klass):
+    """The backward step built by hand, as it was before it became an
+    inverse rule application: (a) the dangling check, (b) deletion of
+    the created items, (c) gluing of the deleted left part.  Sorted
+    canonical keys of the class members it yields."""
+    results = {}
+    for ov in overlaps(rule.right, target):
+        a_nodes, a_edges = ov.match["nodes"], ov.match["edges"]
+        created_u_nodes = {a_nodes[rid] for rid in rule.created_nodes}
+        created_u_edges = {a_edges[rid] for rid in rule.created_edges}
+        # (a) reject impossible targets: a pure-target edge on a created node
+        rejected = False
+        for ueid, (s, t, _l) in ov.u.edges.items():
+            if ueid.startswith("b:"):
+                if s in created_u_nodes or t in created_u_nodes:
+                    rejected = True
+                    break
+        if rejected:
+            continue
+        # (b) remove created items
+        nodes = {v: l for v, l in ov.u.nodes.items() if v not in created_u_nodes}
+        edges = {
+            e: d
+            for e, d in ov.u.edges.items()
+            if e not in created_u_edges and d[0] not in created_u_nodes
+            and d[1] not in created_u_nodes
+        }
+        # (c) glue a fresh copy of the deleted left part
+        placed = {}
+        for lid, rid in rule.node_map.items():
+            placed[lid] = a_nodes[rid]
+        for i, lid in enumerate(rule.deleted_nodes):
+            nid = "del:n%d" % i
+            nodes[nid] = rule.left.nodes[lid]
+            placed[lid] = nid
+        for i, lid in enumerate(rule.deleted_edges):
+            ls, lt, ll = rule.left.edges[lid]
+            edges["del:e%d" % i] = (placed[ls], placed[lt], ll)
+        cand = klass.admit(Graph(nodes, edges))
+        if cand is not None:
+            results.setdefault(cand.key(), cand)
+    return sorted(results)
+
+
+@pytest.mark.parametrize("klass", [
+    GraphClass(max_path=3),
+    GraphClass(max_path=3, quotient_labels=frozenset({"b"})),
+], ids=["plain", "quotient"])
+def test_backward_step_equals_the_reference_construction(klass):
+    rng = rng_for("inverse-reference")
+    nonempty = 0
+    for _ in range(200):
+        rule = random_rule(rng)
+        target = random_graph(rng, ["a", "b"], ["x"], 3, 3, klass)
+        want = reference_predecessor_keys(rule, target, klass)
+        got = [g.key() for g in rule_predecessor_basis(rule, target, klass)]
+        assert got == want, (rule.left, rule.right, target)
+        nonempty += bool(want)
+    assert nonempty > 100
+
+
+def test_inverse_rule_swaps_deleted_and_created_items():
+    rng = rng_for("inverse-rule")
+    for _ in range(60):
+        rule = random_rule(rng)
+        inv = rule.inverse()
+        assert rule.inverse() is inv
+        assert inv.left is rule.right and inv.right is rule.left
+        assert inv.inverse().node_map == rule.node_map
+        assert inv.inverse().edge_map == rule.edge_map
+        assert (inv.deleted_nodes, inv.created_nodes) == (rule.created_nodes,
+                                                          rule.deleted_nodes)
+        assert (inv.deleted_edges, inv.created_edges) == (rule.created_edges,
+                                                          rule.deleted_edges)
+
+
 def test_post_basis_keeps_results_below_a_count_minimum():
     """Eating the `a` of a->x leaves one `a`, below the class minimum of
     two; only hosts with a third `a` step into the class, and their
