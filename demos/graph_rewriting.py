@@ -52,7 +52,7 @@ def main():
     klass = GraphClass(max_path=4)
     order = SubgraphOrder()
     target = graph_of({"l": "L", "p": "pt"}, [("l", "p", "x")])
-    preds = rule_predecessor_basis(sever, target, klass, order=order)
+    preds = minimize(rule_predecessor_basis(sever, target, klass), order)
     for g in preds:
         show("minimal", g)
     print("   (each one still contains the target after deleting some edge)")

@@ -25,8 +25,7 @@ from .limits import Limits
 from .order import Basis, basis_subset, covers, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,
                     ProductBackend, SYSTEM, Transition, VectorOrder, enabled,
-                    fire, least_successor, leq_marking, make_net,
-                    min_enabling_cover)
+                    fire, least_successor, make_net, min_enabling_cover)
 from .rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule,
                         identity_rule, matches, overlaps, rule_predecessor_basis,
                         successors)

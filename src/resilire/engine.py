@@ -205,8 +205,9 @@ def forward_states(start, backend, depth: int,
                    limits: Limits = DEFAULT_LIMITS) -> List[list]:
     """Breadth-first layers post^0 .. post^depth, deduplicated globally.
 
-    Layer j holds the states first reached in exactly j steps; the
-    union over layers is all states reachable within `depth` steps.
+    Layer j holds the states first reached in exactly j steps, in key
+    order (`post_step` is unordered); the union over layers is all
+    states reachable within `depth` steps.
     """
     if depth > limits.forward_depth_cap:
         raise SaturationExhausted(

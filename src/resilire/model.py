@@ -136,9 +136,6 @@ class ModelDocument:
     control_labels: Tuple[str, ...] = ()
     marker_labels: Tuple[str, ...] = ()
 
-    def with_bad(self, bad_spec: dict) -> "ModelDocument":
-        return replace(self, bad_spec=dict(bad_spec))
-
 
 # ---------------------------------------------------------------------------
 # parsing

@@ -93,9 +93,6 @@ class Basis:
     def __bool__(self) -> bool:
         return bool(self.elements)
 
-    def covers(self, state) -> bool:
-        return covers(self, state)
-
     @cached_property
     def by_block(self) -> dict:
         """The elements grouped by their order's block, built on first use."""

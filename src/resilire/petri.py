@@ -17,7 +17,7 @@ from operator import le
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BackendMismatch
-from .order import Basis, Wqo, minimize
+from .order import Wqo
 
 SYSTEM = "sys"
 ENVIRONMENT = "env"
@@ -83,34 +83,19 @@ class Marking:
     marker: Optional[str] = None
 
 
-def enabled(net: PetriNet, m: Marking, t: Transition) -> bool:
+def enabled(m: Marking, t: Transition) -> bool:
     return all(have >= need for have, need in zip(m.tokens, t.pre))
 
 
-def fire(net: PetriNet, m: Marking, t: Transition) -> Marking:
-    if not enabled(net, m, t):
+def fire(m: Marking, t: Transition) -> Marking:
+    if not enabled(m, t):
         raise ValueError("transition %r is not enabled" % t.name)
     toks = tuple(have - need + add
                  for have, need, add in zip(m.tokens, t.pre, t.post))
     return Marking(toks, m.state, m.marker)
 
 
-def leq_marking(a: Marking, b: Marking) -> bool:
-    """Componentwise token order; control state and marker must agree."""
-    if len(a.tokens) != len(b.tokens):
-        raise BackendMismatch("markings of different dimension")
-    if (a.state is None) != (b.state is None) or (a.marker is None) != (b.marker is None):
-        raise BackendMismatch("markings disagree on state/marker presence")
-    return _leq_checked(a, b)
-
-
-def _leq_checked(a: Marking, b: Marking) -> bool:
-    """The order itself, for markings already checked to be comparable."""
-    return (a.state == b.state and a.marker == b.marker
-            and all(map(le, a.tokens, b.tokens)))
-
-
-def min_enabling_cover(net: PetriNet, m: Marking, t: Transition) -> Marking:
+def min_enabling_cover(m: Marking, t: Transition) -> Marking:
     """The least marking that is enabled for `t` and whose firing covers `m`.
 
     Componentwise max(m - post, 0) + pre: the standard backward
@@ -121,7 +106,7 @@ def min_enabling_cover(net: PetriNet, m: Marking, t: Transition) -> Marking:
     return Marking(toks, m.state, m.marker)
 
 
-def least_successor(net: PetriNet, m: Marking, t: Transition) -> Marking:
+def least_successor(m: Marking, t: Transition) -> Marking:
     """The least marking that firing `t` reaches from above `m`.
 
     Fire t at max(m, pre), giving max(m - pre, 0) + post: the forward
@@ -172,7 +157,8 @@ class VectorOrder(Wqo):
                 and (a.marker is None) is no_marker is (b.marker is None)):
             self._check(a)
             raise self._refuse(b)
-        return _leq_checked(a, b)
+        return (a.state == b.state and a.marker == b.marker
+                and all(map(le, a.tokens, b.tokens)))
 
     def key(self, a: Marking):
         self._check(a)
@@ -235,22 +221,13 @@ class PetriBackend:
         self.order = VectorOrder(len(net.places))
 
     def post_step(self, m: Marking) -> List[Marking]:
-        out = []
-        for t in self.net.transitions:
-            if enabled(self.net, m, t):
-                out.append(fire(self.net, m, t))
-        return sorted(set(out), key=self.order.key)
+        return list({fire(m, t) for t in self.net.transitions if enabled(m, t)})
 
     def pre_basis(self, m: Marking) -> List[Marking]:
-        return list({min_enabling_cover(self.net, m, t)
-                     for t in self.net.transitions})
+        return list({min_enabling_cover(m, t) for t in self.net.transitions})
 
     def post_basis(self, m: Marking) -> List[Marking]:
-        return list({least_successor(self.net, m, t)
-                     for t in self.net.transitions})
-
-    def basis(self, markings) -> Basis:
-        return minimize(markings, self.order)
+        return list({least_successor(m, t) for t in self.net.transitions})
 
 
 class ProductBackend:
@@ -296,13 +273,12 @@ class ProductBackend:
 
     def post_step(self, m: Marking) -> List[Marking]:
         self._check_state(m)
-        return sorted({self._target(fire(self.net, m, t).tokens, edge, t)
-                       for edge, t in self._steps_from(m)
-                       if enabled(self.net, m, t)}, key=self.order.key)
+        return list({self._target(fire(m, t).tokens, edge, t)
+                     for edge, t in self._steps_from(m) if enabled(m, t)})
 
     def post_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
-        return list({self._target(least_successor(self.net, m, t).tokens, edge, t)
+        return list({self._target(least_successor(m, t).tokens, edge, t)
                      for edge, t in self._steps_from(m)})
 
     def pre_basis(self, m: Marking) -> List[Marking]:
@@ -312,10 +288,7 @@ class ProductBackend:
         for src, t in self._into.get(m.state, ()):
             if self.annotate and m.marker != t.owner:
                 continue
-            tokens = min_enabling_cover(self.net, m, t).tokens
+            tokens = min_enabling_cover(m, t).tokens
             for mk in markers:
                 out.add(Marking(tokens, src, mk))
         return list(out)
-
-    def basis(self, markings) -> Basis:
-        return minimize(markings, self.order)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
                      exists_embedding, quotient_isolated)
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Basis, Wqo, minimize
+from .order import Wqo
 
 
 class Rule:
@@ -124,15 +124,15 @@ def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
 
 
 def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
-    """All one-step SPO successors inside the class, canonical and
-    deduplicated, in canonical-key order."""
+    """All one-step SPO successors inside the class, canonical,
+    deduplicated by key and unordered; `minimize` orders them."""
     seen = {}
     for rule in rules:
         for m in matches(rule, g):
             h = klass.admit(apply_rule(rule, g, m))
             if h is not None:
                 seen.setdefault(h.key(), h)
-    return [seen[k] for k in sorted(seen)]
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +247,21 @@ def _glue(a, b, node_pairs, edge_pairs) -> Graph:
 
 
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
-                           order: Optional[Wqo] = None,
                            limits: Limits = DEFAULT_LIMITS) -> List[Graph]:
-    """Minimal class graphs G with a one-step successor above `target`:
-    the inverse rule applied at each overlap of the rule's right side
-    with the target that meets the dangling condition.
+    """Class graphs G with a one-step successor above `target`, among
+    them the minimal ones: the inverse rule applied at each overlap of
+    the rule's right side with the target that meets the dangling
+    condition.
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
-    node.  The results, filtered to the class, generate the one-step
-    predecessor ideal; the caller's fixed-point loop supplies the
-    reflexive part.
+    node.  The results, filtered to the class and canonical, generate
+    the one-step predecessor ideal; the caller's fixed-point loop
+    supplies the reflexive part.  They come in enumeration order and
+    may repeat or dominate one another: `minimize` makes them a basis.
     """
     inverse = rule.inverse()
-    results: Dict[tuple, Graph] = {}
+    out = []
     for ov in overlaps(rule.right, target, limits):
         created = {ov.match["nodes"][rid] for rid in rule.created_nodes}
         for e, (s, t, _l) in ov.u.edges.items():
@@ -269,10 +270,7 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
         else:
             cand = klass.admit(apply_rule(inverse, ov.u, ov.match))
             if cand is not None:
-                results.setdefault(cand.key(), cand)
-    out = [results[k] for k in sorted(results)]
-    if order is not None:
-        out = list(minimize(out, order).elements)
+                out.append(cand)
     return out
 
 
@@ -323,22 +321,22 @@ class GraphBackend:
         self.limits = limits
         self.order = SubgraphOrder()
 
-    def normalize(self, g: Graph) -> Graph:
-        return self.klass.normalize(g)
-
     def post_step(self, g: Graph) -> List[Graph]:
         return successors(g, self.rules, self.klass)
 
     def pre_basis(self, g: Graph) -> List[Graph]:
+        """Generators of the one-step predecessors of g's upward closure,
+        deduplicated by key across all rules and unordered; `minimize`
+        orders them."""
         out: Dict[tuple, Graph] = {}
         for rule in self.rules:
-            for cand in rule_predecessor_basis(rule, g, self.klass, order=None,
-                                               limits=self.limits):
+            for cand in rule_predecessor_basis(rule, g, self.klass, self.limits):
                 out.setdefault(cand.key(), cand)
-        return [out[k] for k in sorted(out)]
+        return list(out.values())
 
     def post_basis(self, g: Graph) -> List[Graph]:
-        """Basis of the one-step successors of g's upward closure.
+        """Generators of the one-step successors of g's upward closure,
+        deduplicated by key and unordered; `minimize` makes them a basis.
 
         A host above g matches a rule's left side in an overlap of the
         two, and applying the rule there gives a successor below every
@@ -358,7 +356,4 @@ class GraphBackend:
                 if klass.contains(h, subgraph=True):
                     h = h.canonical()
                     out.setdefault(h.key(), h)
-        return [out[k] for k in sorted(out)]
-
-    def basis(self, graphs) -> Basis:
-        return minimize([self.normalize(g) for g in graphs], self.order)
+        return list(out.values())

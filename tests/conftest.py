@@ -68,7 +68,9 @@ def explore(backend, start, cap):
     queue = deque([start])
     while queue:
         s = queue.popleft()
-        for nxt in backend.post_step(s):
+        # post_step is unordered; visiting in key order keeps the
+        # returned order, and what callers pick from it, reproducible
+        for nxt in sorted(backend.post_step(s), key=key):
             k = key(nxt)
             if k not in seen:
                 if len(seen) >= cap:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -87,8 +88,8 @@ def test_acceptance_2_path_game():
                         for g in verdict.trace[12].elements)
     assert partition == {"s": 12, "e": 2}
     target = built.reachable.elements[0]
-    assert not verdict.trace[12].covers(target)
-    assert verdict.trace[13].covers(target)
+    assert not covers(verdict.trace[12], target)
+    assert covers(verdict.trace[13], target)
     proc = run_cli("check", fixture_path("pathgame.json"), "--trace")
     assert json.loads(proc.stdout)["k_min"] == 13
     pinned = {tuple(args): sha for args, sha in pinned_reports()}
@@ -105,7 +106,8 @@ def test_acceptance_2_path_game():
 def test_acceptance_3_adverse_vs_error():
     doc = model.load(fixture_path("adverse_vs_error.json"))
     adverse = min_recovery(model.build(doc).instance())
-    error = min_recovery(model.build(doc.with_bad({"mode": "error"})).instance())
+    error = min_recovery(
+        model.build(replace(doc, bad_spec={"mode": "error"})).instance())
     assert (adverse.kind, adverse.k_min) == (FOUND, 1)
     assert error.kind == UNBOUNDED
 
@@ -114,7 +116,7 @@ def test_acceptance_3_adverse_vs_error():
     states = explore(pb.backend, pb.start, 10_000)
     assert states is not None
     oracle_adverse = recovery_oracle(pb.backend, states, pb.safe, pb.bad)
-    eb = model.build(pdoc.with_bad({"mode": "error"}))
+    eb = model.build(replace(pdoc, bad_spec={"mode": "error"}))
     oracle_error = recovery_oracle(eb.backend, states, eb.safe, eb.bad)
     assert oracle_adverse == 1 and oracle_error is None
     va = min_recovery(pb.instance())
@@ -198,7 +200,7 @@ def test_acceptance_4_oracle_equivalence(harvested_models):
     for backend, start, safe, bad, states in harvested_models:
         oracle = recovery_oracle(backend, states, safe, bad)
         verdict = min_recovery(ResilienceInstance(
-            backend=backend, reachable=backend.basis(states), bad=bad,
+            backend=backend, reachable=minimize(states, backend.order), bad=bad,
             safe=safe, max_iters=10_000))
         if oracle is None:
             assert verdict.kind == UNBOUNDED, "oracle says no bound exists"
@@ -217,11 +219,12 @@ def test_acceptance_4_oracle_equivalence(harvested_models):
 # -- 5: backward steps are exact ----------------------------------------------
 
 def test_acceptance_5a_marking_backward_step_exact():
-    from resilire.petri import enabled, fire, leq_marking, min_enabling_cover
+    from resilire.petri import VectorOrder, enabled, fire, min_enabling_cover
     rng = rng_for("acceptance-covers")
     checked = 0
     while checked < 200:
         dim = rng.randint(2, 4)
+        order = VectorOrder(dim)
         places = ["p%d" % i for i in range(dim)]
         net = make_net(places, [
             {"name": "t%d" % i,
@@ -230,12 +233,12 @@ def test_acceptance_5a_marking_backward_step_exact():
             for i in range(rng.randint(1, 3))])
         target = Marking(tuple(rng.randint(0, 3) for _ in range(dim)))
         for t in net.transitions:
-            cover = min_enabling_cover(net, target, t)
+            cover = min_enabling_cover(target, t)
             for pt in itertools.product(range(5), repeat=dim):
                 m = Marking(pt)
-                truth = enabled(net, m, t) and all(
-                    x >= y for x, y in zip(fire(net, m, t).tokens, target.tokens))
-                assert truth == leq_marking(cover, m), (net, target, t)
+                truth = enabled(m, t) and all(
+                    x >= y for x, y in zip(fire(m, t).tokens, target.tokens))
+                assert truth == order.leq(cover, m), (net, target, t)
             checked += 1
     announce("ACCEPTANCE 5a PASS: %d marking/transition pairs match grid "
              "enumeration exactly" % checked)
@@ -293,12 +296,11 @@ def test_acceptance_5b_graph_backward_step_sound_and_complete():
     while cases < 50:
         rule = random_rule(rng)
         target = random_graph(rng, ["a", "b"], ["x"], 4, 4, klass)
-        preds = rule_predecessor_basis(rule, target, klass, order=order)
-        for g in preds:
+        basis = minimize(rule_predecessor_basis(rule, target, klass), order)
+        for g in basis:
             assert one_step_covers(rule, g, target, klass), \
                 "unsound predecessor for %s" % rule.name
             sound_checks += 1
-        basis = minimize(preds, order)
         admit = _counting_filter(rule, target)
         for g in universe:
             if not admit(g):
@@ -330,7 +332,7 @@ def test_acceptance_6_approximation_sandwich(supply_built, harvested_models):
     ordered = 0
     for backend, start, safe, bad, states in harvested_models:
         verdict = min_recovery(ResilienceInstance(
-            backend=backend, reachable=backend.basis(states), bad=bad,
+            backend=backend, reachable=minimize(states, backend.order), bad=bad,
             safe=safe, max_iters=10_000))
         k_min = verdict.k_min if verdict.kind == FOUND else INFINITY
         k_under = underapprox_bound(start, 4, bad, safe, backend)
@@ -340,7 +342,8 @@ def test_acceptance_6_approximation_sandwich(supply_built, harvested_models):
 
     doc = model.load(fixture_path("adverse_vs_error.json"))
     graph_bounds = []
-    for built in (model.build(doc), model.build(doc.with_bad({"mode": "error"}))):
+    for built in (model.build(doc),
+                  model.build(replace(doc, bad_spec={"mode": "error"}))):
         verdict = min_recovery(built.instance())
         k_min = verdict.k_min if verdict.kind == FOUND else INFINITY
         k_under = underapprox_bound(built.start, 6, built.bad, built.safe,
@@ -388,7 +391,7 @@ def test_acceptance_7_invariant_suites(supply_built):
     from resilire.control import with_control
     for _ in range(25):
         base = random_graph(grng, ["L", "pt"], ["a"], 3, 3)
-        small = game.backend.normalize(with_control(base, grng.choice(["e", "s"])))
+        small = game.backend.klass.normalize(with_control(base, grng.choice(["e", "s"])))
         if not game.backend.klass.contains(small):
             continue
         nodes = dict(small.nodes)

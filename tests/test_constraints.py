@@ -141,8 +141,8 @@ def test_vector_domain_completion_and_meet():
 
 def test_adverse_bad_set_on_path_game():
     built = model.build(model.load(fixture_path("pathgame.json")))
-    at_e = built.backend.normalize(with_control(single_node("L"), "e"))
-    at_s = built.backend.normalize(with_control(single_node("L"), "s"))
+    at_e = built.backend.klass.normalize(with_control(single_node("L"), "e"))
+    at_s = built.backend.klass.normalize(with_control(single_node("L"), "s"))
     assert built.bad.contains(at_e)
     assert not built.bad.contains(at_s)
 

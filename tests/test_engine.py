@@ -55,7 +55,7 @@ def test_backward_step_matches_grid_enumeration():
         stepped = backward_step(current, safe, backend)
         for m in grid:
             truth = covers(safe, m) or any(
-                enabled(net, m, t) and covers(current, fire(net, m, t))
+                enabled(m, t) and covers(current, fire(m, t))
                 for t in net.transitions)
             assert truth == covers(stepped, m)
 
@@ -396,6 +396,59 @@ def test_verdict_matches_explicit_oracle_small():
     oracle = recovery_oracle(built.backend, states, built.safe, built.bad)
     verdict = min_recovery(ResilienceInstance(
         backend=built.backend,
-        reachable=built.backend.basis(states),
+        reachable=minimize(states, built.backend.order),
         bad=built.bad, safe=built.safe, max_iters=1000))
     assert verdict.kind == FOUND and verdict.k_min == oracle == 1
+
+
+# -- wrong verdicts on graph classes, pinned until they are fixed --------------
+
+def gts_graph(nodes, edges=()):
+    """A model-document graph from {id: label} and (src, tgt) pairs."""
+    return {"nodes": [{"id": i, "label": l} for i, l in nodes.items()],
+            "edges": [{"id": "e%d" % k, "src": s, "tgt": t, "label": "x"}
+                      for k, (s, t) in enumerate(edges)]}
+
+
+def gts_model(klass, left, right, node_map, start, safety):
+    """A one-rule graph model whose start is its only `b_post` state,
+    under the error reading of bad."""
+    return model.from_dict({
+        "format": "resilire/1", "kind": "gts",
+        "gts": {"class": klass,
+                "rules": [{"name": "r", "owner": "sys", "left": left,
+                           "right": right,
+                           "map": {"nodes": node_map, "edges": []}}],
+                "start": start},
+        "safety": {"op": "exists", "graph": safety},
+        "bad": {"mode": "error"},
+        "b_post": [{"graph": start}]})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_max_bounded_creation_gives_no_successor():
+    """The rule would push b past its maximum, so the start has no
+    successor and never reaches safety; `check` answers found, k_min 1."""
+    doc = gts_model(
+        {"max_path": 2, "node_count": {"a": {"max": 2}, "b": {"max": 2}}},
+        gts_graph({"b": "b"}),
+        gts_graph({"b": "b", "b2": "b", "a": "a"}, [("b", "b2"), ("b2", "b")]),
+        [["b", "b"]],
+        gts_graph({"u": "b", "v": "b"}, [("u", "v")]),
+        gts_graph({"a": "a", "b": "b"}))
+    assert min_recovery(model.build(doc).instance()).kind == UNBOUNDED
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_min_bounded_deletion_reaches_safety_in_one_step():
+    """From {a, b} the rule reaches c->a in one step; `check` answers
+    unbounded."""
+    doc = gts_model(
+        {"node_count": {"a": {"min": 1}}},
+        gts_graph({"b": "b"}),
+        gts_graph({"c": "c", "a": "a"}, [("c", "a")]),
+        [],
+        gts_graph({"a": "a", "b": "b"}),
+        gts_graph({"c": "c", "a": "a"}, [("c", "a")]))
+    verdict = min_recovery(model.build(doc).instance())
+    assert (verdict.kind, verdict.k_min) == (FOUND, 1)

@@ -3,8 +3,10 @@
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,10 @@ from conftest import fixture_path, pinned_reports
 
 FIXTURE_NAMES = ["supplychain.json", "pathgame.json", "adverse_vs_error.json",
                  "adverse_vs_error_petri.json"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, env=None):
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -466,3 +468,12 @@ def test_single_field_mutants_are_refused_or_answered(tmp_path, monkeypatch,
             except Exception as exc:
                 pytest.fail("check on %s raised %r" % (mutant, exc))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -56,14 +56,15 @@ def test_minimize_preserves_upward_closure():
 
 def test_minimize_deterministic_and_idempotent():
     rng = rng_for("minimize-idem")
-    universe = grid(V2, 3, 2)
-    for _ in range(40):
-        sample = [rng.choice(universe) for _ in range(6)]
-        b1 = minimize(sample, V2)
-        rng.shuffle(sample)
-        b2 = minimize(sample, V2)
-        assert b1.elements == b2.elements
-        assert minimize(b1.elements, V2).elements == b1.elements
+    _klass, graph_order, graphs = graph_setup()
+    for order, universe in ((V2, grid(V2, 3, 2)), (graph_order, graphs)):
+        for _ in range(40):
+            sample = [rng.choice(universe) for _ in range(6)]
+            b1 = minimize(sample, order)
+            rng.shuffle(sample)
+            b2 = minimize(sample, order)
+            assert b1.elements == b2.elements
+            assert minimize(b1.elements, order).elements == b1.elements
 
 
 def test_covers_examples():

@@ -6,10 +6,10 @@ import pytest
 
 from resilire.control import make_automaton
 from resilire.errors import BackendMismatch
-from resilire.order import covers
+from resilire.order import covers, minimize
 from resilire.petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend,
-                            ProductBackend, SYSTEM, enabled, fire, least_successor,
-                            leq_marking, make_net, min_enabling_cover)
+                            ProductBackend, SYSTEM, VectorOrder, enabled, fire,
+                            least_successor, make_net, min_enabling_cover)
 
 from conftest import rng_for
 
@@ -50,43 +50,45 @@ def supply_automaton():
 
 
 M0 = Marking((0, 1, 1, 1))
+V4 = VectorOrder(4)
 
 
 def test_enabled_examples():
     net = supply_net()
-    assert not enabled(net, M0, net.transition("transport"))
-    assert enabled(net, M0, net.transition("produce"))  # empty pre
-    assert enabled(net, M0, net.transition("ship1"))
+    assert not enabled(M0, net.transition("transport"))
+    assert enabled(M0, net.transition("produce"))  # empty pre
+    assert enabled(M0, net.transition("ship1"))
 
 
 def test_fire_examples():
     net = supply_net()
-    assert fire(net, M0, net.transition("ship1")).tokens == (0, 0, 2, 1)
-    assert fire(net, M0, net.transition("produce")).tokens == (1, 1, 1, 1)
+    assert fire(M0, net.transition("ship1")).tokens == (0, 0, 2, 1)
+    assert fire(M0, net.transition("produce")).tokens == (1, 1, 1, 1)
     noop = make_net(["p"], [{"name": "t", "pre": {"p": 1}, "post": {"p": 1}}])
-    assert fire(noop, Marking((3,)), noop.transition("t")).tokens == (3,)
+    assert fire(Marking((3,)), noop.transition("t")).tokens == (3,)
 
 
 def test_fire_requires_enabledness():
     net = supply_net()
     with pytest.raises(ValueError, match="not enabled"):
-        fire(net, M0, net.transition("transport"))
+        fire(M0, net.transition("transport"))
 
 
 def test_order_examples():
-    assert leq_marking(Marking((0, 1, 1, 1), "e"), Marking((0, 5, 1, 1), "e"))
-    assert not leq_marking(Marking((0, 1, 1, 1), "e"), Marking((9, 9, 9, 9), "p"))
+    with_state = VectorOrder(4, has_state=True)
+    assert with_state.leq(Marking((0, 1, 1, 1), "e"), Marking((0, 5, 1, 1), "e"))
+    assert not with_state.leq(Marking((0, 1, 1, 1), "e"), Marking((9, 9, 9, 9), "p"))
     a, b = Marking((0, 0, 2, 0)), Marking((0, 0, 1, 2))
-    assert not leq_marking(a, b) and not leq_marking(b, a)
+    assert not V4.leq(a, b) and not V4.leq(b, a)
     with pytest.raises(BackendMismatch):
-        leq_marking(Marking((1,)), Marking((1, 2)))
+        VectorOrder(1).leq(Marking((1,)), Marking((1, 2)))
 
 
 def test_min_enabling_cover_examples():
     net = supply_net()
-    assert min_enabling_cover(net, M0, net.transition("transport")).tokens == (1, 0, 1, 1)
+    assert min_enabling_cover(M0, net.transition("transport")).tokens == (1, 0, 1, 1)
     zero = Marking((0, 0, 0, 0))
-    assert min_enabling_cover(net, zero, net.transition("produce")).tokens == (0, 0, 0, 0)
+    assert min_enabling_cover(zero, net.transition("produce")).tokens == (0, 0, 0, 0)
 
 
 def test_min_enabling_cover_exact_on_grid():
@@ -98,20 +100,20 @@ def test_min_enabling_cover_exact_on_grid():
     for _ in range(40):
         target = Marking(tuple(rng.randint(0, 2) for _ in range(4)))
         t = rng.choice(net.transitions)
-        cov = min_enabling_cover(net, target, t)
+        cov = min_enabling_cover(target, t)
         for pt in grid:
             m = Marking(pt)
-            truth = enabled(net, m, t) and all(
-                x >= y for x, y in zip(fire(net, m, t).tokens, target.tokens))
-            assert truth == leq_marking(cov, m)
+            truth = enabled(m, t) and all(
+                x >= y for x, y in zip(fire(m, t).tokens, target.tokens))
+            assert truth == V4.leq(cov, m)
 
 
 def test_least_successor_examples():
     net = supply_net()
-    assert least_successor(net, M0, net.transition("transport")).tokens == (0, 2, 1, 1)
-    assert least_successor(net, M0, net.transition("ship1")).tokens == (0, 0, 2, 1)
+    assert least_successor(M0, net.transition("transport")).tokens == (0, 2, 1, 1)
+    assert least_successor(M0, net.transition("ship1")).tokens == (0, 0, 2, 1)
     zero = Marking((0, 0, 0, 0))
-    assert least_successor(net, zero, net.transition("buy1")).tokens == (0, 0, 0, 0)
+    assert least_successor(zero, net.transition("buy1")).tokens == (0, 0, 0, 0)
 
 
 def assert_post_basis_exact(backend, hosts, targets, starts):
@@ -120,11 +122,12 @@ def assert_post_basis_exact(backend, hosts, targets, starts):
     marking that can step below a target."""
     steps = {n: backend.post_step(n) for n in hosts}
     for m in starts:
-        truth = backend.basis([s for n, out in steps.items() if leq_marking(m, n)
-                               for s in out])
+        truth = minimize([s for n, out in steps.items() if backend.order.leq(m, n)
+                          for s in out], backend.order)
         basis = backend.post_basis(m)
         for target in targets:
-            assert covers(truth, target) == any(leq_marking(b, target) for b in basis)
+            assert covers(truth, target) == any(backend.order.leq(b, target)
+                                                for b in basis)
 
 
 def test_post_basis_exact_on_grid():
@@ -140,7 +143,7 @@ def test_plain_backend_pre_basis_sound_small():
     backend = PetriBackend(supply_net())
     m = Marking((0, 1, 0, 0))
     for p in backend.pre_basis(m):
-        assert any(leq_marking(m, s) for s in backend.post_step(p))
+        assert any(V4.leq(m, s) for s in backend.post_step(p))
 
 
 def test_product_recovery_in_seventeen_steps():
@@ -155,11 +158,11 @@ def test_product_recovery_in_seventeen_steps():
     steps = 0
     for name in plan:
         t = net.transition(name)
-        nxt = fire(net, state, t)
+        nxt = fire(state, t)
         candidates = [s for s in backend.post_step(state)
                       if s.tokens == nxt.tokens]
         assert candidates, "plan step %s not available" % name
-        state = candidates[0]
+        state = min(candidates, key=backend.order.key)
         steps += 1
     assert steps == 17
     assert state.tokens == (0, 1, 1, 1) and state.state == "dd"
@@ -202,7 +205,7 @@ def test_product_pre_basis_exact_on_grid():
                 nxt.state == target.state and
                 all(x >= y for x, y in zip(nxt.tokens, target.tokens))
                 for nxt in backend.post_step(m))
-            assert truth == any(leq_marking(p, m) for p in preds)
+            assert truth == any(backend.order.leq(p, m) for p in preds)
 
 
 def test_product_strong_compatibility_sampled():
