@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -243,9 +244,12 @@ class _Adj:
     __slots__ = ("between", "outdeg", "indeg")
 
     def __init__(self, g: Graph):
-        self.between = Counter((s, t, l) for (s, t, l) in g.edges.values())
-        self.outdeg = Counter(s for (s, _t, _l) in g.edges.values())
-        self.indeg = Counter(t for (_s, t, _l) in g.edges.values())
+        between, outdeg, indeg = {}, {}, {}
+        for e in g.edges.values():
+            between[e] = between.get(e, 0) + 1
+            outdeg[e[0]] = outdeg.get(e[0], 0) + 1
+            indeg[e[1]] = indeg.get(e[1], 0) + 1
+        self.between, self.outdeg, self.indeg = between, outdeg, indeg
 
 
 def _pattern_plan(p: Graph):
@@ -274,7 +278,8 @@ def _pattern_order(p: Graph, adj: _Adj):
         pool = connected or sorted(remaining)
         pick = min(
             pool,
-            key=lambda v: (label_freq[p.nodes[v]], -(adj.outdeg[v] + adj.indeg[v]), v),
+            key=lambda v: (label_freq[p.nodes[v]],
+                           -(adj.outdeg.get(v, 0) + adj.indeg.get(v, 0)), v),
         )
         order.append(pick)
         remaining.discard(pick)
@@ -300,18 +305,19 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     used = set()
 
     def capacity_ok(pv, hv):
-        if padj.outdeg[pv] > hadj.outdeg[hv] or padj.indeg[pv] > hadj.indeg[hv]:
+        if (padj.outdeg.get(pv, 0) > hadj.outdeg.get(hv, 0)
+                or padj.indeg.get(pv, 0) > hadj.indeg.get(hv, 0)):
             return False
         between = hadj.between
         for l, cnt in pairs.get((pv, pv), ()):
-            if cnt > between[(hv, hv, l)]:
+            if cnt > between.get((hv, hv, l), 0):
                 return False
         for pu, hu in vmap.items():
             for l, cnt in pairs.get((pv, pu), ()):
-                if cnt > between[(hv, hu, l)]:
+                if cnt > between.get((hv, hu, l), 0):
                     return False
             for l, cnt in pairs.get((pu, pv), ()):
-                if cnt > between[(hu, hv, l)]:
+                if cnt > between.get((hu, hv, l), 0):
                     return False
         return True
 
@@ -438,12 +444,19 @@ class GraphClass:
     marker_labels: frozenset = frozenset()
     quotient_labels: frozenset = frozenset()
 
-    def normalize(self, g: Graph) -> Graph:
-        return quotient_isolated(g, self.quotient_labels).canonical()
+    @cached_property
+    def bounds(self) -> Tuple[Tuple[frozenset, Optional[int], Optional[int]], ...]:
+        """The count conditions as (labels, lo, hi): a member has from lo
+        to hi nodes (None = unbounded side) with a label in `labels`."""
+        out = [(frozenset((lab,)), lo, hi) for lab, (lo, hi) in self.node_count]
+        out += [(labels, 1, 1) for labels in (self.control_labels, self.marker_labels)
+                if labels]
+        return tuple(out)
 
     def admit(self, g: Graph) -> Optional[Graph]:
-        """normalize(g) if it lies in the class, else None.  Membership is
-        an isomorphism invariant, so it is decided before canonicalizing."""
+        """The canonical quotient of g if it lies in the class, else None.
+        Membership is an isomorphism invariant, so it is decided before
+        canonicalizing."""
         g = quotient_isolated(g, self.quotient_labels)
         return g.canonical() if self.contains(g) else None
 
@@ -451,17 +464,10 @@ class GraphClass:
         """Membership; with `subgraph`, whether g embeds in some member,
         which checks only what subgraphs inherit: the path bound, the
         count maxima, and at most one control and one marker node."""
-        counts = Counter(g.nodes.values())
-        for lab, (lo, hi) in self.node_count:
-            if lo is not None and counts[lab] < lo and not subgraph:
+        for labels, lo, hi in self.bounds:
+            n = sum(lab in labels for lab in g.nodes.values())
+            if (hi is not None and n > hi) or (lo is not None and n < lo and not subgraph):
                 return False
-            if hi is not None and counts[lab] > hi:
-                return False
-        for required in (self.control_labels, self.marker_labels):
-            if required:
-                n = sum(counts[l] for l in required)
-                if n > 1 or (n < 1 and not subgraph):
-                    return False
         return self.max_path is None or path_length_within(g, self.max_path)
 
     def control_of(self, g: Graph) -> Optional[str]:

@@ -10,8 +10,10 @@ class Limits:
     max_iters bounds saturation in both directions (a distinct
     'exhausted' outcome, never reported as 'unbounded').  overlap_nodes caps the node count of
     enumerated overlap graphs (None means the natural bound |A|+|B|).
-    overlap_count caps how many overlaps a single backward step may
-    enumerate.  The forward caps bound breadth-first exploration used by
+    overlap_count caps how many overlaps a single enumeration may
+    produce.  In the graph steps both overlap caps see only the overlaps
+    left after pruning by the dangling condition and the class's node
+    counts.  The forward caps bound breadth-first exploration used by
     the under-approximation and the `post` command.
     """
 

@@ -8,13 +8,17 @@ right-hand items.  Every step is one such application: the backward
 step applies the inverse rule at the overlaps of the right-hand side
 with a target graph that meet the dangling condition, which gives the
 minimal graphs reaching the target's upward closure in one step.
+
+Both graph steps prune overlaps by the class's node counts, and the
+backward one by the dangling condition, on the node correspondence,
+before any overlap graph is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, Iterator, List, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
@@ -154,11 +158,22 @@ class Overlap(NamedTuple):
     match: dict
 
 
-def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overlap]:
+def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
+             windows: Sequence[Tuple[frozenset, int, int]] = (),
+             fresh: Sequence[str] = ()) -> List[Overlap]:
     """Enumerate every way of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
     the empty correspondence).  Distinct correspondences give distinct
-    overlaps; no two results are isomorphic as spans."""
+    overlaps; no two results are isomorphic as spans.
+
+    Two prunings skip correspondences before any graph is built:
+    `windows` holds (labels, lo, hi) triples, and only correspondences
+    pairing from lo to hi nodes with a label in `labels` are kept;
+    `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
+    node of `b` paired with one must have all its edges merged (the
+    dangling condition of deleting the fresh nodes from U).  Without
+    them every overlap is enumerated.
+    """
     out: List[Overlap] = []
     node_cap = limits.overlap_nodes
     if node_cap is None:
@@ -169,16 +184,22 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
+    # Per window: the nodes paired, and the most it can still reach.
+    hits = [[w for w, (labels, _lo, _hi) in enumerate(windows) if a.nodes[aid] in labels]
+            for aid in a_ids]
+    paired = [0] * len(windows)
+    reach = [sum(lab in labels for lab in a.nodes.values()) for labels, _lo, _hi in windows]
+
+    def fits(ws) -> bool:
+        return all(windows[w][1] <= reach[w] and paired[w] <= windows[w][2] for w in ws)
 
     def build(node_pairs: Dict[str, str]):
         merged_b = set(node_pairs.values())
-        u_size = len(a.nodes) + len(b.nodes) - len(node_pairs)
-        if u_size > node_cap:
-            raise GuardExceeded(
-                "overlap of %d nodes exceeds the %d-node cap" % (u_size, node_cap))
+        pinned = {node_pairs[aid] for aid in fresh if aid in node_pairs}
         # Edge pairs are only possible between edges whose endpoints are
         # identified and whose labels agree; group and enumerate
-        # injective partial matchings per group.
+        # injective partial matchings per group.  A group at a pinned
+        # node must merge all its edges of `b`.
         groups = defaultdict(lambda: ([], []))
         for aeid, (s, t, l) in sorted(a.edges.items()):
             if s in node_pairs and t in node_pairs:
@@ -186,18 +207,23 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
         for beid, (s, t, l) in sorted(b.edges.items()):
             if s in merged_b and t in merged_b:
                 groups[(s, t, l)][1].append(beid)
+            elif s in pinned or t in pinned:
+                return
         pools = []
-        for gkey in sorted(groups):
-            a_es, b_es = groups[gkey]
-            if not a_es or not b_es:
-                continue
-            options = [{}]
-            for k in range(1, min(len(a_es), len(b_es)) + 1):
-                for subset in itertools.combinations(a_es, k):
-                    for image in itertools.permutations(b_es, k):
-                        options.append(dict(zip(subset, image)))
+        for (s, t, _l), (a_es, b_es) in sorted(groups.items()):
+            least = len(b_es) if s in pinned or t in pinned else 0
+            options = [dict(zip(subset, image))
+                       for k in range(least, min(len(a_es), len(b_es)) + 1)
+                       for subset in itertools.combinations(a_es, k)
+                       for image in itertools.permutations(b_es, k)]
+            if not options:
+                return
             pools.append(options)
-        for combo in itertools.product(*pools) if pools else [()]:
+        u_size = len(a.nodes) + len(b.nodes) - len(node_pairs)
+        if u_size > node_cap:
+            raise GuardExceeded(
+                "overlap of %d nodes exceeds the %d-node cap" % (u_size, node_cap))
+        for combo in itertools.product(*pools):
             edge_pairs: Dict[str, str] = {}
             for part in combo:
                 edge_pairs.update(part)
@@ -210,19 +236,41 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS) -> List[Overla
         if i == len(a_ids):
             build(node_pairs)
             return
-        aid = a_ids[i]
-        choose(i + 1, node_pairs, used_b)
-        for bid in b_by_label[a.nodes[aid]]:
-            if bid in used_b:
-                continue
-            node_pairs[aid] = bid
-            used_b.add(bid)
+        aid, ws = a_ids[i], hits[i]
+        for w in ws:
+            reach[w] -= 1
+        if fits(ws):
             choose(i + 1, node_pairs, used_b)
-            del node_pairs[aid]
-            used_b.discard(bid)
+        for w in ws:
+            reach[w] += 1
+            paired[w] += 1
+        if fits(ws):
+            for bid in b_by_label[a.nodes[aid]]:
+                if bid in used_b:
+                    continue
+                node_pairs[aid] = bid
+                used_b.add(bid)
+                choose(i + 1, node_pairs, used_b)
+                del node_pairs[aid]
+                used_b.discard(bid)
+        for w in ws:
+            paired[w] -= 1
 
-    choose(0, {}, set())
+    if fits(range(len(windows))):
+        choose(0, {}, set())
     return out
+
+
+def _pair_windows(bounds, *graphs) -> list:
+    """(labels, lo, hi) count bounds as `overlaps` windows, for a graph
+    with one node in S fewer per node pair in S than `graphs` hold
+    together (base): it has lo to hi nodes in S iff the pairs number
+    base - hi to base - lo."""
+    windows = []
+    for labels, lo, hi in bounds:
+        base = sum(lab in labels for g in graphs for lab in g.nodes.values())
+        windows.append((labels, 0 if hi is None else base - hi, base - (lo or 0)))
+    return windows
 
 
 def _glue(a, b, node_pairs, edge_pairs) -> Graph:
@@ -255,22 +303,22 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
-    node.  The results, filtered to the class and canonical, generate
-    the one-step predecessor ideal; the caller's fixed-point loop
-    supplies the reflexive part.  They come in enumeration order and
-    may repeat or dominate one another: `minimize` makes them a basis.
+    node.  The candidate has |left ∩ S| + |target ∩ S| - (pairs in S)
+    nodes with a label in S, so the class's count bounds on labels the
+    quotient leaves alone prune the overlaps too, before any is built.
+    The results, filtered to the class and canonical, generate the
+    one-step predecessor ideal; the caller's fixed-point loop supplies
+    the reflexive part.  They come in enumeration order and may repeat
+    or dominate one another: `minimize` makes them a basis.
     """
     inverse = rule.inverse()
+    bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
+    windows = _pair_windows(bounds, rule.left, target)
     out = []
-    for ov in overlaps(rule.right, target, limits):
-        created = {ov.match["nodes"][rid] for rid in rule.created_nodes}
-        for e, (s, t, _l) in ov.u.edges.items():
-            if (s in created or t in created) and e.startswith("b:"):
-                break
-        else:
-            cand = klass.admit(apply_rule(inverse, ov.u, ov.match))
-            if cand is not None:
-                out.append(cand)
+    for ov in overlaps(rule.right, target, limits, windows, rule.created_nodes):
+        cand = klass.admit(apply_rule(inverse, ov.u, ov.match))
+        if cand is not None:
+            out.append(cand)
     return out
 
 
@@ -346,9 +394,11 @@ class GraphBackend:
         successors into the class.
         """
         klass = self.klass
+        maxima = [(labels, None, hi) for labels, _lo, hi in klass.bounds]
         out: Dict[tuple, Graph] = {}
         for rule in self.rules:
-            for ov in overlaps(rule.left, g, self.limits):
+            windows = _pair_windows(maxima, rule.left, g)
+            for ov in overlaps(rule.left, g, self.limits, windows):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
                 h = quotient_isolated(apply_rule(rule, ov.u, ov.match),

@@ -8,7 +8,7 @@ from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain,
                                   ideal_basis_of, negate, polarity, satisfies)
 from resilire.control import with_control
 from resilire.errors import ModelError
-from resilire.graphs import GraphClass, graph_of, single_node
+from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
 from resilire.order import covers, minimize
 from resilire.petri import Marking, VectorOrder, make_net
 from resilire.rewriting import SubgraphOrder
@@ -141,8 +141,9 @@ def test_vector_domain_completion_and_meet():
 
 def test_adverse_bad_set_on_path_game():
     built = model.build(model.load(fixture_path("pathgame.json")))
-    at_e = built.backend.klass.normalize(with_control(single_node("L"), "e"))
-    at_s = built.backend.klass.normalize(with_control(single_node("L"), "s"))
+    quotient = built.backend.klass.quotient_labels
+    at_e = quotient_isolated(with_control(single_node("L"), "e"), quotient).canonical()
+    at_s = quotient_isolated(with_control(single_node("L"), "s"), quotient).canonical()
     assert built.bad.contains(at_e)
     assert not built.bad.contains(at_s)
 

@@ -84,14 +84,14 @@ def test_marked_steps_track_owner():
                        marker_labels=frozenset(MARKERS))
     backend = GraphBackend(mark_rules(enrich_rules(sample_rules(), autom)), klass)
     start = with_control(single_node("P"), "q0", "top")
-    start = backend.klass.normalize(start)
+    start = backend.klass.admit(start)
     for succ in backend.post_step(start):
         marker = backend.klass.marker_of(succ)
         grew = sum(1 for l in succ.nodes.values() if l == "t")
         assert marker == (SYSTEM if grew else ENVIRONMENT) or grew in (0, 1)
         assert marker != "top"
     # after an environment step the marker says so
-    bigger = backend.klass.normalize(with_control(
+    bigger = backend.klass.admit(with_control(
         graph_of({"p": "P", "tok": "t"}, [("p", "tok", "x")]), "q0", "sys"))
     env_succs = [s for s in backend.post_step(bigger)
                  if sum(1 for l in s.nodes.values() if l == "t") == 0]

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from resilire import rewriting
 from resilire.graphs import Graph, GraphClass, exists_embedding, graph_of, single_node
 from resilire.limits import Limits
 from resilire.order import basis_subset, covers, minimize
@@ -279,7 +280,10 @@ def reference_predecessor_keys(rule, target, klass):
 @pytest.mark.parametrize("klass", [
     GraphClass(max_path=3),
     GraphClass(max_path=3, quotient_labels=frozenset({"b"})),
-], ids=["plain", "quotient"])
+    GraphClass(max_path=3, node_count=(("a", (1, 2)),)),
+    GraphClass(max_path=3, control_labels=frozenset({"b"})),
+    GraphClass(max_path=3, node_count=(("b", (None, 1)),), quotient_labels=frozenset({"b"})),
+], ids=["plain", "quotient", "counts", "control", "quotient-counts"])
 def test_backward_step_equals_the_reference_construction(klass):
     rng = rng_for("inverse-reference")
     nonempty = 0
@@ -291,6 +295,72 @@ def test_backward_step_equals_the_reference_construction(klass):
         assert got == set(want), (rule.left, rule.right, target)
         nonempty += bool(want)
     assert nonempty > 100
+
+
+def overlap_ids(ovs):
+    return [(sorted(ov.u.nodes.items()), sorted(ov.u.edges.items())) for ov in ovs]
+
+
+def record_overlaps(monkeypatch):
+    """Make the rewriting module's `overlaps` keep each result list."""
+    calls = []
+
+    def recording(*args):
+        calls.append(overlaps(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(rewriting, "overlaps", recording)
+    return calls
+
+
+def meets_dangling(rule, ov):
+    created = {ov.match["nodes"][rid] for rid in rule.created_nodes}
+    return not any(e.startswith("b:") and (s in created or t in created)
+                   for e, (s, t, _l) in ov.u.edges.items())
+
+
+# Classes with neither a path bound nor a count on a quotient label:
+# every overlap the backward step may skip is one `admit` rejects.
+@pytest.mark.parametrize("klass", [
+    GraphClass(node_count=(("a", (1, 2)),)),
+    GraphClass(node_count=(("a", (None, 1)), ("b", (2, None)))),
+    GraphClass(control_labels=frozenset({"b"}), quotient_labels=frozenset({"a"})),
+], ids=["counts", "max-and-min", "control"])
+def test_backward_step_enumerates_exactly_the_viable_overlaps(klass, monkeypatch):
+    calls = record_overlaps(monkeypatch)
+    rng = rng_for("viable-overlaps")
+    total = kept = 0
+    for _ in range(200):
+        rule = random_rule(rng)
+        target = random_graph(rng, ["a", "b"], ["x"], 3, 3, klass)
+        calls.clear()
+        rule_predecessor_basis(rule, target, klass)
+        every = overlaps(rule.right, target)
+        viable = [ov for ov in every if meets_dangling(rule, ov)
+                  and klass.admit(apply_rule(rule.inverse(), ov.u, ov.match))]
+        assert overlap_ids(calls[0]) == overlap_ids(viable), (rule.right, target)
+        total += len(every)
+        kept += len(viable)
+    assert 0 < kept < total
+
+
+def test_post_basis_enumerates_exactly_the_overlaps_inside_the_class(monkeypatch):
+    klass = GraphClass(node_count=(("a", (2, 3)), ("b", (None, 1))),
+                       marker_labels=frozenset({"m"}))
+    calls = record_overlaps(monkeypatch)
+    rng = rng_for("post-overlaps")
+    total = kept = 0
+    for _ in range(200):
+        rule = random_rule(rng, node_labels=("a", "b", "m"))
+        g = random_graph(rng, ["a", "b", "m"], ["x"], 3, 3)
+        calls.clear()
+        GraphBackend([rule], klass).post_basis(g)
+        every = overlaps(rule.left, g)
+        inside = [ov for ov in every if klass.contains(ov.u, subgraph=True)]
+        assert overlap_ids(calls[0]) == overlap_ids(inside), (rule.left, g)
+        total += len(every)
+        kept += len(inside)
+    assert 0 < kept < total
 
 
 def test_inverse_rule_swaps_deleted_and_created_items():
@@ -318,7 +388,7 @@ def test_post_basis_keeps_results_below_a_count_minimum():
     backend = GraphBackend([eat], klass)
     g = graph_of({"a1": "a", "x": "x", "a2": "a"}, [("a1", "x", "e")])
     host = graph_of({"a1": "a", "x": "x", "a2": "a", "a3": "a"}, [("a1", "x", "e")])
-    succ = klass.normalize(graph_of({"x": "x", "a2": "a", "a3": "a"}, []))
+    succ = klass.admit(graph_of({"x": "x", "a2": "a", "a3": "a"}, []))
     assert backend.post_step(g) == []
     assert backend.post_step(host) == [succ]
     basis = backend.post_basis(g)
