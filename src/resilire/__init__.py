@@ -10,7 +10,7 @@ control automaton.
 """
 
 from .control import (AutomatonEdge, ControlAutomaton, enrich_rules, mark_rules,
-                      with_control, with_marker)
+                      with_control)
 from .constraints import (And, BadSet, Exists, NotExists, Or, VectorPattern,
                           anti_ideal_of, ideal_basis_of, negate, satisfies)
 from .engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED, ResilienceInstance,

@@ -166,16 +166,13 @@ class GraphDomain:
         self.limits = limits
 
     def complete(self, pattern: Graph) -> List[Graph]:
-        variants = [pattern]
-        if self.klass.control_labels and self.klass.control_of(pattern) is None:
-            variants = [ctl.with_control(g, q)
-                        for g in variants
-                        for q in sorted(self.klass.control_labels)]
-        if self.klass.marker_labels and self.klass.marker_of(pattern) is None:
-            variants = [ctl.with_marker(g, mk)
-                        for g in variants
-                        for mk in sorted(self.klass.marker_labels)]
-        return [h for h in map(self.klass.admit, variants) if h is not None]
+        klass = self.klass
+        states = [None] if klass.control_of(pattern) is not None else (
+            sorted(klass.control_labels) or [None])
+        markers = [None] if klass.marker_of(pattern) is not None else (
+            sorted(klass.marker_labels) or [None])
+        variants = [ctl.with_control(pattern, q, mk) for q in states for mk in markers]
+        return [h for h in map(klass.admit, variants) if h is not None]
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
         return [ov.u for ov in overlaps(p, q, self.limits)]

@@ -76,18 +76,14 @@ def make_automaton(states, initial, edges, rule_names=None) -> ControlAutomaton:
     return ControlAutomaton(states, initial, tuple(built))
 
 
-def with_control(g: Graph, state: str, marker: Optional[str] = None) -> Graph:
-    """Disjointly add the control node (and marker node) to a graph."""
+def with_control(g: Graph, state: Optional[str] = None,
+                 marker: Optional[str] = None) -> Graph:
+    """Disjointly add the control node and the marker node, each if given."""
     nodes = dict(g.nodes)
-    nodes[_fresh_id(nodes, CONTROL_NODE)] = state
+    if state is not None:
+        nodes[_fresh_id(nodes, CONTROL_NODE)] = state
     if marker is not None:
         nodes[_fresh_id(nodes, MARKER_NODE)] = marker
-    return Graph(nodes, g.edges)
-
-
-def with_marker(g: Graph, marker: str) -> Graph:
-    nodes = dict(g.nodes)
-    nodes[_fresh_id(nodes, MARKER_NODE)] = marker
     return Graph(nodes, g.edges)
 
 
@@ -113,8 +109,8 @@ def mark_rules(enriched: List[Rule]) -> List[Rule]:
     out = []
     for rule in enriched:
         for mk in MARKERS:
-            left = with_marker(rule.left, mk)
-            right = with_marker(rule.right, rule.owner)
+            left = with_control(rule.left, marker=mk)
+            right = with_control(rule.right, marker=rule.owner)
             out.append(Rule("%s{%s}" % (rule.name, mk), rule.owner,
                             left, right, rule.node_map, rule.edge_map))
     return out

@@ -453,12 +453,12 @@ class GraphClass:
                 if labels]
         return tuple(out)
 
-    def admit(self, g: Graph) -> Optional[Graph]:
-        """The canonical quotient of g if it lies in the class, else None.
-        Membership is an isomorphism invariant, so it is decided before
-        canonicalizing."""
+    def admit(self, g: Graph, subgraph: bool = False) -> Optional[Graph]:
+        """The canonical quotient of g if `contains(g, subgraph)` holds for
+        it, else None.  Membership is an isomorphism invariant, so it is
+        decided before canonicalizing."""
         g = quotient_isolated(g, self.quotient_labels)
-        return g.canonical() if self.contains(g) else None
+        return g.canonical() if self.contains(g, subgraph) else None
 
     def contains(self, g: Graph, subgraph: bool = False) -> bool:
         """Membership; with `subgraph`, whether g embeds in some member,
@@ -471,13 +471,14 @@ class GraphClass:
         return self.max_path is None or path_length_within(g, self.max_path)
 
     def control_of(self, g: Graph) -> Optional[str]:
-        for lab in g.nodes.values():
-            if lab in self.control_labels:
-                return lab
-        return None
+        return _label_in(g, self.control_labels)
 
     def marker_of(self, g: Graph) -> Optional[str]:
-        for lab in g.nodes.values():
-            if lab in self.marker_labels:
-                return lab
-        return None
+        return _label_in(g, self.marker_labels)
+
+
+def _label_in(g: Graph, labels) -> Optional[str]:
+    for lab in g.nodes.values():
+        if lab in labels:
+            return lab
+    return None

@@ -275,10 +275,8 @@ def _parse_literal(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
     if net is not None:
         return net.weights(r.counts(obj, "marking", where, net.places)), state, marker
     g = _parse_graph(r.read(obj, "graph", where, dict, {}), _pointer(where, "graph"), r)
-    if g is not None and state is not None:
-        g = ctl.with_control(g, state)
-    if g is not None and marker is not None:
-        g = ctl.with_marker(g, marker)
+    if g is not None:
+        g = ctl.with_control(g, state, marker)
     return g, state, marker
 
 
@@ -303,14 +301,19 @@ def _parse_constraint(obj: dict, where: str, r: _Reader, net: Optional[PetriNet]
     return cns.Exists(pattern) if op == "exists" else cns.NotExists(pattern)
 
 
+def _with_tags(out: dict, state, marker) -> dict:
+    """`out` with the control `state` and owner `marker`, where given."""
+    if state is not None:
+        out["state"] = state
+    if marker is not None:
+        out["marker"] = marker
+    return out
+
+
 def _marking_to_json(net: PetriNet, m) -> dict:
     """A marking or marking pattern: its nonzero counts, state and marker."""
-    out = {"marking": {p: n for p, n in zip(net.places, m.tokens) if n}}
-    if m.state is not None:
-        out["state"] = m.state
-    if m.marker is not None:
-        out["marker"] = m.marker
-    return out
+    counts = {p: n for p, n in zip(net.places, m.tokens) if n}
+    return _with_tags({"marking": counts}, m.state, m.marker)
 
 
 def _constraint_to_json(c, net: Optional[PetriNet]) -> dict:
@@ -457,8 +460,11 @@ def from_dict(obj: dict) -> ModelDocument:
                 r.add("/bad/states", "no control automaton to observe")
             elif observed - set(states):
                 r.add("/bad/states", "unknown states %s" % sorted(observed - set(states)))
-            if r.read(bad_spec, "env_marker", "/bad", bool, False) and not markers:
+            env_marker = r.read(bad_spec, "env_marker", "/bad", bool, False)
+            if env_marker and not markers:
                 r.add("/bad/env_marker", "needs an annotated model")
+            if not observed and not env_marker:
+                r.add("/bad", "adverse mode needs 'states' and/or 'env_marker'")
         elif mode == "custom":
             c = r.read(bad_spec, "constraint", "/bad", dict)
             if c is not None:
@@ -521,14 +527,8 @@ class BuiltModel:
         if self.doc.kind == "petri":
             return _marking_to_json(self.doc.net, state)
         klass = self.backend.klass
-        out = {"graph": graph_to_json(state)}
-        q = klass.control_of(state)
-        mk = klass.marker_of(state)
-        if q is not None:
-            out["state"] = q
-        if mk is not None:
-            out["marker"] = mk
-        return out
+        return _with_tags({"graph": graph_to_json(state)},
+                          klass.control_of(state), klass.marker_of(state))
 
     def basis_to_json(self, basis: Basis) -> list:
         return [self.state_to_json(s) for s in basis.elements]
@@ -624,14 +624,11 @@ def to_dict(doc: ModelDocument) -> dict:
             out["b_post"] = [_marking_to_json(doc.net, s) for s in doc.b_post]
         else:
             out["b_post"] = [{"graph": graph_to_json(g)} for g in doc.b_post]
-    out["limits"] = {
-        "max_iters": doc.limits.max_iters,
-        "overlap_count": doc.limits.overlap_count,
-        "forward_depth_cap": doc.limits.forward_depth_cap,
-        "forward_state_cap": doc.limits.forward_state_cap,
-    }
-    if doc.limits.overlap_nodes is not None:
-        out["limits"]["overlap_nodes"] = doc.limits.overlap_nodes
+    out["limits"] = {}
+    for field in LIMIT_FIELDS:
+        value = getattr(doc.limits, field)
+        if value is not None:  # overlap_nodes: None is the natural bound
+            out["limits"][field] = value
     return out
 
 

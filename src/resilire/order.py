@@ -6,13 +6,13 @@ that every computation over bases is reproducible byte for byte.
 Downward-closed sets have no useful finite basis and are handled
 elsewhere as membership predicates.
 
-An order may split its states into blocks, sets whose members are never
-comparable across blocks (`Wqo.block`).  Minimization and coverage then
-compare a state only with the elements of its own block; the default is
-a single block, so such an order pays nothing for it.  Within a block,
-minimization asks an antichain index whether a kept element lies below
+Minimization asks an antichain index whether a kept element lies below
 the candidate (`Wqo.antichain_index`); the default index scans with
 `leq`, and an order may answer from a structure of its own instead.
+An order may also split its states into blocks, sets whose members are
+never comparable across blocks (`Wqo.block`).  Coverage then compares a
+state only with the basis elements of its own block; the default is a
+single block, so such an order pays nothing for it.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ class Wqo:
       order-equivalent.  Minimization sorts on it so that potential
       dominators are always seen before the states they dominate;
     * ``block(a)``  -- optional hashable block of ``a``, with the contract
-      ``leq(a, b)`` implies ``block(a) == block(b)``.  States of different
-      blocks are never compared.  The default puts every state in one
-      block;
+      ``leq(a, b)`` implies ``block(a) == block(b)``.  ``covers`` and
+      ``basis_subset`` never compare states of different blocks.  The
+      default puts every state in one block;
     * ``antichain_index()`` -- optional: a fresh, empty index with
       ``add(s)`` and ``covers(s)``, where ``covers(s)`` tells whether some
-      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one per
-      block for the duration of one call.  The default scans the added
-      states with ``leq``.
+      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one for
+      the duration of one call; an index that splits its states by block
+      does so itself.  The default scans the added states with ``leq``.
     """
 
     def leq(self, a, b) -> bool:
@@ -108,20 +108,15 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
     Deterministic: duplicates (by canonical key) collapse to their first
     occurrence, elements are examined in (size, key) order, and the
     result is sorted by key.  Of two order-equivalent elements the one
-    with the smaller canonical key is kept.  A candidate is checked only
-    against the kept elements of its own block, through that block's
-    antichain index.
+    with the smaller canonical key is kept.  A candidate is checked
+    against the kept elements through the order's antichain index.
     """
     by_key: dict = {}
     for s in states:
         by_key.setdefault(order.key(s), s)
-    indexes: dict = {}
+    index = order.antichain_index()
     kept = []
     for k, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
-        block = order.block(s)
-        index = indexes.get(block)
-        if index is None:
-            index = indexes[block] = order.antichain_index()
         if not index.covers(s):
             index.add(s)
             kept.append((k, s))

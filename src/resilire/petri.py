@@ -122,9 +122,9 @@ class VectorOrder(Wqo):
 
     The order is fixed to one shape of marking: `has_state` and
     `has_marker` say whether its markings carry a control state and an
-    owner marker, and a marking of another shape is refused.  A block is
-    a (state, marker) pair: markings that differ there are never
-    comparable.  Its antichain index is a token trie per block.
+    owner marker; every method refuses a marking of another shape.  A
+    block is a (state, marker) pair: markings that differ there are never
+    comparable.  Its antichain index is one token trie root per block.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -133,30 +133,19 @@ class VectorOrder(Wqo):
         self._no_state = not has_state
         self._no_marker = not has_marker
 
-    def _refuse(self, m) -> BackendMismatch:
-        if not isinstance(m, Marking) or len(m.tokens) != self.dimension:
-            return BackendMismatch("not a marking of dimension %d" % self.dimension)
-        return BackendMismatch(
-            "state/marker presence of %r does not fit this order's markings,"
-            " which carry %s control state and %s marker"
-            % (m, "no" if self._no_state else "a", "no" if self._no_marker else "a"))
-
     def _check(self, m: Marking):
-        if not (isinstance(m, Marking) and len(m.tokens) == self.dimension
-                and (m.state is None) is self._no_state
-                and (m.marker is None) is self._no_marker):
-            raise self._refuse(m)
+        if not isinstance(m, Marking) or len(m.tokens) != self.dimension:
+            raise BackendMismatch("not a marking of dimension %d" % self.dimension)
+        if ((m.state is None) is not self._no_state
+                or (m.marker is None) is not self._no_marker):
+            raise BackendMismatch(
+                "state/marker presence of %r does not fit this order's markings,"
+                " which carry %s control state and %s marker"
+                % (m, "no" if self._no_state else "a", "no" if self._no_marker else "a"))
 
     def leq(self, a: Marking, b: Marking) -> bool:
-        # _check inlined for both arguments: this is the hottest call
-        # of backward saturation on Petri products.
-        no_state, no_marker = self._no_state, self._no_marker
-        if not (isinstance(a, Marking) and isinstance(b, Marking)
-                and len(a.tokens) == self.dimension == len(b.tokens)
-                and (a.state is None) is no_state is (b.state is None)
-                and (a.marker is None) is no_marker is (b.marker is None)):
-            self._check(a)
-            raise self._refuse(b)
+        self._check(a)
+        self._check(b)
         return (a.state == b.state and a.marker == b.marker
                 and all(map(le, a.tokens, b.tokens)))
 
@@ -176,8 +165,9 @@ class VectorOrder(Wqo):
 
 
 class _TokenTrie:
-    """Antichain index of `VectorOrder`: per (state, marker) block, a trie
-    of token vectors keyed coordinate by coordinate.
+    """Antichain index of `VectorOrder` over all blocks: per (state,
+    marker) block, a root of a trie of token vectors keyed coordinate by
+    coordinate.  `add` and `covers` check the marking's shape.
 
     `covers(m)` descends only into children whose token count is at most
     m's in that coordinate, so whole subtrees of vectors that exceed m

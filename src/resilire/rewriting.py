@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
-                     exists_embedding, quotient_isolated)
+                     exists_embedding)
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Wqo
 
@@ -401,9 +401,7 @@ class GraphBackend:
             for ov in overlaps(rule.left, g, self.limits, windows):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
-                h = quotient_isolated(apply_rule(rule, ov.u, ov.match),
-                                      klass.quotient_labels)
-                if klass.contains(h, subgraph=True):
-                    h = h.canonical()
+                h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True)
+                if h is not None:
                     out.setdefault(h.key(), h)
         return list(out.values())

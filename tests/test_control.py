@@ -73,6 +73,10 @@ def test_mark_rules_triples():
     lefts = sorted(next(l for l in r.left.nodes.values() if l in MARKERS)
                    for r in marked)
     assert lefts == sorted(MARKERS)
+    # with_control adds a marker node alone, or a control and a marker node
+    g = single_node("P")
+    assert sorted(with_control(g, marker=SYSTEM).nodes.values()) == ["P", SYSTEM]
+    assert sorted(with_control(g, "q0", SYSTEM).nodes.values()) == ["P", "q0", SYSTEM]
 
 
 def test_marked_steps_track_owner():

@@ -210,6 +210,13 @@ def test_class_membership():
     chain = graph_of({"l": "L", "p": "a", "q": "a", "r": "a"},
                      [("l", "p", "x"), ("p", "q", "x"), ("q", "r", "x")])
     assert not klass.contains(chain)  # path of length 3
+    # with `subgraph`, admit keeps what embeds in a member: below the L
+    # minimum stays, above the L maximum or beyond max_path does not
+    bare = graph_of({"a": "a"}, [])
+    assert klass.admit(bare) is None and klass.admit(bare, subgraph=True) == bare
+    three_l = graph_of({"l%d" % i: "L" for i in range(3)}, [])
+    assert klass.admit(three_l, subgraph=True) is None
+    assert klass.admit(chain, subgraph=True) is None
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +376,15 @@ def test_admit_agrees_with_normalize_then_contains():
     classes = [GraphClass(max_path=2, quotient_labels=frozenset({"pt"})),
                GraphClass(node_count=(("L", (1, 2)),), quotient_labels=frozenset({"pt"})),
                GraphClass(max_path=3, control_labels=frozenset({"L"}))]
-    admitted = 0
+    admitted = {False: 0, True: 0}
     for _ in range(300):
         g = random_graph(rng, ["pt", "L"], ["x"], 5, 4)
-        for klass in classes:
+        for klass, subgraph in itertools.product(classes, (False, True)):
             norm = quotient_isolated(g, klass.quotient_labels).canonical()
-            got = klass.admit(g)
-            if klass.contains(norm):
-                admitted += 1
+            got = klass.admit(g, subgraph=subgraph)
+            if klass.contains(norm, subgraph=subgraph):
+                admitted[subgraph] += 1
                 assert (got.nodes, got.edges) == (norm.nodes, norm.edges)
             else:
                 assert got is None
-    assert admitted
+    assert 0 < admitted[False] < admitted[True]

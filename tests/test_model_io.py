@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,13 @@ def test_documents_serialize_stably(name):
     doc = model.load(fixture_path(name))
     text = model.dumps(doc)
     assert model.dumps(model.loads(text)) == text
+    # overlap_nodes is written only when set: None is the natural bound
+    assert set(json.loads(text)["limits"]) == set(model.LIMIT_FIELDS) - {"overlap_nodes"}
+    capped = replace(doc, limits=replace(doc.limits, overlap_nodes=7))
+    capped_text = model.dumps(capped)
+    assert json.loads(capped_text)["limits"]["overlap_nodes"] == 7
+    assert model.loads(capped_text).limits == capped.limits
+    assert model.dumps(model.loads(capped_text)) == capped_text
 
 
 def test_unknown_place_is_located():
@@ -87,6 +95,13 @@ def test_bad_mode_validation():
     doc["bad"] = {"mode": "wat"}
     with pytest.raises(ModelError, match="wat"):
         model.from_dict(doc)
+    # an adverse bad set that observes nothing is refused by the loader
+    for bad in ({"mode": "adverse"},
+                {"mode": "adverse", "states": [], "env_marker": False}):
+        doc["bad"] = bad
+        with pytest.raises(ModelError, match="'states' and/or 'env_marker'") as err:
+            model.from_dict(doc)
+        assert [loc for loc, _msg in err.value.issues] == ["/bad"]
 
 
 def test_missing_reachability_basis_points_to_approx():
