@@ -8,12 +8,13 @@ terminates; a configurable iteration guard additionally bounds every
 loop and reports a distinct 'exhausted' outcome when it trips.
 
 Rounds are frontier-only.  An element of round k's basis that was
-already in round k-1's has its predecessors in I_k, so round k+1
-minimizes round k's basis together with the one-step basis of the
-*fresh* elements of round k alone, and each basis element is stepped
-exactly once.  Bases are canonical, so a round without fresh elements
-has the previous round's ideal: it is the fixed point.  `backward_step`
-keeps the full one-step operator as a reference.
+already in round k-1's has its predecessors in I_k, so round k+1 merges
+the one-step basis of the *fresh* elements of round k alone into round
+k's basis, whose elements are never compared with each other again.
+Each basis element is stepped exactly once.  Bases are canonical, so a
+round without fresh elements has the previous round's ideal: it is the
+fixed point.  `backward_step` keeps the full one-step operator as a
+reference.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
@@ -71,12 +72,9 @@ class Verdict:
     reason: Optional[str] = None
 
 
-def _round(seed, current, step, order) -> Basis:
+def _round(seed: Basis, current, step, order) -> Basis:
     """Basis of up(seed) union the ideals of `step(b)` for b in `current`."""
-    candidates = list(seed)
-    for b in current:
-        candidates.extend(step(b))
-    return minimize(candidates, order)
+    return minimize([c for b in current for c in step(b)], order, base=seed)
 
 
 def backward_step(current: Basis, safe: Basis, backend) -> Basis:

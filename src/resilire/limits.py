@@ -7,9 +7,9 @@ from dataclasses import dataclass
 class Limits:
     """Caps that keep the checker responsive on hostile inputs.
 
-    max_iters bounds saturation in both directions (a distinct
-    'exhausted' outcome, never reported as 'unbounded').  overlap_nodes caps the node count of
-    enumerated overlap graphs (None means the natural bound |A|+|B|).
+    max_iters bounds saturation in both directions; tripping it is
+    'exhausted', never 'unbounded'.  overlap_nodes caps the node count
+    of enumerated overlap graphs (None means the natural bound |A|+|B|).
     overlap_count caps how many overlaps a single enumeration may
     produce.  In the graph steps both overlap caps see only the overlaps
     left after pruning by the dangling condition and the class's node

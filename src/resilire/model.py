@@ -188,8 +188,11 @@ def _parse_class(obj: dict, where: str, r: _Reader) -> GraphClass:
     for lab, rng in sorted(r.read(obj, "node_count", where, dict, {}).items()):
         lwhere = _pointer(cwhere, lab)
         if r.fits(rng, lwhere, dict):
-            counts.append((lab, (r.read(rng, "min", lwhere, int, None, least=0),
-                                 r.read(rng, "max", lwhere, int, None, least=0))))
+            lo, hi = (r.read(rng, end, lwhere, int, None, least=0)
+                      for end in ("min", "max"))
+            if None not in (lo, hi) and lo > hi:
+                r.add(lwhere, "min %d exceeds max %d" % (lo, hi))
+            counts.append((lab, (lo, hi)))
     return GraphClass(
         max_path=r.read(obj, "max_path", where, int, None, least=0),
         node_count=tuple(counts),

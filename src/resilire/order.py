@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator
-
-State = Any
+from typing import Iterable, Iterator
 
 
 class Wqo:
@@ -42,9 +40,10 @@ class Wqo:
       default puts every state in one block;
     * ``antichain_index()`` -- optional: a fresh, empty index with
       ``add(s)`` and ``covers(s)``, where ``covers(s)`` tells whether some
-      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one for
-      the duration of one call; an index that splits its states by block
-      does so itself.  The default scans the added states with ``leq``.
+      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one per
+      side of a call, base and new; an index that splits its states by
+      block does so itself.  The default scans the added states with
+      ``leq``.
     """
 
     def leq(self, a, b) -> bool:
@@ -102,24 +101,34 @@ class Basis:
         return index
 
 
-def minimize(states: Iterable, order: Wqo) -> Basis:
+def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
 
     Deterministic: duplicates (by canonical key) collapse to their first
     occurrence, elements are examined in (size, key) order, and the
     result is sorted by key.  Of two order-equivalent elements the one
-    with the smaller canonical key is kept.  A candidate is checked
-    against the kept elements through the order's antichain index.
+    with the smaller canonical key is kept.
+
+    `base`, a basis of the same order, joins its ideal to the result as
+    if its elements came first in `states`, so a base element wins a key
+    tie.  It must be an antichain, as every `Basis` from `minimize` is:
+    its elements are compared only with kept candidates, never with each
+    other.  Each side is checked through an antichain index of its own.
     """
-    by_key: dict = {}
+    old = {order.key(b): b for b in base}
+    new: dict = {}
     for s in states:
-        by_key.setdefault(order.key(s), s)
-    index = order.antichain_index()
+        new.setdefault(order.key(s), s)
+    entries = [(k, s, False) for k, s in old.items()]
+    entries += [(k, s, True) for k, s in new.items() if k not in old]
+    entries.sort(key=lambda e: (order.size(e[1]), e[0]))
+    old_index, new_index = order.antichain_index(), order.antichain_index()
     kept = []
-    for k, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
-        if not index.covers(s):
-            index.add(s)
-            kept.append((k, s))
+    for k, s, fresh in entries:
+        if new_index.covers(s) or fresh and old_index.covers(s):
+            continue
+        (new_index if fresh else old_index).add(s)
+        kept.append((k, s))
     kept.sort(key=lambda ks: ks[0])
     return Basis(order, tuple(s for _, s in kept))
 

@@ -333,22 +333,11 @@ class SubgraphOrder(Wqo):
     On a class of bounded path length this is a well-quasi-order, and
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
-    labels).  Embedding checks are memoized by canonical key, after a
-    label-count test that refuses most pairs without a search.
+    labels).  A label-count test refuses most pairs without a search.
     """
 
-    def __init__(self):
-        self._cache: Dict[tuple, bool] = {}
-
     def leq(self, a: Graph, b: Graph) -> bool:
-        if not counts_fit(a, b):
-            return False
-        ck = (a.key(), b.key())
-        hit = self._cache.get(ck)
-        if hit is None:
-            hit = exists_embedding(a, b)
-            self._cache[ck] = hit
-        return hit
+        return counts_fit(a, b) and exists_embedding(a, b)
 
     def key(self, a: Graph):
         return a.key()

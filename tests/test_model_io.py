@@ -404,6 +404,13 @@ def test_quotient_labels_may_not_be_matched_isolated():
     doc["automaton"]["edges"][0]["select"].append("touch_point")
     with pytest.raises(ModelError, match="isolated.*erases|erases"):
         model.from_dict(doc)
+    # an empty node-count range is refused at its label, not blamed on
+    # the start graph that no graph of the class could match
+    doc = json.loads(open(fixture_path("pathgame.json")).read())
+    doc["gts"]["class"]["node_count"]["L"] = {"min": 3, "max": 2}
+    with pytest.raises(ModelError) as err:
+        model.from_dict(doc)
+    assert err.value.issues == [("/gts/class/node_count/L", "min 3 exceeds max 2")]
 
 
 def test_adverse_mode_needs_an_automaton(tmp_path):

@@ -65,6 +65,8 @@ def test_minimize_deterministic_and_idempotent():
             b2 = minimize(sample, order)
             assert b1.elements == b2.elements
             assert minimize(b1.elements, order).elements == b1.elements
+            assert merged(sample, rng.randint(0, 6), order).elements == \
+                reference_minimize(sample, order).elements
 
 
 def test_covers_examples():
@@ -131,6 +133,12 @@ def reference_covers(basis, state):
     return any(basis.order.leq(b, state) for b in basis.elements)
 
 
+def merged(states, cut, order):
+    """`minimize` of `states` with its first `cut` elements as a base:
+    the same basis as minimizing them all."""
+    return minimize(states[cut:], order, base=minimize(states[:cut], order))
+
+
 V3 = VectorOrder(3, has_state=True, has_marker=True)
 V3_PLAIN = VectorOrder(3)
 
@@ -176,6 +184,18 @@ class RecordingOrder(VectorOrder):
         return super().leq(a, b)
 
 
+class RecordingTaggedOrder(TaggedOrder):
+    """A `TaggedOrder`, on the default scanning antichain index, that
+    records every pair it compares."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def leq(self, a, b):
+        self.pairs.append((a, b))
+        return super().leq(a, b)
+
+
 def test_blocked_minimize_and_covers_match_reference():
     rng = rng_for("blocked-reference")
     queries = 0
@@ -187,6 +207,8 @@ def test_blocked_minimize_and_covers_match_reference():
         sample = random_product_markings(rng, rng.randint(0, 24), **shape)
         got, want = minimize(sample, order), reference_minimize(sample, order)
         assert got.elements == want.elements
+        cut = rng.randint(0, len(sample))
+        assert merged(sample, cut, order).elements == want.elements
         for s in random_product_markings(rng, 5, **shape) + sample[:3]:
             queries += 1
             assert covers(got, s) == reference_covers(want, s)
@@ -198,12 +220,21 @@ def test_blocked_minimize_keeps_smaller_key_of_equivalents():
     rng = rng_for("blocked-tagged")
     order = TaggedOrder()
     for _ in range(100):
-        sample = [(m, rng.randint(0, 2))
-                  for m in random_product_markings(rng, rng.randint(0, 16))]
+        # the position, outside the key, tells apart elements under one key
+        sample = [(m, rng.randint(0, 2), i) for i, m in
+                  enumerate(random_product_markings(rng, rng.randint(0, 16)))]
         got, want = minimize(sample, order), reference_minimize(sample, order)
         assert got.elements == want.elements
+        cut = rng.randint(0, len(sample))
+        assert merged(sample, cut, order).elements == want.elements
         for s in sample:
             assert covers(got, s) and reference_covers(want, s)
+    # merged into a base, the smaller key stays on either side, and of
+    # two elements under one key the base element stays
+    m = Marking((1, 0, 2), "p", "sys")
+    for base_tag, new_tag, winner in ((0, 1, "base"), (1, 0, "new"), (0, 0, "base")):
+        got = merged([(m, base_tag, "base"), (m, new_tag, "new")], 1, order)
+        assert [side for _m, _tag, side in got] == [winner]
 
 
 def test_blocked_order_never_compares_across_blocks():
@@ -215,6 +246,23 @@ def test_blocked_order_never_compares_across_blocks():
             covers(basis, s)
     assert order.pairs
     assert all((a.state, a.marker) == (b.state, b.marker) for a, b in order.pairs)
+
+
+def test_minimize_into_a_base_never_compares_two_base_elements():
+    order = RecordingTaggedOrder()
+    rng = rng_for("base-recording")
+    against_base = 0
+    for _ in range(50):
+        pool = [(m, rng.randint(0, 2)) for m in random_product_markings(rng, 24)]
+        base = minimize(rng.sample(pool, 12), order)
+        order.pairs.clear()
+        minimize(rng.sample(pool, 12), order, base=base)
+        # a candidate under a base element's key is dropped uncompared,
+        # so two base objects in one pair are two base elements
+        ids = {id(b) for b in base}
+        assert not any(id(a) in ids and id(b) in ids for a, b in order.pairs)
+        against_base += sum(id(a) in ids or id(b) in ids for a, b in order.pairs)
+    assert against_base >= 100
 
 
 V6 = VectorOrder(6, has_state=True, has_marker=True)
