@@ -172,7 +172,7 @@ class GraphDomain:
         markers = [None] if klass.marker_of(pattern) is not None else (
             sorted(klass.marker_labels) or [None])
         variants = [ctl.with_control(pattern, q, mk) for q in states for mk in markers]
-        return [h for h in map(klass.admit, variants) if h is not None]
+        return [h for h in (klass.admit(v, subgraph=True) for v in variants) if h is not None]
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
         return [ov.u for ov in overlaps(p, q, self.limits)]
@@ -212,9 +212,10 @@ def _basis_patterns(c, domain) -> List:
 def ideal_basis_of(c, domain) -> Basis:
     """Basis of the states satisfying a positive constraint.
 
-    Each existential leaf must contribute at least one state of the
-    class; a leaf whose pattern cannot be completed into the class is
-    reported rather than silently dropped.
+    Each existential leaf must contribute at least one basis element: a
+    completion that embeds in some state of the class (it may lie below
+    a `node_count` minimum).  A leaf with none is reported rather than
+    silently dropped.
     """
     if polarity(c) != "positive":
         raise ModelError([("/safety", "safety must be a positive constraint")])

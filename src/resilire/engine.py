@@ -73,8 +73,11 @@ class Verdict:
 
 
 def _round(seed: Basis, current, step, order) -> Basis:
-    """Basis of up(seed) union the ideals of `step(b)` for b in `current`."""
-    return minimize([c for b in current for c in step(b)], order, base=seed)
+    """Basis of up(seed) union the ideals of `step(b)` for b in `current`.
+
+    The steps' candidates stream into `minimize`, the one place where
+    repeats collapse."""
+    return minimize((c for b in current for c in step(b)), order, base=seed)
 
 
 def backward_step(current: Basis, safe: Basis, backend) -> Basis:

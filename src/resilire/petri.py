@@ -214,10 +214,10 @@ class PetriBackend:
         return list({fire(m, t) for t in self.net.transitions if enabled(m, t)})
 
     def pre_basis(self, m: Marking) -> List[Marking]:
-        return list({min_enabling_cover(m, t) for t in self.net.transitions})
+        return [min_enabling_cover(m, t) for t in self.net.transitions]
 
     def post_basis(self, m: Marking) -> List[Marking]:
-        return list({least_successor(m, t) for t in self.net.transitions})
+        return [least_successor(m, t) for t in self.net.transitions]
 
 
 class ProductBackend:
@@ -268,17 +268,13 @@ class ProductBackend:
 
     def post_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
-        return list({self._target(least_successor(m, t).tokens, edge, t)
-                     for edge, t in self._steps_from(m)})
+        return [self._target(least_successor(m, t).tokens, edge, t)
+                for edge, t in self._steps_from(m)]
 
     def pre_basis(self, m: Marking) -> List[Marking]:
         self._check_state(m)
         markers = MARKERS if self.annotate else (None,)
-        out = set()
-        for src, t in self._into.get(m.state, ()):
-            if self.annotate and m.marker != t.owner:
-                continue
-            tokens = min_enabling_cover(m, t).tokens
-            for mk in markers:
-                out.add(Marking(tokens, src, mk))
-        return list(out)
+        return [Marking(min_enabling_cover(m, t).tokens, src, mk)
+                for src, t in self._into.get(m.state, ())
+                if not self.annotate or m.marker == t.owner
+                for mk in markers]

@@ -9,9 +9,12 @@ step applies the inverse rule at the overlaps of the right-hand side
 with a target graph that meet the dangling condition, which gives the
 minimal graphs reaching the target's upward closure in one step.
 
-Both graph steps prune overlaps by the class's node counts, and the
-backward one by the dangling condition, on the node correspondence,
-before any overlap graph is built.
+Both graph steps prune overlaps by the class's node-count maxima, and
+the backward one by the dangling condition, on the node correspondence,
+before any overlap graph is built.  Their results are ideal generators:
+they are filtered only by what subgraphs of class members inherit
+(`GraphClass.admit(g, subgraph=True)`), may repeat, and are made a
+basis by `minimize`.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ class Overlap(NamedTuple):
 
 
 def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
-             windows: Sequence[Tuple[frozenset, int, int]] = (),
+             windows: Sequence[Tuple[frozenset, int]] = (),
              fresh: Sequence[str] = ()) -> List[Overlap]:
     """Enumerate every way of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
@@ -167,8 +170,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     overlaps; no two results are isomorphic as spans.
 
     Two prunings skip correspondences before any graph is built:
-    `windows` holds (labels, lo, hi) triples, and only correspondences
-    pairing from lo to hi nodes with a label in `labels` are kept;
+    `windows` holds (labels, least) pairs, and only correspondences
+    pairing at least `least` nodes with a label in `labels` are kept;
     `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
     node of `b` paired with one must have all its edges merged (the
     dangling condition of deleting the fresh nodes from U).  Without
@@ -184,14 +187,13 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
-    # Per window: the nodes paired, and the most it can still reach.
-    hits = [[w for w, (labels, _lo, _hi) in enumerate(windows) if a.nodes[aid] in labels]
+    # Per window: the most pairs it can still reach.
+    hits = [[w for w, (labels, _least) in enumerate(windows) if a.nodes[aid] in labels]
             for aid in a_ids]
-    paired = [0] * len(windows)
-    reach = [sum(lab in labels for lab in a.nodes.values()) for labels, _lo, _hi in windows]
+    reach = [sum(lab in labels for lab in a.nodes.values()) for labels, _least in windows]
 
     def fits(ws) -> bool:
-        return all(windows[w][1] <= reach[w] and paired[w] <= windows[w][2] for w in ws)
+        return all(windows[w][1] <= reach[w] for w in ws)
 
     def build(node_pairs: Dict[str, str]):
         merged_b = set(node_pairs.values())
@@ -243,18 +245,14 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
             choose(i + 1, node_pairs, used_b)
         for w in ws:
             reach[w] += 1
-            paired[w] += 1
-        if fits(ws):
-            for bid in b_by_label[a.nodes[aid]]:
-                if bid in used_b:
-                    continue
-                node_pairs[aid] = bid
-                used_b.add(bid)
-                choose(i + 1, node_pairs, used_b)
-                del node_pairs[aid]
-                used_b.discard(bid)
-        for w in ws:
-            paired[w] -= 1
+        for bid in b_by_label[a.nodes[aid]]:
+            if bid in used_b:
+                continue
+            node_pairs[aid] = bid
+            used_b.add(bid)
+            choose(i + 1, node_pairs, used_b)
+            del node_pairs[aid]
+            used_b.discard(bid)
 
     if fits(range(len(windows))):
         choose(0, {}, set())
@@ -262,15 +260,12 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
 
 
 def _pair_windows(bounds, *graphs) -> list:
-    """(labels, lo, hi) count bounds as `overlaps` windows, for a graph
-    with one node in S fewer per node pair in S than `graphs` hold
-    together (base): it has lo to hi nodes in S iff the pairs number
-    base - hi to base - lo."""
-    windows = []
-    for labels, lo, hi in bounds:
-        base = sum(lab in labels for g in graphs for lab in g.nodes.values())
-        windows.append((labels, 0 if hi is None else base - hi, base - (lo or 0)))
-    return windows
+    """The maxima of (labels, lo, hi) count bounds as `overlaps`
+    windows, for a graph with one node in S fewer per node pair in S
+    than `graphs` hold together (base): it has at most hi nodes in S
+    iff at least base - hi pairs are in S."""
+    return [(labels, sum(lab in labels for g in graphs for lab in g.nodes.values()) - hi)
+            for labels, _lo, hi in bounds if hi is not None]
 
 
 def _glue(a, b, node_pairs, edge_pairs) -> Graph:
@@ -296,27 +291,29 @@ def _glue(a, b, node_pairs, edge_pairs) -> Graph:
 
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
                            limits: Limits = DEFAULT_LIMITS) -> List[Graph]:
-    """Class graphs G with a one-step successor above `target`, among
-    them the minimal ones: the inverse rule applied at each overlap of
-    the rule's right side with the target that meets the dangling
+    """Graphs G with a one-step successor above `target`, among them
+    the minimal ones: the inverse rule applied at each overlap of the
+    rule's right side with the target that meets the dangling
     condition.
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
     node.  The candidate has |left ∩ S| + |target ∩ S| - (pairs in S)
-    nodes with a label in S, so the class's count bounds on labels the
+    nodes with a label in S, so the class's count maxima on labels the
     quotient leaves alone prune the overlaps too, before any is built.
-    The results, filtered to the class and canonical, generate the
-    one-step predecessor ideal; the caller's fixed-point loop supplies
-    the reflexive part.  They come in enumeration order and may repeat
-    or dominate one another: `minimize` makes them a basis.
+    The results, filtered by what subgraphs of members inherit and
+    canonical, generate the one-step predecessor ideal within the
+    class: one below a `node_count` minimum stays, since larger hosts
+    above it are members.  The caller's fixed-point loop supplies the
+    reflexive part.  They come in enumeration order and may repeat or
+    dominate one another: `minimize` makes them a basis.
     """
     inverse = rule.inverse()
     bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
     windows = _pair_windows(bounds, rule.left, target)
     out = []
     for ov in overlaps(rule.right, target, limits, windows, rule.created_nodes):
-        cand = klass.admit(apply_rule(inverse, ov.u, ov.match))
+        cand = klass.admit(apply_rule(inverse, ov.u, ov.match), subgraph=True)
         if cand is not None:
             out.append(cand)
     return out
@@ -363,17 +360,14 @@ class GraphBackend:
 
     def pre_basis(self, g: Graph) -> List[Graph]:
         """Generators of the one-step predecessors of g's upward closure,
-        deduplicated by key across all rules and unordered; `minimize`
-        orders them."""
-        out: Dict[tuple, Graph] = {}
-        for rule in self.rules:
-            for cand in rule_predecessor_basis(rule, g, self.klass, self.limits):
-                out.setdefault(cand.key(), cand)
-        return list(out.values())
+        over all rules, unordered and possibly repeated; `minimize`
+        makes them a basis."""
+        return [cand for rule in self.rules
+                for cand in rule_predecessor_basis(rule, g, self.klass, self.limits)]
 
     def post_basis(self, g: Graph) -> List[Graph]:
         """Generators of the one-step successors of g's upward closure,
-        deduplicated by key and unordered; `minimize` makes them a basis.
+        unordered and possibly repeated; `minimize` makes them a basis.
 
         A host above g matches a rule's left side in an overlap of the
         two, and applying the rule there gives a successor below every
@@ -383,14 +377,13 @@ class GraphBackend:
         successors into the class.
         """
         klass = self.klass
-        maxima = [(labels, None, hi) for labels, _lo, hi in klass.bounds]
-        out: Dict[tuple, Graph] = {}
+        out = []
         for rule in self.rules:
-            windows = _pair_windows(maxima, rule.left, g)
+            windows = _pair_windows(klass.bounds, rule.left, g)
             for ov in overlaps(rule.left, g, self.limits, windows):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
                 h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True)
                 if h is not None:
-                    out.setdefault(h.key(), h)
-        return list(out.values())
+                    out.append(h)
+        return out

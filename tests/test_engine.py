@@ -445,16 +445,23 @@ def test_max_bounded_creation_gives_no_successor():
     assert min_recovery(model.build(doc).instance()).kind == UNBOUNDED
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_min_bounded_deletion_reaches_safety_in_one_step():
-    """From {a, b} the rule reaches c->a in one step; `check` answers
-    unbounded."""
-    doc = gts_model(
-        {"node_count": {"a": {"min": 1}}},
-        gts_graph({"b": "b"}),
-        gts_graph({"c": "c", "a": "a"}, [("c", "a")]),
-        [],
-        gts_graph({"a": "a", "b": "b"}),
-        gts_graph({"c": "c", "a": "a"}, [("c", "a")]))
-    verdict = min_recovery(model.build(doc).instance())
+@pytest.mark.parametrize("klass, left, right, node_map, start, safety", [
+    # deleting b below the a minimum: the bare {b} must stay a predecessor
+    ({"node_count": {"a": {"min": 1}}},
+     gts_graph({"b": "b"}), gts_graph({"c": "c", "a": "a"}, [("c", "a")]), [],
+     gts_graph({"a": "a", "b": "b"}), gts_graph({"c": "c", "a": "a"}, [("c", "a")])),
+    # a safety pattern below the a minimum: its basis element stays
+    ({"node_count": {"a": {"min": 2}}},
+     gts_graph({"b": "b"}), gts_graph({"b": "b", "c": "c"}, [("b", "c")]), [["b", "b"]],
+     gts_graph({"a": "a", "a2": "a", "b": "b"}),
+     gts_graph({"b": "b", "c": "c", "a": "a"}, [("b", "c")])),
+], ids=["deletion", "safety-pattern"])
+def test_min_bounded_deletion_reaches_safety_in_one_step(klass, left, right, node_map,
+                                                         start, safety):
+    """Ideal generators below a `node_count` minimum stay: the start
+    reaches safety in one step, and both bounds say so."""
+    built = model.build(gts_model(klass, left, right, node_map, start, safety))
+    verdict = min_recovery(built.instance())
     assert (verdict.kind, verdict.k_min) == (FOUND, 1)
+    assert approx_bounds(built.start, built.bad, built.safe, built.backend,
+                         depth=3, over=True) == (1, 1)

@@ -207,6 +207,8 @@ def test_blocked_minimize_and_covers_match_reference():
         sample = random_product_markings(rng, rng.randint(0, 24), **shape)
         got, want = minimize(sample, order), reference_minimize(sample, order)
         assert got.elements == want.elements
+        # ideal steps stream repeated candidates into `minimize`
+        assert minimize(iter(sample + sample), order).elements == want.elements
         cut = rng.randint(0, len(sample))
         assert merged(sample, cut, order).elements == want.elements
         for s in random_product_markings(rng, 5, **shape) + sample[:3]:

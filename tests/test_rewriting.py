@@ -237,7 +237,7 @@ def reference_predecessor_keys(rule, target, klass):
     """The backward step built by hand, as it was before it became an
     inverse rule application: (a) the dangling check, (b) deletion of
     the created items, (c) gluing of the deleted left part.  Sorted
-    canonical keys of the class members it yields."""
+    canonical keys of the graphs it yields that embed in class members."""
     results = {}
     for ov in overlaps(rule.right, target):
         a_nodes, a_edges = ov.match["nodes"], ov.match["edges"]
@@ -271,7 +271,7 @@ def reference_predecessor_keys(rule, target, klass):
         for i, lid in enumerate(rule.deleted_edges):
             ls, lt, ll = rule.left.edges[lid]
             edges["del:e%d" % i] = (placed[ls], placed[lt], ll)
-        cand = klass.admit(Graph(nodes, edges))
+        cand = klass.admit(Graph(nodes, edges), subgraph=True)
         if cand is not None:
             results.setdefault(cand.key(), cand)
     return sorted(results)
@@ -320,7 +320,8 @@ def meets_dangling(rule, ov):
 
 
 # Classes with neither a path bound nor a count on a quotient label:
-# every overlap the backward step may skip is one `admit` rejects.
+# every overlap the backward step may skip is one `admit(g, subgraph=True)`
+# rejects.
 @pytest.mark.parametrize("klass", [
     GraphClass(node_count=(("a", (1, 2)),)),
     GraphClass(node_count=(("a", (None, 1)), ("b", (2, None)))),
@@ -337,7 +338,8 @@ def test_backward_step_enumerates_exactly_the_viable_overlaps(klass, monkeypatch
         rule_predecessor_basis(rule, target, klass)
         every = overlaps(rule.right, target)
         viable = [ov for ov in every if meets_dangling(rule, ov)
-                  and klass.admit(apply_rule(rule.inverse(), ov.u, ov.match))]
+                  and klass.admit(apply_rule(rule.inverse(), ov.u, ov.match),
+                                  subgraph=True) is not None]
         assert overlap_ids(calls[0]) == overlap_ids(viable), (rule.right, target)
         total += len(every)
         kept += len(viable)
