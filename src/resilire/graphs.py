@@ -470,6 +470,24 @@ class GraphClass:
                 return False
         return self.max_path is None or path_length_within(g, self.max_path)
 
+    def lifts(self, g: Graph) -> list:
+        """The least graphs made of g and isolated nodes that meet every
+        count minimum; each member above a normal g lies above one.
+        Normalization erases isolated nodes with a quotient label, so
+        none is added: a minimum only they could meet has no lift."""
+        out = [g]
+        for labels, lo, _hi in self.bounds:
+            grown = []
+            for h in out:
+                short = (lo or 0) - sum(lab in labels for lab in h.nodes.values())
+                grown += [h] if short <= 0 else [
+                    Graph({**h.nodes, **{"+%d" % (len(h.nodes) + i): lab
+                                         for i, lab in enumerate(extra)}}, h.edges)
+                    for extra in itertools.combinations_with_replacement(
+                        sorted(labels - self.quotient_labels), short)]
+            out = grown
+        return out
+
     def control_of(self, g: Graph) -> Optional[str]:
         return _label_in(g, self.control_labels)
 

@@ -14,7 +14,8 @@ the backward one by the dangling condition, on the node correspondence,
 before any overlap graph is built.  Their results are ideal generators:
 they are filtered only by what subgraphs of class members inherit
 (`GraphClass.admit(g, subgraph=True)`), may repeat, and are made a
-basis by `minimize`.
+basis by `minimize`.  The backward step first lifts its target to the
+class's node-count minima with isolated nodes.
 """
 
 from __future__ import annotations
@@ -291,31 +292,34 @@ def _glue(a, b, node_pairs, edge_pairs) -> Graph:
 
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
                            limits: Limits = DEFAULT_LIMITS) -> List[Graph]:
-    """Graphs G with a one-step successor above `target`, among them
-    the minimal ones: the inverse rule applied at each overlap of the
-    rule's right side with the target that meets the dangling
-    condition.
+    """Graphs G whose class members above them have a one-step
+    successor above `target` in the class, among them the minimal
+    ones: the inverse rule applied at each overlap of the rule's right
+    side with a lift of the target (`GraphClass.lifts`) that meets the
+    dangling condition.
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
     node.  The candidate has |left ∩ S| + |target ∩ S| - (pairs in S)
     nodes with a label in S, so the class's count maxima on labels the
     quotient leaves alone prune the overlaps too, before any is built.
-    The results, filtered by what subgraphs of members inherit and
-    canonical, generate the one-step predecessor ideal within the
-    class: one below a `node_count` minimum stays, since larger hosts
-    above it are members.  The caller's fixed-point loop supplies the
-    reflexive part.  They come in enumeration order and may repeat or
-    dominate one another: `minimize` makes them a basis.
+    A successor in the class lies above a lift, and a successor above
+    a lift meets the minima, so the results need only be filtered by
+    what subgraphs of members inherit.  Canonical, they generate the
+    one-step predecessor ideal within the class; the caller's
+    fixed-point loop supplies the reflexive part.  They come in
+    enumeration order and may repeat or dominate one another:
+    `minimize` makes them a basis.
     """
     inverse = rule.inverse()
     bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
-    windows = _pair_windows(bounds, rule.left, target)
     out = []
-    for ov in overlaps(rule.right, target, limits, windows, rule.created_nodes):
-        cand = klass.admit(apply_rule(inverse, ov.u, ov.match), subgraph=True)
-        if cand is not None:
-            out.append(cand)
+    for lift in klass.lifts(target):
+        windows = _pair_windows(bounds, rule.left, lift)
+        for ov in overlaps(rule.right, lift, limits, windows, rule.created_nodes):
+            cand = klass.admit(apply_rule(inverse, ov.u, ov.match), subgraph=True)
+            if cand is not None:
+                out.append(cand)
     return out
 
 

@@ -416,15 +416,17 @@ def gts_graph(nodes, edges=()):
                       for k, (s, t) in enumerate(edges)]}
 
 
-def gts_model(klass, left, right, node_map, start, safety):
-    """A one-rule graph model whose start is its only `b_post` state,
-    under the error reading of bad."""
+def gts_model(klass, left, right, node_map, start, safety, more_rules=()):
+    """A graph model with the rule left -> right (and `more_rules`, as
+    (left, right, node_map) triples) whose start is its only `b_post`
+    state, under the error reading of bad."""
+    rules = [(left, right, node_map), *more_rules]
     return model.from_dict({
         "format": "resilire/1", "kind": "gts",
         "gts": {"class": klass,
-                "rules": [{"name": "r", "owner": "sys", "left": left,
-                           "right": right,
-                           "map": {"nodes": node_map, "edges": []}}],
+                "rules": [{"name": "r%d" % i, "owner": "sys", "left": l,
+                           "right": r, "map": {"nodes": m, "edges": []}}
+                          for i, (l, r, m) in enumerate(rules)],
                 "start": start},
         "safety": {"op": "exists", "graph": safety},
         "bad": {"mode": "error"},
@@ -465,3 +467,25 @@ def test_min_bounded_deletion_reaches_safety_in_one_step(klass, left, right, nod
     assert (verdict.kind, verdict.k_min) == (FOUND, 1)
     assert approx_bounds(built.start, built.bad, built.safe, built.backend,
                          depth=3, over=True) == (1, 1)
+
+
+@pytest.mark.parametrize("klass, left, right, node_map, start, safety, more_rules", [
+    # {b} steps to c->a, but {a} steps to {b} only by deleting the last a
+    ({"node_count": {"a": {"min": 1}}},
+     gts_graph({"b": "b"}), gts_graph({"c": "c", "a": "a"}, [("c", "a")]), [],
+     gts_graph({"a": "a"}), gts_graph({"c": "c", "a": "a"}, [("c", "a")]),
+     [(gts_graph({"a": "a"}), gts_graph({"b": "b"}), [])]),
+    # the only step from {a, a} leaves one a, below the minimum
+    ({"node_count": {"a": {"min": 2}}},
+     gts_graph({"a": "a"}), gts_graph({"c": "c"}), [],
+     gts_graph({"a": "a", "a2": "a"}), gts_graph({"c": "c", "a": "a"}), []),
+], ids=["two-rules", "safety-pattern"])
+def test_min_bounded_successor_must_meet_the_minimum(klass, left, right, node_map,
+                                                     start, safety, more_rules):
+    """A target below a `node_count` minimum is reached only by hosts
+    whose successor meets it: the start never reaches safety."""
+    built = model.build(gts_model(klass, left, right, node_map, start, safety,
+                                  more_rules))
+    assert min_recovery(built.instance()).kind == UNBOUNDED
+    assert approx_bounds(built.start, built.bad, built.safe, built.backend,
+                         depth=3, over=True) == (INFINITY, INFINITY)

@@ -388,3 +388,20 @@ def test_admit_agrees_with_normalize_then_contains():
             else:
                 assert got is None
     assert 0 < admitted[False] < admitted[True]
+
+
+def test_lifts_add_the_least_isolated_nodes_for_each_minimum():
+    """Each lift is g plus isolated nodes; a label-set minimum gives one
+    lift per label, a minimum met already adds nothing, and one that only
+    quotient nodes could meet gives none."""
+    g = graph_of({"x": "a", "y": "b"}, [("x", "y", "e")])
+    klass = GraphClass(node_count=(("a", (3, None)), ("b", (1, 2))),
+                       control_labels=frozenset({"p", "q"}))
+    lifts = klass.lifts(g)
+    assert sorted(h.key() for h in lifts) == sorted(
+        graph_of({"x": "a", "y": "b", "1": "a", "2": "a", "c": c},
+                 [("x", "y", "e")]).key() for c in "pq")
+    assert all(klass.contains(h) and SubgraphOrder().leq(g, h) for h in lifts)
+    assert GraphClass(node_count=(("b", (1, None)),)).lifts(g) == [g]
+    assert GraphClass(node_count=(("t", (1, None)),),
+                      quotient_labels=frozenset({"t"})).lifts(g) == []

@@ -233,6 +233,26 @@ def test_backward_step_sound_and_complete_smoke():
                 assert covers(basis, g)
 
 
+def test_backward_step_lifts_targets_to_the_count_minima():
+    """A target below a class minimum stands for the members above it:
+    a class member steps above the target inside the class exactly when
+    it lies above a basis element, on a 4-node universe."""
+    rng = rng_for("pre-minima-universe")
+    klass = GraphClass(node_count=(("a", (2, None)), ("b", (1, None))))
+    order = SubgraphOrder()
+    universe = enumerate_class_graphs(["a", "b"], ["x"], 4, klass, max_edges=2)
+    lifted = 0
+    for _ in range(16):
+        rule = random_rule(rng)
+        target = random_graph(rng, ["a", "b"], ["x"], 3, 2)
+        basis = minimize(rule_predecessor_basis(rule, target, klass), order)
+        lifted += not klass.contains(target)
+        for g in universe:
+            assert one_step_covers(rule, g, target, klass) == covers(basis, g), (
+                rule, target, g)
+    assert lifted > 8
+
+
 def reference_predecessor_keys(rule, target, klass):
     """The backward step built by hand, as it was before it became an
     inverse rule application: (a) the dangling check, (b) deletion of
