@@ -8,7 +8,10 @@ pruning.  Graphs are immutable once constructed; equality and hashing
 are by canonical form, i.e. up to isomorphism.
 
 The canonical search prunes twins (nodes an automorphism swaps), which
-keeps symmetric states such as stars cheap without changing any key.
+keeps symmetric states such as stars cheap without changing any key;
+given the host's twins, the embedding search prunes them and parallel
+host edges the same way, for callers that need morphisms only up to
+host automorphisms.
 Candidates are filtered by class membership, an isomorphism invariant,
 before they are canonicalized (`GraphClass.admit`).
 """
@@ -165,7 +168,7 @@ def _cells(g: Graph, colors: Dict[str, int]):
     return [sorted(groups[c]) for c in sorted(groups)]
 
 
-def _twin_signatures(g: Graph) -> Dict[str, tuple]:
+def twin_signatures(g: Graph) -> Dict[str, tuple]:
     """Nodes with equal signatures (label, loop labels, labeled out- and
     in-neighbours) are twins.  Twins are never adjacent, so swapping two
     of them is an automorphism; it preserves any coloring in which they
@@ -229,7 +232,7 @@ def _canonical_key(g: Graph) -> tuple:
         return (0, 0, (), ())
     colors = _refine(g, _initial_colors(g))
     discrete = len(set(colors.values())) == len(g.nodes)
-    labels, triples = _min_encoding(g, colors, {} if discrete else _twin_signatures(g))
+    labels, triples = _min_encoding(g, colors, {} if discrete else twin_signatures(g))
     return (len(g.nodes), len(g.edges), labels, triples)
 
 
@@ -286,12 +289,19 @@ def _pattern_order(p: Graph, adj: _Adj):
     return order
 
 
-def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterator[dict]:
+def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False,
+               twins: Optional[Dict[str, tuple]] = None) -> Iterator[dict]:
     """All total injective label-preserving morphisms pattern -> host.
 
     Yields {"nodes": vmap, "edges": emap} dicts.  With nodes_only=True
     only node maps are yielded (edge capacity is still verified, so a
     full morphism exists for every yielded node map).
+
+    Given the host's `twin_signatures` as `twins`, only one morphism per
+    orbit of the host's twin swaps and parallel-edge swaps is yielded:
+    each depth of the search tries one host node per twin class, and
+    each group of parallel host edges gets one injection.  Every
+    morphism is one of these followed by an automorphism of the host.
     """
     if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
         return
@@ -300,6 +310,10 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     hosts_by_label = defaultdict(list)
     for v, lab in sorted(host.nodes.items()):
         hosts_by_label[lab].append(v)
+    parallel = defaultdict(list)
+    if not nodes_only:
+        for eid, e in sorted(host.edges.items()):
+            parallel[e].append(eid)
 
     vmap: Dict[str, str] = {}
     used = set()
@@ -326,11 +340,18 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
             if nodes_only:
                 yield {"nodes": dict(vmap), "edges": None}
             else:
-                yield from _edge_assignments(pattern, host, dict(vmap))
+                yield from _edge_assignments(pattern, parallel, dict(vmap), twins is not None)
             return
         pv = order[i]
+        tried = set()
         for hv in hosts_by_label[pattern.nodes[pv]]:
-            if hv in used or not capacity_ok(pv, hv):
+            if hv in used:
+                continue
+            if twins is not None:
+                if twins[hv] in tried:
+                    continue
+                tried.add(twins[hv])
+            if not capacity_ok(pv, hv):
                 continue
             vmap[pv] = hv
             used.add(hv)
@@ -341,21 +362,24 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False) -> Iterato
     yield from assign(0)
 
 
-def _edge_assignments(pattern: Graph, host: Graph, vmap: dict) -> Iterator[dict]:
+def _edge_assignments(pattern: Graph, parallel: dict, vmap: dict,
+                      one: bool) -> Iterator[dict]:
+    """The edge maps over a node map, given the host's edge ids per
+    (src, tgt, label): every one, or with `one` a single one, since all
+    injections into a group of parallel host edges are swaps of each
+    other."""
     pgroups = defaultdict(list)
     for eid, (s, t, l) in sorted(pattern.edges.items()):
         pgroups[(vmap[s], vmap[t], l)].append(eid)
-    hgroups = defaultdict(list)
-    for eid, (s, t, l) in sorted(host.edges.items()):
-        hgroups[(s, t, l)].append(eid)
     keys = sorted(pgroups)
     pools = []
     for k in keys:
         need = pgroups[k]
-        have = hgroups.get(k, [])
+        have = parallel.get(k, [])
         if len(have) < len(need):
             return
-        pools.append([dict(zip(need, perm)) for perm in itertools.permutations(have, len(need))])
+        images = [have[:len(need)]] if one else itertools.permutations(have, len(need))
+        pools.append([dict(zip(need, image)) for image in images])
     for combo in itertools.product(*pools):
         emap: Dict[str, str] = {}
         for part in combo:
@@ -388,6 +412,19 @@ def path_length_within(g: Graph, bound: int) -> bool:
     for (s, t, _l) in g.edges.values():
         incident[s].add(t)
         incident[t].add(s)
+    # A simple path stays in one component and visits each node once,
+    # so components of at most bound + 1 nodes need no walk.
+    placed, starts = set(), []
+    for v in g.nodes:
+        if v not in placed:
+            component, stack = {v}, [v]
+            while stack:
+                for w in incident[stack.pop()] - component:
+                    component.add(w)
+                    stack.append(w)
+            placed |= component
+            if len(component) > bound + 1:
+                starts += component
 
     def walk(v, seen, length):
         if length > bound:
@@ -400,7 +437,7 @@ def path_length_within(g: Graph, bound: int) -> bool:
                 seen.discard(w)
         return True
 
-    return all(walk(v, {v}, 0) for v in g.nodes)
+    return all(walk(v, {v}, 0) for v in starts)
 
 
 def quotient_isolated(g: Graph, labels) -> Graph:

@@ -9,10 +9,14 @@ step applies the inverse rule at the overlaps of the right-hand side
 with a target graph that meet the dangling condition, which gives the
 minimal graphs reaching the target's upward closure in one step.
 
-Both graph steps prune overlaps by the class's node-count maxima, and
-the backward one by the dangling condition, on the node correspondence,
-before any overlap graph is built.  Their results are ideal generators:
-they are filtered only by what subgraphs of class members inherit
+Matches and overlaps are enumerated once per orbit of two cheap
+symmetries of the host graph: swaps of twin nodes and of parallel
+edges.  Copies in one orbit give isomorphic results, so every step
+still yields each result up to isomorphism.  Both graph steps prune
+overlaps by the class's node-count maxima, and the backward one by the
+dangling condition, on the node correspondence, before any overlap
+graph is built.  Their results are ideal generators: they are filtered
+only by what subgraphs of class members inherit
 (`GraphClass.admit(g, subgraph=True)`), may repeat, and are made a
 basis by `minimize`.  The backward step first lifts its target to the
 class's node-count minima with isolated nodes.
@@ -26,7 +30,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
-                     exists_embedding)
+                     exists_embedding, twin_signatures)
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Wqo
 
@@ -99,9 +103,16 @@ def identity_rule(name: str, owner: str) -> Rule:
     return Rule(name, owner, EMPTY_GRAPH, EMPTY_GRAPH, {})
 
 
-def matches(rule: Rule, g: Graph) -> Iterator[dict]:
-    """All total injective match morphisms of the rule's left side."""
-    return embeddings(rule.left, g)
+def matches(rule: Rule, g: Graph, twins=None) -> Iterator[dict]:
+    """Total injective match morphisms of the rule's left side, one per
+    orbit of g's twin swaps and parallel-edge swaps; `twins` is g's
+    `twin_signatures`, computed unless given.  Matches in one orbit
+    give isomorphic results, so these give every result up to
+    isomorphism; `graphs.embeddings` without `twins` yields every
+    match."""
+    if twins is None:
+        twins = twin_signatures(g)
+    return embeddings(rule.left, g, twins=twins)
 
 
 def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
@@ -135,8 +146,9 @@ def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
     """All one-step SPO successors inside the class, canonical,
     deduplicated by key and unordered; `minimize` orders them."""
     seen = {}
+    twins = twin_signatures(g)
     for rule in rules:
-        for m in matches(rule, g):
+        for m in matches(rule, g, twins):
             h = klass.admit(apply_rule(rule, g, m))
             if h is not None:
                 seen.setdefault(h.key(), h)
@@ -165,10 +177,13 @@ class Overlap(NamedTuple):
 def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
              windows: Sequence[Tuple[frozenset, int]] = (),
              fresh: Sequence[str] = ()) -> List[Overlap]:
-    """Enumerate every way of gluing `a` and `b` along a partial
+    """Enumerate the ways of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
-    the empty correspondence).  Distinct correspondences give distinct
-    overlaps; no two results are isomorphic as spans.
+    the empty correspondence), one per orbit of `b`'s twin swaps and
+    parallel-edge swaps: a node of `a` is paired with one node of each
+    twin class of `b`, and a subset of `a`'s edges with one image in
+    each group of parallel edges of `b`.  Every overlap is isomorphic,
+    by an isomorphism fixing the items of `a`, to a returned one.
 
     Two prunings skip correspondences before any graph is built:
     `windows` holds (labels, least) pairs, and only correspondences
@@ -176,7 +191,7 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
     node of `b` paired with one must have all its edges merged (the
     dangling condition of deleting the fresh nodes from U).  Without
-    them every overlap is enumerated.
+    them every orbit is enumerated.
     """
     out: List[Overlap] = []
     node_cap = limits.overlap_nodes
@@ -188,6 +203,7 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
+    twins = twin_signatures(b)
     # Per window: the most pairs it can still reach.
     hits = [[w for w, (labels, _least) in enumerate(windows) if a.nodes[aid] in labels]
             for aid in a_ids]
@@ -200,9 +216,10 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
         merged_b = set(node_pairs.values())
         pinned = {node_pairs[aid] for aid in fresh if aid in node_pairs}
         # Edge pairs are only possible between edges whose endpoints are
-        # identified and whose labels agree; group and enumerate
-        # injective partial matchings per group.  A group at a pinned
-        # node must merge all its edges of `b`.
+        # identified and whose labels agree; group them and pair each
+        # subset of a group's edges of `a` with its first edges of `b`,
+        # which are parallel.  A group at a pinned node must merge all
+        # its edges of `b`.
         groups = defaultdict(lambda: ([], []))
         for aeid, (s, t, l) in sorted(a.edges.items()):
             if s in node_pairs and t in node_pairs:
@@ -215,10 +232,9 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
         pools = []
         for (s, t, _l), (a_es, b_es) in sorted(groups.items()):
             least = len(b_es) if s in pinned or t in pinned else 0
-            options = [dict(zip(subset, image))
+            options = [dict(zip(subset, b_es))
                        for k in range(least, min(len(a_es), len(b_es)) + 1)
-                       for subset in itertools.combinations(a_es, k)
-                       for image in itertools.permutations(b_es, k)]
+                       for subset in itertools.combinations(a_es, k)]
             if not options:
                 return
             pools.append(options)
@@ -246,9 +262,11 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
             choose(i + 1, node_pairs, used_b)
         for w in ws:
             reach[w] += 1
+        tried = set()
         for bid in b_by_label[a.nodes[aid]]:
-            if bid in used_b:
+            if bid in used_b or twins[bid] in tried:
                 continue
+            tried.add(twins[bid])
             node_pairs[aid] = bid
             used_b.add(bid)
             choose(i + 1, node_pairs, used_b)

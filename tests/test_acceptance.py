@@ -21,11 +21,12 @@ from resilire.constraints import BadSet, Exists, Or, VectorPattern, ideal_basis_
 from resilire.engine import (FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                              backward_step, min_recovery, overapprox_bound,
                              pre_star, underapprox_bound)
-from resilire.graphs import Graph, GraphClass, exists_embedding, quotient_isolated
+from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding,
+                             quotient_isolated)
 from resilire.order import basis_subset, covers, minimize
 from resilire.petri import Marking, ProductBackend, make_net
-from resilire.rewriting import (SubgraphOrder, matches, apply_rule,
-                                rule_predecessor_basis, successors)
+from resilire.rewriting import (SubgraphOrder, apply_rule, rule_predecessor_basis,
+                                successors)
 from resilire.control import make_automaton
 
 import conftest
@@ -246,10 +247,11 @@ def test_acceptance_5a_marking_backward_step_exact():
 
 def one_step_covers(rule, g, target, klass):
     """Forward oracle, kept canonicalization-free for speed: apply the
-    rule at every match and test target containment directly (both the
-    class test and embedding existence are isomorphism-invariant)."""
-    from resilire.graphs import quotient_isolated
-    for m in matches(rule, g):
+    rule at every match, each morphism of its left side into g rather
+    than `matches`' orbit representatives, and test target containment
+    directly (both the class test and embedding existence are
+    isomorphism-invariant)."""
+    for m in embeddings(rule.left, g):
         h = apply_rule(rule, g, m)
         if klass.quotient_labels:
             h = quotient_isolated(h, klass.quotient_labels)

@@ -2,7 +2,7 @@
 
 import itertools
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import factorial
 
 from resilire.graphs import (_BRUTE_ORDERINGS, Graph, GraphClass, _canonical_key,
@@ -180,6 +180,34 @@ def test_longest_path_matches_enumeration_randomly():
         assert longest_path(g) == brute_force_longest_path(g)
         bound = rng.randint(0, 4)
         assert path_length_within(g, bound) == (longest_path(g) <= bound)
+
+
+def largest_component(g):
+    parent = {v: v for v in g.nodes}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for (s, t, _l) in g.edges.values():
+        parent[root(s)] = root(t)
+    return max(Counter(root(v) for v in g.nodes).values(), default=0)
+
+
+def test_path_bound_agrees_with_the_exhaustive_walk():
+    """Both sides of the small-component shortcut give the walk's answer."""
+    rng = rng_for("path-bound-shortcut")
+    short = walked = 0
+    for _ in range(300):
+        g = random_graph(rng, ["a"], ["x"], 7, 7)
+        bound = rng.randint(0, 3)
+        assert path_length_within(g, bound) == (longest_path(g) <= bound), (g, bound)
+        if largest_component(g) <= bound + 1:
+            short += 1
+        else:
+            walked += 1
+    assert short > 100 and walked > 50
 
 
 def test_quotient_removes_isolated_labeled_nodes():

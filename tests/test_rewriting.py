@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from resilire import rewriting
-from resilire.graphs import Graph, GraphClass, exists_embedding, graph_of, single_node
+from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,
+                             single_node)
 from resilire.limits import Limits
 from resilire.order import basis_subset, covers, minimize
 from resilire.petri import Marking, enabled, fire, make_net
@@ -93,17 +94,12 @@ def test_successors_empty_without_match():
 # -- overlap enumeration -----------------------------------------------------
 
 
-def test_overlap_counts_single_nodes():
-    a = single_node("a")
-    assert len(overlaps(a, single_node("a"))) == 2  # merged and disjoint
-    assert len(overlaps(a, single_node("b"))) == 1  # disjoint only
-
-
-def brute_overlap_count(a, b):
-    """Independent count: every partial injective label-preserving node
-    matching, times every consistent injective edge matching."""
+def brute_overlaps(a, b):
+    """Independent enumeration: U for every partial injective
+    label-preserving node matching and every consistent injective edge
+    matching, with the ids `overlaps` gives U's items."""
     a_nodes, b_nodes = sorted(a.nodes), sorted(b.nodes)
-    total = 0
+    out = []
     for k in range(min(len(a_nodes), len(b_nodes)) + 1):
         for chosen in itertools.combinations(a_nodes, k):
             for image in itertools.permutations(b_nodes, k):
@@ -115,7 +111,6 @@ def brute_overlap_count(a, b):
                     for be, (s2, t2, l2) in sorted(b.edges.items()):
                         if l == l2 and vmap.get(s) == s2 and vmap.get(t) == t2:
                             pairs.append((ae, be))
-                count = 0
                 a_es = sorted({p[0] for p in pairs})
                 b_es = sorted({p[1] for p in pairs})
                 pairset = set(pairs)
@@ -123,25 +118,76 @@ def brute_overlap_count(a, b):
                     for sub in itertools.combinations(a_es, kk):
                         for img in itertools.permutations(b_es, kk):
                             if all((x, y) in pairset for x, y in zip(sub, img)):
-                                count += 1
-                total += count
-    return total
+                                out.append(glued(a, b, vmap, dict(zip(sub, img))))
+    return out
+
+
+def glued(a, b, vmap, emap):
+    """U of one node and edge matching, built without `overlaps`."""
+    home = {y: "a:" + x for x, y in vmap.items()}
+    nodes = {"a:" + v: lab for v, lab in a.nodes.items()}
+    for v, lab in b.nodes.items():
+        if v not in home:
+            home[v] = "b:" + v
+            nodes["b:" + v] = lab
+    edges = {"a:" + e: ("a:" + s, "a:" + t, l) for e, (s, t, l) in a.edges.items()}
+    for e, (s, t, l) in b.edges.items():
+        if e not in emap.values():
+            edges["b:" + e] = (home[s], home[t], l)
+    return Graph(nodes, edges)
+
+
+def pinned_class(u):
+    """U's isomorphism class with the items of `a` held fixed: the key
+    of U with each `a:` item's id folded into its label."""
+    nodes = {v: lab + "@" + v if v.startswith("a:") else lab for v, lab in u.nodes.items()}
+    edges = {e: (s, t, l + "@" + e if e.startswith("a:") else l)
+             for e, (s, t, l) in u.edges.items()}
+    return Graph(nodes, edges).key()
+
+
+def assert_overlaps_meet_every_class(a, b):
+    """`overlaps` returns a pinned class for every overlap, and no more
+    overlaps than brute force finds; returns both counts."""
+    got, want = overlaps(a, b), brute_overlaps(a, b)
+    assert {pinned_class(ov.u) for ov in got} == {pinned_class(u) for u in want}, (a, b)
+    assert len(got) <= len(want)
+    return len(got), len(want)
+
+
+def test_overlap_counts_single_nodes():
+    a = single_node("a")
+    assert assert_overlaps_meet_every_class(a, single_node("a")) == (2, 2)  # merged, disjoint
+    assert assert_overlaps_meet_every_class(a, single_node("b")) == (1, 1)  # disjoint only
 
 
 def test_overlap_count_on_touching_edges():
     a = graph_of({"x": "n", "y": "n"}, [("x", "y", "x")])
     b = graph_of({"y": "n", "z": "n"}, [("y", "z", "x")])
-    got = overlaps(a, b)
-    assert len(got) == brute_overlap_count(a, b)
-    assert any(len(ov.u.nodes) == 4 for ov in got)  # the disjoint union
+    assert_overlaps_meet_every_class(a, b)
+    assert any(len(ov.u.nodes) == 4 for ov in overlaps(a, b))  # the disjoint union
 
 
 def test_overlap_count_random_against_brute_force():
     rng = rng_for("overlap-brute")
+    fewer = 0
     for _ in range(25):
         a = random_graph(rng, ["n", "m"], ["x"], 3, 2)
         b = random_graph(rng, ["n", "m"], ["x"], 3, 2)
-        assert len(overlaps(a, b)) == brute_overlap_count(a, b)
+        got, want = assert_overlaps_meet_every_class(a, b)
+        fewer += got < want
+    assert fewer
+
+
+def test_overlaps_skip_twin_nodes_and_parallel_edges():
+    """Pairing with either of two twin nodes, or with either of two
+    parallel edges, gives the same pinned class once."""
+    a = single_node("n")
+    twins = graph_of({"u": "n", "v": "n"}, [])
+    assert assert_overlaps_meet_every_class(a, twins) == (2, 3)
+    edge = graph_of({"s": "n", "t": "m"}, [("s", "t", "x")])  # no twins
+    parallel = graph_of({"s": "n", "t": "m"}, [("s", "t", "x"), ("s", "t", "x")])
+    assert assert_overlaps_meet_every_class(edge, parallel) == (5, 6)
 
 
 def test_overlap_guard_trips():
@@ -215,6 +261,53 @@ def random_rule(rng, node_labels=("a", "b"), edge_labels=("x",)):
     right = Graph(nodes, edges)
     return Rule("r", "sys", left, right,
                 {n: n for n in keep_nodes}, {e: e for e in keep_edges})
+
+
+def twin_rich_graph(rng, klass):
+    """A random class graph to which a twin of one node and a parallel
+    copy of one edge were added, or None if the class refuses them."""
+    for _ in range(50):
+        g = random_graph(rng, ["a", "b"], ["x"], 3, 3)
+        nodes, edges = dict(g.nodes), dict(g.edges)
+        if nodes:
+            v = rng.choice(sorted(nodes))
+            nodes["twin"] = nodes[v]
+            for e, (s, t, l) in g.edges.items():
+                if v in (s, t):
+                    edges["twin" + e] = ("twin" if s == v else s, "twin" if t == v else t, l)
+        if g.edges:
+            edges["parallel"] = g.edges[rng.choice(sorted(g.edges))]
+        h = Graph(nodes, edges)
+        if klass.contains(h):
+            return h
+    return None
+
+
+@pytest.mark.parametrize("klass", [
+    GraphClass(max_path=4),
+    GraphClass(max_path=4, quotient_labels=frozenset({"b"})),
+    GraphClass(max_path=4, node_count=(("a", (1, 3)),)),
+    GraphClass(max_path=4, control_labels=frozenset({"b"})),
+], ids=["plain", "quotient", "counts", "control"])
+def test_successors_equal_the_results_at_every_embedding(klass):
+    """Matching one morphism per orbit of the host's twin and
+    parallel-edge swaps loses no successor, and skips some matches."""
+    rng = rng_for("orbit-successors")
+    nonempty = pruned = 0
+    for _ in range(300):
+        rule = random_rule(rng)
+        g = twin_rich_graph(rng, klass)
+        if g is None:
+            continue
+        every = list(embeddings(rule.left, g))
+        want = {h.key() for h in (klass.admit(apply_rule(rule, g, m)) for m in every)
+                if h is not None}
+        assert {h.key() for h in successors(g, [rule], klass)} == want, (rule.left, g)
+        count = sum(1 for _ in matches(rule, g))
+        assert count <= len(every)
+        nonempty += bool(want)
+        pruned += count < len(every)
+    assert nonempty > 80 and pruned > 30
 
 
 def test_backward_step_sound_and_complete_smoke():
