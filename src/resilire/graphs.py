@@ -7,11 +7,13 @@ individualization, embeddings via backtracking with degree and label
 pruning.  Graphs are immutable once constructed; equality and hashing
 are by canonical form, i.e. up to isomorphism.
 
-The canonical search prunes twins (nodes an automorphism swaps), which
-keeps symmetric states such as stars cheap without changing any key;
-given the host's twins, the embedding search prunes them and parallel
-host edges the same way, for callers that need morphisms only up to
-host automorphisms.
+The canonical search runs on node indices with per-node (label, index)
+edge lists, leaves a coloring that starts discrete unrefined, and prunes
+twins (nodes an automorphism swaps), which keeps symmetric states such
+as stars cheap without changing any key; given the host's twins, the
+embedding search prunes them and parallel host edges the same way, for
+callers that need morphisms only up to host automorphisms.  A caller
+may prepare a host once for many embedding searches (`host_plan`).
 Candidates are filtered by class membership, an isomorphism invariant,
 before they are canonicalized (`GraphClass.admit`).
 """
@@ -124,48 +126,30 @@ def single_node(label: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _refine(g: Graph, colors: Dict[str, int]) -> Dict[str, int]:
+def _ranks(sigs: list) -> list:
+    """Each signature's rank among the distinct ones: a coloring."""
+    ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [ranking[sig] for sig in sigs]
+
+
+def _refine(adj, colors: list) -> list:
     """Iterated neighborhood color refinement (1-WL with edge labels)."""
-    n = len(g.nodes)
+    n, k = len(colors), len(set(colors))
     while True:
-        sigs = {}
-        for v in g.nodes:
-            out_sig = sorted(
-                (l, colors[t]) for (s, t, l) in g.edges.values() if s == v
-            )
-            in_sig = sorted(
-                (l, colors[s]) for (s, t, l) in g.edges.values() if t == v
-            )
-            sigs[v] = (colors[v], tuple(out_sig), tuple(in_sig))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {v: ranking[sigs[v]] for v in g.nodes}
-        if len(set(new.values())) == len(set(colors.values())):
-            return new
-        colors = new
-        if len(set(colors.values())) == n:
+        colors = _ranks([(c, tuple(sorted([(l, colors[t]) for l, t in out])),
+                          tuple(sorted([(l, colors[s]) for l, s in inn])))
+                         for c, out, inn in zip(colors, *adj)])
+        was, k = k, max(colors) + 1
+        if k in (was, n):
             return colors
 
 
-def _initial_colors(g: Graph) -> Dict[str, int]:
-    outd = Counter(s for (s, _t, _l) in g.edges.values())
-    ind = Counter(t for (_s, t, _l) in g.edges.values())
-    raw = {v: (lab, outd[v], ind[v]) for v, lab in g.nodes.items()}
-    ranking = {sig: i for i, sig in enumerate(sorted(set(raw.values())))}
-    return {v: ranking[raw[v]] for v in g.nodes}
-
-
-def _encode(g: Graph, ordering) -> tuple:
-    idx = {v: i for i, v in enumerate(ordering)}
-    labels = tuple(g.nodes[v] for v in ordering)
-    triples = tuple(sorted((idx[s], idx[t], l) for (s, t, l) in g.edges.values()))
-    return (labels, triples)
-
-
-def _cells(g: Graph, colors: Dict[str, int]):
-    groups = defaultdict(list)
-    for v, c in colors.items():
-        groups[c].append(v)
-    return [sorted(groups[c]) for c in sorted(groups)]
+def _encode(labels: list, triples: list, ordering) -> tuple:
+    pos = [0] * len(ordering)
+    for i, v in enumerate(ordering):
+        pos[v] = i
+    return (tuple(labels[v] for v in ordering),
+            tuple(sorted([(pos[s], pos[t], l) for s, t, l in triples])))
 
 
 def twin_signatures(g: Graph) -> Dict[str, tuple]:
@@ -195,8 +179,15 @@ def _twin_orderings(cell, twins) -> Iterator[tuple]:
             yield (v,) + tail
 
 
-def _min_encoding(g: Graph, colors: Dict[str, int], twins: Dict[str, tuple]) -> tuple:
-    cells = _cells(g, colors)
+def _min_encoding(kernel, colors: list, twins) -> tuple:
+    """The least encoding over the orderings that list the color cells
+    in color order; `kernel` is (labels, triples, adj) by node index."""
+    labels, triples, adj = kernel
+    cells = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    if len(cells) == len(colors):  # discrete: a single ordering
+        return _encode(labels, triples, [v for v, in cells])
     # The brute-force/individualize choice and the target cell ignore
     # twins: keys must not depend on how much of the search is pruned.
     cost = 1
@@ -205,35 +196,38 @@ def _min_encoding(g: Graph, colors: Dict[str, int], twins: Dict[str, tuple]) -> 
         if cost > _BRUTE_ORDERINGS:
             break
     if cost <= _BRUTE_ORDERINGS:
-        best = None
-        for parts in itertools.product(*(_twin_orderings(c, twins) for c in cells)):
-            ordering = [v for part in parts for v in part]
-            enc = _encode(g, ordering)
-            if best is None or enc < best:
-                best = enc
-        return best
+        cell_orderings = [_twin_orderings(c, twins) for c in cells]
+        return min(_encode(labels, triples, sum(parts, ()))
+                   for parts in itertools.product(*cell_orderings))
     # Individualize one node of the first ambiguous cell and recurse;
     # the minimum over all choices is an isomorphism invariant, and
     # twins give equal branches, so one per twin class suffices.
     target = next(c for c in cells if len(c) > 1)
-    fresh = max(colors.values()) + 1
-    best = None
-    for v in {twins[u]: u for u in target}.values():
-        branched = dict(colors)
-        branched[v] = fresh
-        enc = _min_encoding(g, _refine(g, branched), twins)
-        if best is None or enc < best:
-            best = enc
-    return best
+    fresh = [len(cells)]
+    return min(_min_encoding(kernel, _refine(adj, colors[:v] + fresh + colors[v + 1:]), twins)
+               for v in {twins[u]: u for u in target}.values())
 
 
 def _canonical_key(g: Graph) -> tuple:
-    if not g.nodes:
+    """The least encoding of g, searched over node indices 0..n-1 with
+    per-node (label, index) lists of out- and in-edges."""
+    n = len(g.nodes)
+    if not n:
         return (0, 0, (), ())
-    colors = _refine(g, _initial_colors(g))
-    discrete = len(set(colors.values())) == len(g.nodes)
-    labels, triples = _min_encoding(g, colors, {} if discrete else twin_signatures(g))
-    return (len(g.nodes), len(g.edges), labels, triples)
+    index = {v: i for i, v in enumerate(g.nodes)}
+    labels = list(g.nodes.values())
+    triples = [(index[s], index[t], l) for (s, t, l) in g.edges.values()]
+    adj = ([[] for _ in labels], [[] for _ in labels])
+    for s, t, l in triples:
+        adj[0][s].append((l, t))
+        adj[1][t].append((l, s))
+    colors = _ranks([(lab, len(out), len(inn)) for lab, out, inn in zip(labels, *adj)])
+    # A discrete coloring is stable: refining it would rank it again.
+    if max(colors) + 1 < n:
+        colors = _refine(adj, colors)
+    twins = list(twin_signatures(g).values()) if max(colors) + 1 < n else None
+    labels, triples = _min_encoding((labels, triples, adj), colors, twins)
+    return (n, len(triples), labels, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +283,19 @@ def _pattern_order(p: Graph, adj: _Adj):
     return order
 
 
+def host_plan(host: Graph) -> tuple:
+    """The matcher's per-host work, for any number of patterns: adjacency,
+    nodes per label, edge ids per (src, tgt, label).  No graph keeps it."""
+    by_label, parallel = defaultdict(list), defaultdict(list)
+    for v, lab in sorted(host.nodes.items()):
+        by_label[lab].append(v)
+    for eid, e in sorted(host.edges.items()):
+        parallel[e].append(eid)
+    return _Adj(host), by_label, parallel
+
+
 def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False,
-               twins: Optional[Dict[str, tuple]] = None) -> Iterator[dict]:
+               twins: Optional[Dict[str, tuple]] = None, plan=None) -> Iterator[dict]:
     """All total injective label-preserving morphisms pattern -> host.
 
     Yields {"nodes": vmap, "edges": emap} dicts.  With nodes_only=True
@@ -302,18 +307,12 @@ def embeddings(pattern: Graph, host: Graph, nodes_only: bool = False,
     each depth of the search tries one host node per twin class, and
     each group of parallel host edges gets one injection.  Every
     morphism is one of these followed by an automorphism of the host.
+    `plan` is the host's `host_plan`, built unless given.
     """
     if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
         return
     padj, order, pairs = _pattern_plan(pattern)
-    hadj = _Adj(host)
-    hosts_by_label = defaultdict(list)
-    for v, lab in sorted(host.nodes.items()):
-        hosts_by_label[lab].append(v)
-    parallel = defaultdict(list)
-    if not nodes_only:
-        for eid, e in sorted(host.edges.items()):
-            parallel[e].append(eid)
+    hadj, hosts_by_label, parallel = plan or host_plan(host)
 
     vmap: Dict[str, str] = {}
     used = set()

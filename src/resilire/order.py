@@ -8,7 +8,8 @@ elsewhere as membership predicates.
 
 Minimization asks an antichain index whether a kept element lies below
 the candidate (`Wqo.antichain_index`); the default index scans with
-`leq`, and an order may answer from a structure of its own instead.
+`leq`, and an order may answer from a structure of its own instead
+(markings: a token trie; graphs: each query's host prepared once).
 An order may also split its states into blocks, sets whose members are
 never comparable across blocks (`Wqo.block`).  Coverage then compares a
 state only with the basis elements of its own block; the default is a

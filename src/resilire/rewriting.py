@@ -30,9 +30,9 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
-                     exists_embedding, twin_signatures)
+                     exists_embedding, host_plan, twin_signatures)
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Wqo
+from .order import Wqo, _ScanIndex
 
 
 class Rule:
@@ -176,7 +176,7 @@ class Overlap(NamedTuple):
 
 def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
              windows: Sequence[Tuple[frozenset, int]] = (),
-             fresh: Sequence[str] = ()) -> List[Overlap]:
+             fresh: Sequence[str] = (), twins=None) -> List[Overlap]:
     """Enumerate the ways of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
     the empty correspondence), one per orbit of `b`'s twin swaps and
@@ -191,7 +191,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
     node of `b` paired with one must have all its edges merged (the
     dangling condition of deleting the fresh nodes from U).  Without
-    them every orbit is enumerated.
+    them every orbit is enumerated.  `twins` is `b`'s `twin_signatures`,
+    computed unless given.
     """
     out: List[Overlap] = []
     node_cap = limits.overlap_nodes
@@ -203,7 +204,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
-    twins = twin_signatures(b)
+    if twins is None:
+        twins = twin_signatures(b)
     # Per window: the most pairs it can still reach.
     hits = [[w for w, (labels, _least) in enumerate(windows) if a.nodes[aid] in labels]
             for aid in a_ids]
@@ -309,7 +311,7 @@ def _glue(a, b, node_pairs, edge_pairs) -> Graph:
 
 
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
-                           limits: Limits = DEFAULT_LIMITS) -> List[Graph]:
+                           limits: Limits = DEFAULT_LIMITS, lifts=None) -> List[Graph]:
     """Graphs G whose class members above them have a one-step
     successor above `target` in the class, among them the minimal
     ones: the inverse rule applied at each overlap of the rule's right
@@ -327,18 +329,25 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
     one-step predecessor ideal within the class; the caller's
     fixed-point loop supplies the reflexive part.  They come in
     enumeration order and may repeat or dominate one another:
-    `minimize` makes them a basis.
+    `minimize` makes them a basis.  `lifts` holds each lift of the target
+    with its `twin_signatures`, computed unless given.
     """
+    if lifts is None:
+        lifts = _twinned_lifts(target, klass)
     inverse = rule.inverse()
     bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
     out = []
-    for lift in klass.lifts(target):
+    for lift, twins in lifts:
         windows = _pair_windows(bounds, rule.left, lift)
-        for ov in overlaps(rule.right, lift, limits, windows, rule.created_nodes):
+        for ov in overlaps(rule.right, lift, limits, windows, rule.created_nodes, twins):
             cand = klass.admit(apply_rule(inverse, ov.u, ov.match), subgraph=True)
             if cand is not None:
                 out.append(cand)
     return out
+
+
+def _twinned_lifts(target: Graph, klass: GraphClass) -> list:
+    return [(lift, twin_signatures(lift)) for lift in klass.lifts(target)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +362,7 @@ class SubgraphOrder(Wqo):
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
     labels).  A label-count test refuses most pairs without a search.
+    Its antichain index prepares each candidate host once per query.
     """
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -363,6 +373,23 @@ class SubgraphOrder(Wqo):
 
     def size(self, a: Graph) -> int:
         return len(a.nodes) + len(a.edges)
+
+    def antichain_index(self) -> "_SubgraphIndex":
+        return _SubgraphIndex(self)
+
+
+class _SubgraphIndex(_ScanIndex):
+    """The scan index, building each query's `host_plan` once, when the
+    first added graph passes the label-count test, for all its searches."""
+
+    def covers(self, s: Graph) -> bool:
+        plan = None
+        for t in self._items:
+            if counts_fit(t, s):
+                plan = plan or host_plan(s)
+                if next(embeddings(t, s, nodes_only=True, plan=plan), None) is not None:
+                    return True
+        return False
 
 
 class GraphBackend:
@@ -384,8 +411,9 @@ class GraphBackend:
         """Generators of the one-step predecessors of g's upward closure,
         over all rules, unordered and possibly repeated; `minimize`
         makes them a basis."""
+        lifts = _twinned_lifts(g, self.klass)
         return [cand for rule in self.rules
-                for cand in rule_predecessor_basis(rule, g, self.klass, self.limits)]
+                for cand in rule_predecessor_basis(rule, g, self.klass, self.limits, lifts)]
 
     def post_basis(self, g: Graph) -> List[Graph]:
         """Generators of the one-step successors of g's upward closure,

@@ -4,14 +4,16 @@ import itertools
 import time
 from collections import Counter, defaultdict
 from math import factorial
+from typing import Dict
 
+from resilire import engine, graphs, model
 from resilire.graphs import (_BRUTE_ORDERINGS, Graph, GraphClass, _canonical_key,
-                             _cells, _encode, _initial_colors, _refine,
-                             embeddings, exists_embedding, graph_of,
+                             counts_fit, embeddings, exists_embedding, graph_of,
                              path_length_within, quotient_isolated, single_node)
+from resilire.order import _ScanIndex, minimize
 from resilire.rewriting import SubgraphOrder
 
-from conftest import random_graph, rng_for
+from conftest import fixture_path, random_graph, rng_for
 
 
 def count_embeddings(pattern, host):
@@ -252,6 +254,54 @@ def test_class_membership():
 # ---------------------------------------------------------------------------
 
 
+# The canonical search as first written, over the graph's string ids
+# and its edge dict: the reference for the integer-indexed kernel.
+
+
+def _refine(g: Graph, colors: Dict[str, int]) -> Dict[str, int]:
+    """Iterated neighborhood color refinement (1-WL with edge labels)."""
+    n = len(g.nodes)
+    while True:
+        sigs = {}
+        for v in g.nodes:
+            out_sig = sorted(
+                (l, colors[t]) for (s, t, l) in g.edges.values() if s == v
+            )
+            in_sig = sorted(
+                (l, colors[s]) for (s, t, l) in g.edges.values() if t == v
+            )
+            sigs[v] = (colors[v], tuple(out_sig), tuple(in_sig))
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        new = {v: ranking[sigs[v]] for v in g.nodes}
+        if len(set(new.values())) == len(set(colors.values())):
+            return new
+        colors = new
+        if len(set(colors.values())) == n:
+            return colors
+
+
+def _initial_colors(g: Graph) -> Dict[str, int]:
+    outd = Counter(s for (s, _t, _l) in g.edges.values())
+    ind = Counter(t for (_s, t, _l) in g.edges.values())
+    raw = {v: (lab, outd[v], ind[v]) for v, lab in g.nodes.items()}
+    ranking = {sig: i for i, sig in enumerate(sorted(set(raw.values())))}
+    return {v: ranking[raw[v]] for v in g.nodes}
+
+
+def _encode(g: Graph, ordering) -> tuple:
+    idx = {v: i for i, v in enumerate(ordering)}
+    labels = tuple(g.nodes[v] for v in ordering)
+    triples = tuple(sorted((idx[s], idx[t], l) for (s, t, l) in g.edges.values()))
+    return (labels, triples)
+
+
+def _cells(g: Graph, colors: Dict[str, int]):
+    groups = defaultdict(list)
+    for v, c in colors.items():
+        groups[c].append(v)
+    return [sorted(groups[c]) for c in sorted(groups)]
+
+
 def reference_min_encoding(g, colors):
     """The canonical search without twin pruning, kept verbatim."""
     cells = _cells(g, colors)
@@ -357,6 +407,64 @@ def test_symmetric_keys_are_fast_and_invariant():
         assert shuffled_copy(g, rng).key() == key
 
 
+def rich_graph(rng):
+    """A random multigraph with loops, parallel edges and, in about a
+    third of the draws, a run of isolated twins of a label of their own."""
+    g = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8)
+    nodes, edges = dict(g.nodes), dict(g.edges)
+    for e, d in g.edges.items():
+        if rng.random() < 0.25:
+            edges["par_" + e] = d
+    for v in g.nodes:
+        if rng.random() < 0.15:
+            edges["loop_" + v] = (v, v, rng.choice("xy"))
+    if rng.random() < 0.35:
+        nodes.update(("iso%d" % i, "c") for i in range(rng.randint(2, 7)))
+    ids = list(nodes)
+    rng.shuffle(ids)
+    return Graph({v: nodes[v] for v in ids}, edges)
+
+
+def past_brute_orderings(g):
+    """Whether the search individualizes: the refined cells allow more
+    than `_BRUTE_ORDERINGS` orderings."""
+    cost = 1
+    for cell in _cells(g, _refine(g, _initial_colors(g))):
+        cost *= factorial(len(cell))
+    return cost > _BRUTE_ORDERINGS
+
+
+def test_indexed_keys_equal_reference_keys_on_rich_graphs():
+    rng = rng_for("rich-graphs")
+    seen = Counter()
+    for _ in range(800):
+        g = rich_graph(rng)
+        assert _canonical_key(g) == reference_key(g), g
+        seen["loops"] += any(s == t for s, t, _l in g.edges.values())
+        seen["parallel"] += len(set(g.edges.values())) < len(g.edges)
+        seen["isolated twins"] += any(v.startswith("iso") for v in g.nodes)
+        seen["individualized"] += past_brute_orderings(g)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_keys_of_the_first_backward_rounds_equal_reference_keys(monkeypatch):
+    """Every graph the path game's first four backward rounds canonicalize."""
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    keyed = []
+
+    def recording(g):
+        keyed.append(g)
+        return _canonical_key(g)
+
+    monkeypatch.setattr(graphs, "_canonical_key", recording)
+    rounds = engine._backward(built.safe, built.backend, built.doc.limits.max_iters)
+    assert [k for k, _basis, _stable in itertools.islice(rounds, 5)] == [0, 1, 2, 3, 4]
+    monkeypatch.undo()
+    assert len(keyed) > 500
+    for g in keyed:
+        assert _canonical_key(g) == reference_key(g), g
+
+
 def test_canonical_copy_carries_its_key():
     rng = rng_for("handover")
     for _ in range(50):
@@ -390,6 +498,45 @@ def test_leq_prefilter_never_refuses_an_embedding():
         assert order.leq(a, b) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+class ScanSubgraphOrder(SubgraphOrder):
+    """The subgraph order with the default antichain index."""
+
+    def antichain_index(self):
+        return _ScanIndex(self)
+
+
+def test_subgraph_index_covers_as_the_scan_does():
+    rng = rng_for("subgraph-index")
+    order = SubgraphOrder()
+    outcomes, refused = set(), 0
+    for _ in range(150):
+        added = [random_graph(rng, ["a", "b"], ["x", "y"], 4, 4) for _ in range(rng.randint(0, 6))]
+        index = order.antichain_index()
+        for t in added:
+            index.add(t)
+        for _ in range(4):
+            host = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8)
+            s = random_subgraph(rng, host) if rng.random() < 0.3 else host
+            expected = any(order.leq(t, s) for t in added)
+            assert index.covers(s) == expected, (added, s)
+            outcomes.add(expected)
+            refused += sum(not counts_fit(t, s) for t in added)
+    assert outcomes == {True, False} and refused > 100
+
+
+def test_minimize_with_the_subgraph_index_equals_the_scan():
+    rng = rng_for("subgraph-minimize")
+    sizes = []
+    for _ in range(40):
+        sample = [g for g in (random_graph(rng, ["a", "b"], ["x"], 6, 7) for _ in range(40))
+                  if len(g.edges) >= 3][:16]
+        bases = [[g.key() for g in minimize(sample[8:], order, base=minimize(sample[:8], order))]
+                 for order in (SubgraphOrder(), ScanSubgraphOrder())]
+        assert bases[0] == bases[1]
+        sizes.append(len(bases[0]))
+    assert min(sizes) >= 2 and sum(sizes) > 200
 
 
 def test_nodes_only_embedding_respects_loops():
