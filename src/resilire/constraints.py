@@ -16,7 +16,7 @@ from .errors import ModelError
 from .graphs import Graph, GraphClass, exists_embedding
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, covers, minimize
-from .petri import ENVIRONMENT, MARKERS, Marking, PetriNet, VectorOrder
+from .petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
 from .rewriting import SubgraphOrder, overlaps
 from . import control as ctl
 
@@ -120,9 +120,8 @@ def negate(c):
 class MarkingDomain:
     """Completion of vector patterns over the automaton states/markers."""
 
-    def __init__(self, net: PetriNet, order: VectorOrder,
+    def __init__(self, order: VectorOrder,
                  states: Optional[Tuple[str, ...]] = None, annotate: bool = False):
-        self.net = net
         self.order = order
         self.states = tuple(states) if states else None
         self.annotate = annotate
@@ -191,6 +190,9 @@ class GraphDomain:
 
 def _basis_patterns(c, domain) -> List:
     if isinstance(c, Exists):
+        if not domain.complete(c.pattern):
+            raise ModelError([("/safety",
+                               "pattern of %r lies outside the state class" % (c,))])
         return [c.pattern]
     if isinstance(c, Or):
         out = []
@@ -215,21 +217,8 @@ def ideal_basis_of(c, domain) -> Basis:
     Each existential leaf must contribute at least one basis element: a
     completion that embeds in some state of the class (it may lie below
     a `node_count` minimum).  A leaf with none is reported rather than
-    silently dropped.
+    silently dropped, and a negative leaf is refused.
     """
-    if polarity(c) != "positive":
-        raise ModelError([("/safety", "safety must be a positive constraint")])
-
-    def check_leaves(node):
-        if isinstance(node, Exists):
-            if not domain.complete(node.pattern):
-                raise ModelError([("/safety",
-                                   "pattern of %r lies outside the state class" % (node,))])
-        elif isinstance(node, (And, Or)):
-            for p in node.parts:
-                check_leaves(p)
-
-    check_leaves(c)
     states = [s for p in _basis_patterns(c, domain) for s in domain.complete(p)]
     return minimize(states, domain.order)
 

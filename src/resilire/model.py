@@ -544,8 +544,8 @@ def build(doc: ModelDocument) -> BuiltModel:
         else:
             backend = PetriBackend(doc.net)
         domain = cns.MarkingDomain(
-            doc.net, backend.order,
-            doc.automaton.states if doc.automaton else None, doc.annotate)
+            backend.order, doc.automaton.states if doc.automaton else None,
+            doc.annotate)
         start = Marking(
             doc.net.weights(doc.petri_start),
             doc.automaton.initial if doc.automaton else None,

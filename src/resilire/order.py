@@ -10,16 +10,12 @@ Minimization asks an antichain index whether a kept element lies below
 the candidate (`Wqo.antichain_index`); the default index scans with
 `leq`, and an order may answer from a structure of its own instead
 (markings: a token trie; graphs: each query's host prepared once).
-An order may also split its states into blocks, sets whose members are
-never comparable across blocks (`Wqo.block`).  Coverage then compares a
-state only with the basis elements of its own block; the default is a
-single block, so such an order pays nothing for it.
+Coverage of one state by a basis scans the basis with `leq`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -35,16 +31,11 @@ class Wqo:
       ``size(a) <= size(b)``, with equality only when the states are
       order-equivalent.  Minimization sorts on it so that potential
       dominators are always seen before the states they dominate;
-    * ``block(a)``  -- optional hashable block of ``a``, with the contract
-      ``leq(a, b)`` implies ``block(a) == block(b)``.  ``covers`` and
-      ``basis_subset`` never compare states of different blocks.  The
-      default puts every state in one block;
     * ``antichain_index()`` -- optional: a fresh, empty index with
       ``add(s)`` and ``covers(s)``, where ``covers(s)`` tells whether some
       added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one per
-      side of a call, base and new; an index that splits its states by
-      block does so itself.  The default scans the added states with
-      ``leq``.
+      side of a call, base and new.  The default scans the added states
+      with ``leq``.
     """
 
     def leq(self, a, b) -> bool:
@@ -55,9 +46,6 @@ class Wqo:
 
     def size(self, a) -> int:
         raise NotImplementedError
-
-    def block(self, a):
-        return None
 
     def antichain_index(self):
         return _ScanIndex(self)
@@ -93,14 +81,6 @@ class Basis:
     def __bool__(self) -> bool:
         return bool(self.elements)
 
-    @cached_property
-    def by_block(self) -> dict:
-        """The elements grouped by their order's block, built on first use."""
-        index: dict = {}
-        for b in self.elements:
-            index.setdefault(self.order.block(b), []).append(b)
-        return index
-
 
 def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
@@ -135,9 +115,11 @@ def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
 
 
 def covers(basis: Basis, state) -> bool:
-    """Membership of `state` in the ideal generated by `basis`."""
-    peers = basis.by_block.get(basis.order.block(state), ())
-    return any(basis.order.leq(b, state) for b in peers)
+    """Membership of `state` in the ideal generated by `basis`.  Encoding
+    the state first refuses one of the wrong shape, even for an empty basis."""
+    order = basis.order
+    order.key(state)
+    return any(order.leq(b, state) for b in basis)
 
 
 def basis_subset(states: Iterable, basis: Basis) -> bool:

@@ -122,9 +122,9 @@ class VectorOrder(Wqo):
 
     The order is fixed to one shape of marking: `has_state` and
     `has_marker` say whether its markings carry a control state and an
-    owner marker; every method refuses a marking of another shape.  A
-    block is a (state, marker) pair: markings that differ there are never
-    comparable.  Its antichain index is one token trie root per block.
+    owner marker; every method refuses a marking of another shape.
+    Markings that differ in state or marker are never comparable, so its
+    antichain index keeps one token trie root per (state, marker) pair.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -156,18 +156,14 @@ class VectorOrder(Wqo):
     def size(self, a: Marking) -> int:
         return sum(a.tokens)
 
-    def block(self, a: Marking):
-        self._check(a)
-        return (a.state, a.marker)
-
     def antichain_index(self) -> "_TokenTrie":
         return _TokenTrie(self)
 
 
 class _TokenTrie:
-    """Antichain index of `VectorOrder` over all blocks: per (state,
-    marker) block, a root of a trie of token vectors keyed coordinate by
-    coordinate.  `add` and `covers` check the marking's shape.
+    """Antichain index of `VectorOrder`: per (state, marker) pair, a
+    root of a trie of token vectors keyed coordinate by coordinate.
+    `add` and `covers` check the marking's shape.
 
     `covers(m)` descends only into children whose token count is at most
     m's in that coordinate, so whole subtrees of vectors that exceed m

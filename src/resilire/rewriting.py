@@ -427,10 +427,11 @@ class GraphBackend:
         successors into the class.
         """
         klass = self.klass
+        twins = twin_signatures(g)
         out = []
         for rule in self.rules:
             windows = _pair_windows(klass.bounds, rule.left, g)
-            for ov in overlaps(rule.left, g, self.limits, windows):
+            for ov in overlaps(rule.left, g, self.limits, windows, (), twins):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
                 h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True)

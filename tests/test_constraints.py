@@ -10,7 +10,7 @@ from resilire.control import with_control
 from resilire.errors import ModelError
 from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
 from resilire.order import covers, minimize
-from resilire.petri import Marking, VectorOrder, make_net
+from resilire.petri import Marking, VectorOrder
 from resilire.rewriting import SubgraphOrder
 
 from conftest import enumerate_class_graphs, fixture_path, random_graph, rng_for
@@ -113,19 +113,27 @@ def test_ideal_basis_completes_over_control_states():
 
 def test_ideal_basis_rejects_out_of_class_pattern():
     dom = plain_graph_domain(max_path=0)
-    with pytest.raises(ModelError):
-        ideal_basis_of(Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")])), dom)
+    outside = Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")]))
+    inside = Exists(single_node("a"))
+    for c in (outside, And((inside, outside)), Or((inside, outside)),
+              And((inside, Or((outside, inside))))):
+        with pytest.raises(ModelError, match="outside the state class") as err:
+            ideal_basis_of(c, dom)
+        assert [loc for loc, _msg in err.value.issues] == ["/safety"]
 
 
 def test_ideal_basis_rejects_negative():
     dom = plain_graph_domain()
-    with pytest.raises(ModelError):
-        ideal_basis_of(NotExists(single_node("a")), dom)
+    a, b = single_node("a"), single_node("b")
+    for c in (NotExists(a), Or((Exists(a), NotExists(b))),
+              And((Exists(a), NotExists(b))), Or((Exists(a), And((NotExists(b),))))):
+        with pytest.raises(ModelError, match="positive") as err:
+            ideal_basis_of(c, dom)
+        assert [loc for loc, _msg in err.value.issues] == ["/safety"]
 
 
 def test_vector_domain_completion_and_meet():
-    net = make_net(["a", "b"], [])
-    dom = MarkingDomain(net, VectorOrder(2, has_state=True), states=("q0", "q1"))
+    dom = MarkingDomain(VectorOrder(2, has_state=True), states=("q0", "q1"))
     basis = ideal_basis_of(Exists(VectorPattern((1, 0))), dom)
     assert [(m.tokens, m.state) for m in basis.elements] == \
         [((1, 0), "q0"), ((1, 0), "q1")]
@@ -149,9 +157,8 @@ def test_adverse_bad_set_on_path_game():
 
 
 def test_error_mode_is_complement_of_safety():
-    net = make_net(["p", "w", "s1", "s2"], [])
     order = VectorOrder(4, has_state=True)
-    dom = MarkingDomain(net, order, states=("q0",))
+    dom = MarkingDomain(order, states=("q0",))
     safe = minimize([Marking((0, 1, 1, 1), "q0")], order)
     bad = anti_ideal_of({"mode": "error"}, dom, safe)
     assert bad.contains(Marking((0, 0, 1, 1), "q0"))
@@ -172,8 +179,7 @@ def test_bad_sets_are_downward_closed_sampled():
 
 
 def test_custom_mode_requires_negative():
-    net = make_net(["a"], [])
-    dom = MarkingDomain(net, VectorOrder(1))
+    dom = MarkingDomain(VectorOrder(1))
     with pytest.raises(ModelError):
         anti_ideal_of({"mode": "custom",
                        "constraint": Exists(VectorPattern((1,)))}, dom)

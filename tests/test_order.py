@@ -9,7 +9,7 @@ from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
                                   VectorPattern, ideal_basis_of)
 from resilire.errors import BackendMismatch
 from resilire.order import Basis, Wqo, basis_subset, covers, minimize
-from resilire.petri import MARKERS, Marking, VectorOrder, make_net
+from resilire.petri import MARKERS, Marking, VectorOrder
 
 from conftest import rng_for
 
@@ -115,8 +115,8 @@ def test_basis_subset_round5_fails_round6_holds():
     assert basis_subset(targets, b6)
 
 
-# The quadratic minimize/covers as they were before blocks: every
-# candidate against every kept element, every state against the basis.
+# The quadratic minimize/covers: every candidate against every kept
+# element, every state against the basis.
 def reference_minimize(states, order):
     by_key = {}
     for s in states:
@@ -145,7 +145,7 @@ V3_PLAIN = VectorOrder(3)
 
 def random_product_markings(rng, count, states=("p", "q"), markers=MARKERS):
     """Product markings over few token vectors, so that equal vectors
-    recur in different blocks, and with repeats of whole markings."""
+    recur under different (state, marker) pairs, and with repeats of whole markings."""
     vectors = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(8)]
     out = []
     for _ in range(count):
@@ -170,19 +170,6 @@ class TaggedOrder(Wqo):
     def size(self, a):
         return V3.size(a[0])
 
-    def block(self, a):
-        return V3.block(a[0])
-
-
-class RecordingOrder(VectorOrder):
-    def __init__(self, dimension):
-        super().__init__(dimension, has_state=True, has_marker=True)
-        self.pairs = []
-
-    def leq(self, a, b):
-        self.pairs.append((a, b))
-        return super().leq(a, b)
-
 
 class RecordingTaggedOrder(TaggedOrder):
     """A `TaggedOrder`, on the default scanning antichain index, that
@@ -200,7 +187,7 @@ def test_blocked_minimize_and_covers_match_reference():
     rng = rng_for("blocked-reference")
     queries = 0
     for trial in range(200):
-        # every tenth sample is from a plain net: one block for all
+        # every tenth sample is from a plain net: no state, no marker
         plain = trial % 10 == 0
         shape = dict(states=(None,), markers=(None,)) if plain else {}
         order = V3_PLAIN if plain else V3
@@ -239,17 +226,6 @@ def test_blocked_minimize_keeps_smaller_key_of_equivalents():
         assert [side for _m, _tag, side in got] == [winner]
 
 
-def test_blocked_order_never_compares_across_blocks():
-    order = RecordingOrder(3)
-    rng = rng_for("blocked-recording")
-    for _ in range(50):
-        basis = minimize(random_product_markings(rng, 20), order)
-        for s in random_product_markings(rng, 10):
-            covers(basis, s)
-    assert order.pairs
-    assert all((a.state, a.marker) == (b.state, b.marker) for a, b in order.pairs)
-
-
 def test_minimize_into_a_base_never_compares_two_base_elements():
     order = RecordingTaggedOrder()
     rng = rng_for("base-recording")
@@ -272,9 +248,9 @@ V6_PLAIN = VectorOrder(6)
 
 
 def test_token_trie_matches_quadratic_reference():
-    """Minimization through the per-block token trie, and the trie's own
-    `covers`, agree with a plain `leq` scan.  Vectors recur across
-    blocks, and queries sit one token off the stored vectors."""
+    """Minimization through the token trie, and the trie's own `covers`,
+    agree with a plain `leq` scan.  Vectors recur under different
+    (state, marker) pairs, and queries sit one token off the stored vectors."""
     rng = rng_for("trie-reference")
     answers = []
     for trial in range(150):
@@ -372,7 +348,7 @@ def meet(b1, b2, domain, pattern=lambda s: s):
     return ideal_basis_of(And((either(b1), either(b2))), domain)
 
 
-V2_DOMAIN = MarkingDomain(make_net(["a", "b"], []), V2)
+V2_DOMAIN = MarkingDomain(V2)
 
 
 def vector_meet(b1, b2):
