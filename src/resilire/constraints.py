@@ -3,8 +3,11 @@
 Safety conditions are positive constraints (existential patterns closed
 under and/or); they denote upward-closed sets and are translated into
 ideal bases.  Bad conditions are downward-closed and stay predicates:
-negative constraints, control-state or marker observations, or the
-complement of the safety ideal ("error" mode).
+control-state or marker observations, the complement of the safety
+ideal ("error" mode), or a negative constraint, read as the complement
+of the ideal of its negation.  A graph pattern is a `Graph` that may
+lack a control node; a marking pattern is a `Marking` whose state and
+marker may be None, matching any.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ModelError
-from .graphs import Graph, GraphClass, exists_embedding
+from .graphs import Graph, GraphClass
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, covers, minimize
 from .petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
@@ -41,23 +44,6 @@ class Or:
     parts: Tuple
 
 
-@dataclass(frozen=True)
-class VectorPattern:
-    """`Exists` leaf for marking states: cover these token counts, and
-    agree on the control state / marker when one is named."""
-
-    tokens: Tuple[int, ...]
-    state: Optional[str] = None
-    marker: Optional[str] = None
-
-    def matches(self, m: Marking) -> bool:
-        if self.state is not None and m.state != self.state:
-            return False
-        if self.marker is not None and m.marker != self.marker:
-            return False
-        return all(x <= y for x, y in zip(self.tokens, m.tokens))
-
-
 def polarity(c) -> str:
     """'positive', 'negative', or 'mixed'."""
     kinds = set()
@@ -81,24 +67,6 @@ def polarity(c) -> str:
     return "mixed"
 
 
-def _pattern_matches(pattern, state) -> bool:
-    if isinstance(pattern, Graph):
-        return exists_embedding(pattern, state)
-    return pattern.matches(state)
-
-
-def satisfies(state, c) -> bool:
-    if isinstance(c, Exists):
-        return _pattern_matches(c.pattern, state)
-    if isinstance(c, NotExists):
-        return not _pattern_matches(c.pattern, state)
-    if isinstance(c, And):
-        return all(satisfies(state, p) for p in c.parts)
-    if isinstance(c, Or):
-        return any(satisfies(state, p) for p in c.parts)
-    raise TypeError("not a constraint: %r" % (c,))
-
-
 def negate(c):
     """De Morgan dual; flips polarity."""
     if isinstance(c, Exists):
@@ -118,7 +86,7 @@ def negate(c):
 
 
 class MarkingDomain:
-    """Completion of vector patterns over the automaton states/markers."""
+    """Completion of marking patterns over the automaton states/markers."""
 
     def __init__(self, order: VectorOrder,
                  states: Optional[Tuple[str, ...]] = None, annotate: bool = False):
@@ -126,14 +94,14 @@ class MarkingDomain:
         self.states = tuple(states) if states else None
         self.annotate = annotate
 
-    def complete(self, pattern: VectorPattern) -> List[Marking]:
+    def complete(self, pattern: Marking) -> List[Marking]:
         states = [pattern.state] if pattern.state is not None else (
             sorted(self.states) if self.states else [None])
         markers = [pattern.marker] if pattern.marker is not None else (
             sorted(MARKERS) if self.annotate else [None])
         return [Marking(pattern.tokens, q, mk) for q in states for mk in markers]
 
-    def meet(self, p: VectorPattern, q: VectorPattern) -> List[VectorPattern]:
+    def meet(self, p: Marking, q: Marking) -> List[Marking]:
         def merge(x, y):
             if x is None or x == y:
                 return y if y is not None else x
@@ -146,7 +114,7 @@ class MarkingDomain:
         if state is False or marker is False:
             return []
         toks = tuple(max(a, b) for a, b in zip(p.tokens, q.tokens))
-        return [VectorPattern(toks, state, marker)]
+        return [Marking(toks, state, marker)]
 
     def state_of(self, m: Marking):
         return m.state
@@ -188,38 +156,39 @@ class GraphDomain:
 # ---------------------------------------------------------------------------
 
 
-def _basis_patterns(c, domain) -> List:
+def _basis_patterns(c, domain, where: str) -> List:
     if isinstance(c, Exists):
         if not domain.complete(c.pattern):
-            raise ModelError([("/safety",
-                               "pattern of %r lies outside the state class" % (c,))])
+            raise ModelError([(where,
+                               "pattern %r lies outside the state class" % (c.pattern,))])
         return [c.pattern]
     if isinstance(c, Or):
         out = []
         for p in c.parts:
-            out.extend(_basis_patterns(p, domain))
+            out.extend(_basis_patterns(p, domain, where))
         return out
     if isinstance(c, And):
         acc = [None]
         for part in c.parts:
-            branch = _basis_patterns(part, domain)
+            branch = _basis_patterns(part, domain, where)
             acc = [m
                    for a in acc
                    for b in branch
                    for m in ([b] if a is None else domain.meet(a, b))]
         return [a for a in acc if a is not None]
-    raise ModelError([("/safety", "safety must be a positive constraint")])
+    raise ModelError([(where, "needs a positive constraint")])
 
 
-def ideal_basis_of(c, domain) -> Basis:
+def ideal_basis_of(c, domain, where: str = "/safety") -> Basis:
     """Basis of the states satisfying a positive constraint.
 
     Each existential leaf must contribute at least one basis element: a
     completion that embeds in some state of the class (it may lie below
     a `node_count` minimum).  A leaf with none is reported rather than
-    silently dropped, and a negative leaf is refused.
+    silently dropped, and a negative leaf is refused, both at the JSON
+    pointer `where` of the constraint.
     """
-    states = [s for p in _basis_patterns(c, domain) for s in domain.complete(p)]
+    states = [s for p in _basis_patterns(c, domain, where) for s in domain.complete(p)]
     return minimize(states, domain.order)
 
 
@@ -238,7 +207,8 @@ def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> Bad
 
     Modes: 'adverse' observes the control state and/or the environment
     marker; 'error' is the complement of the safety ideal; 'custom'
-    takes a negative constraint.
+    takes a negative constraint, the complement of the ideal of its
+    negation.
     """
     mode = spec.get("mode")
     if mode == "error":
@@ -262,5 +232,6 @@ def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> Bad
         c = spec.get("constraint")
         if c is None or polarity(c) != "negative":
             raise ModelError([("/bad", "custom mode needs a negative constraint")])
-        return BadSet(lambda s: satisfies(s, c))
+        good = ideal_basis_of(negate(c), domain, "/bad/constraint")
+        return BadSet(lambda s: not covers(good, s))
     raise ModelError([("/bad", "unknown bad-set mode %r" % mode)])

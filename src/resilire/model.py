@@ -183,6 +183,7 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def _parse_class(obj: dict, where: str, r: _Reader) -> GraphClass:
+    quotient = frozenset(r.strings(obj, "quotient_isolated", where))
     counts = []
     cwhere = _pointer(where, "node_count")
     for lab, rng in sorted(r.read(obj, "node_count", where, dict, {}).items()):
@@ -192,12 +193,25 @@ def _parse_class(obj: dict, where: str, r: _Reader) -> GraphClass:
                       for end in ("min", "max"))
             if None not in (lo, hi) and lo > hi:
                 r.add(lwhere, "min %d exceeds max %d" % (lo, hi))
+            if lo and lab in quotient:
+                # the backward step could meet it only with an isolated
+                # node, which normalization erases
+                r.add(lwhere, "a quotient_isolated label may not have a min")
             counts.append((lab, (lo, hi)))
     return GraphClass(
         max_path=r.read(obj, "max_path", where, int, None, least=0),
         node_count=tuple(counts),
-        quotient_labels=frozenset(r.strings(obj, "quotient_isolated", where)),
+        quotient_labels=quotient,
     )
+
+
+def _refuse_isolated(g: Graph, quotient, where: str, r: _Reader, what: str):
+    """States are normalized by erasing isolated nodes with a `quotient`
+    label, so no rule left side or pattern may hold one."""
+    for nid, lab in sorted(g.nodes.items()):
+        if lab in quotient and g.degree(nid) == 0:
+            r.add(where, "%s an isolated %r node, which the quotient erases "
+                         "from every state" % (what, lab))
 
 
 def _class_to_json(k: GraphClass) -> dict:
@@ -214,7 +228,7 @@ def _class_to_json(k: GraphClass) -> dict:
     return out
 
 
-def _parse_rules(section: dict, r: _Reader) -> Tuple[Rule, ...]:
+def _parse_rules(section: dict, r: _Reader, quotient) -> Tuple[Rule, ...]:
     rules = []
     names = set()
     for i, rwhere, obj in r.each(section, "rules", "/gts", dict):
@@ -238,6 +252,7 @@ def _parse_rules(section: dict, r: _Reader) -> Tuple[Rule, ...]:
             maps.append(pairs)
         if left is None or right is None:
             continue
+        _refuse_isolated(left, quotient, rwhere + "/left", r, "rule %r matches" % name)
         problems = rule_problems(left, right, *maps)
         for p in problems:
             r.add(mwhere, "rule %r: %s" % (name, p))
@@ -284,13 +299,13 @@ def _parse_literal(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
 
 
 def _parse_constraint(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
-                      states: Tuple[str, ...], markers: Tuple[str, ...]):
+                      states: Tuple[str, ...], markers: Tuple[str, ...], quotient):
     op = r.read(obj, "op", where, ("and", "or", "exists", "not_exists"))
     if op is None:
         return None
     if op in ("and", "or"):
         parts = tuple(
-            p for p in (_parse_constraint(a, w, r, net, states, markers)
+            p for p in (_parse_constraint(a, w, r, net, states, markers, quotient)
                         for _i, w, a in r.each(obj, "args", where, dict))
             if p is not None)
         if not parts:
@@ -300,7 +315,9 @@ def _parse_constraint(obj: dict, where: str, r: _Reader, net: Optional[PetriNet]
     body, state, marker = _parse_literal(obj, where, r, net, states, markers)
     if body is None:
         return None
-    pattern = body if net is None else cns.VectorPattern(body, state, marker)
+    if net is None:
+        _refuse_isolated(body, quotient, where, r, "the pattern has")
+    pattern = body if net is None else Marking(body, state, marker)
     return cns.Exists(pattern) if op == "exists" else cns.NotExists(pattern)
 
 
@@ -392,18 +409,8 @@ def from_dict(obj: dict) -> ModelDocument:
     else:
         base_class = _parse_class(r.read(section, "class", "/gts", dict, {}),
                                   "/gts/class", r)
-        rules = _parse_rules(section, r)
+        rules = _parse_rules(section, r, base_class.quotient_labels)
         rule_names = {rule.name for rule in rules}
-        if base_class.quotient_labels:
-            # States are normalized by erasing isolated nodes with these
-            # labels, so no rule may require one on its left side.
-            for i, rule in enumerate(rules):
-                for nid, lab in rule.left.nodes.items():
-                    if lab in base_class.quotient_labels and rule.left.degree(nid) == 0:
-                        r.add("/gts/rules/%d/left" % i,
-                              "rule %r matches an isolated %r node, which "
-                              "the quotient erases from every state"
-                              % (rule.name, lab))
         gts_start = _parse_graph(r.read(section, "start", "/gts", dict, {}),
                                  "/gts/start", r)
         for rule in rules:
@@ -447,9 +454,10 @@ def from_dict(obj: dict) -> ModelDocument:
     states = control_labels or (automaton.states if automaton else ())
     markers = MARKERS if annotate or marker_labels else ()
 
+    quotient = base_class.quotient_labels if base_class else ()
     safety = r.read(obj, "safety", "", dict)
     if safety is not None:
-        safety = _parse_constraint(safety, "/safety", r, net, states, markers)
+        safety = _parse_constraint(safety, "/safety", r, net, states, markers, quotient)
         if safety is not None and cns.polarity(safety) != "positive":
             r.add("/safety", "safety must be a positive constraint")
 
@@ -471,7 +479,8 @@ def from_dict(obj: dict) -> ModelDocument:
         elif mode == "custom":
             c = r.read(bad_spec, "constraint", "/bad", dict)
             if c is not None:
-                c = _parse_constraint(c, "/bad/constraint", r, net, states, markers)
+                c = _parse_constraint(c, "/bad/constraint", r, net, states, markers,
+                                      quotient)
             if c is not None and cns.polarity(c) != "negative":
                 r.add("/bad/constraint", "must be a negative constraint")
             bad_spec["constraint"] = c

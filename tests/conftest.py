@@ -2,8 +2,9 @@
 
 The oracles here never call the code paths they are used to check:
 reachability is explicit breadth-first search, backward steps are
-verified by enumerating grids or small graph universes, and recovery
-bounds come from shortest-path distances on the explicit state graph.
+verified by enumerating grids or small graph universes, recovery
+bounds come from shortest-path distances on the explicit state graph,
+and constraints are evaluated leaf by leaf on one state.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from resilire import model
+from resilire.constraints import And, Exists, NotExists, Or
 from resilire.graphs import Graph, exists_embedding
 from resilire.order import covers
 
@@ -112,6 +114,33 @@ def recovery_oracle(backend, states, safe_basis, bad):
                 return None
             worst = max(worst, dist[k])
     return worst
+
+
+# ---------------------------------------------------------------------------
+# constraints read leaf by leaf
+# ---------------------------------------------------------------------------
+
+
+def _pattern_matches(pattern, state) -> bool:
+    if isinstance(pattern, Graph):
+        return exists_embedding(pattern, state)
+    # a marking pattern: cover its tokens, and agree on the control
+    # state / marker where it names one
+    return ((pattern.state is None or pattern.state == state.state)
+            and (pattern.marker is None or pattern.marker == state.marker)
+            and all(x <= y for x, y in zip(pattern.tokens, state.tokens)))
+
+
+def satisfies(state, c) -> bool:
+    if isinstance(c, Exists):
+        return _pattern_matches(c.pattern, state)
+    if isinstance(c, NotExists):
+        return not _pattern_matches(c.pattern, state)
+    if isinstance(c, And):
+        return all(satisfies(state, p) for p in c.parts)
+    if isinstance(c, Or):
+        return any(satisfies(state, p) for p in c.parts)
+    raise TypeError("not a constraint: %r" % (c,))
 
 
 # ---------------------------------------------------------------------------

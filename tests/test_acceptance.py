@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from resilire import model
-from resilire.constraints import BadSet, Exists, Or, VectorPattern, ideal_basis_of, satisfies
+from resilire.constraints import BadSet, Exists, Or, ideal_basis_of
 from resilire.engine import (FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                              backward_step, min_recovery, overapprox_bound,
                              pre_star, underapprox_bound)
@@ -31,7 +31,8 @@ from resilire.control import make_automaton
 
 import conftest
 from conftest import (enumerate_class_graphs, explore, fixture_path,
-                      pinned_reports, random_graph, recovery_oracle, rng_for)
+                      pinned_reports, random_graph, recovery_oracle, rng_for,
+                      satisfies)
 from test_rewriting import random_rule
 
 

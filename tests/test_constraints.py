@@ -1,19 +1,22 @@
 """Constraint semantics and their translation to bases and predicates."""
 
+from dataclasses import replace
+
 import pytest
 
 from resilire import model
 from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain,
-                                  NotExists, Or, VectorPattern, anti_ideal_of,
-                                  ideal_basis_of, negate, polarity, satisfies)
+                                  NotExists, Or, anti_ideal_of, ideal_basis_of,
+                                  negate, polarity)
 from resilire.control import with_control
 from resilire.errors import ModelError
 from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
 from resilire.order import covers, minimize
-from resilire.petri import Marking, VectorOrder
+from resilire.petri import MARKERS, Marking, VectorOrder
 from resilire.rewriting import SubgraphOrder
 
-from conftest import enumerate_class_graphs, fixture_path, random_graph, rng_for
+from conftest import (enumerate_class_graphs, fixture_path, random_graph, rng_for,
+                      satisfies)
 
 
 def test_polarity():
@@ -31,7 +34,7 @@ def test_satisfies_graph_exists():
 
 
 def test_satisfies_vector_constraint():
-    c = Exists(VectorPattern((0, 1, 1, 1)))
+    c = Exists(Marking((0, 1, 1, 1)))
     assert satisfies(Marking((0, 3, 1, 1), "p"), c)
     assert not satisfies(Marking((5, 0, 1, 1), "p"), c)
 
@@ -120,6 +123,11 @@ def test_ideal_basis_rejects_out_of_class_pattern():
         with pytest.raises(ModelError, match="outside the state class") as err:
             ideal_basis_of(c, dom)
         assert [loc for loc, _msg in err.value.issues] == ["/safety"]
+        # a custom bad set is read through the ideal of its negation, so a
+        # `not_exists` leaf that no class member contains is refused too
+        with pytest.raises(ModelError, match="outside the state class") as err:
+            anti_ideal_of({"mode": "custom", "constraint": negate(c)}, dom)
+        assert [loc for loc, _msg in err.value.issues] == ["/bad/constraint"]
 
 
 def test_ideal_basis_rejects_negative():
@@ -134,15 +142,15 @@ def test_ideal_basis_rejects_negative():
 
 def test_vector_domain_completion_and_meet():
     dom = MarkingDomain(VectorOrder(2, has_state=True), states=("q0", "q1"))
-    basis = ideal_basis_of(Exists(VectorPattern((1, 0))), dom)
+    basis = ideal_basis_of(Exists(Marking((1, 0))), dom)
     assert [(m.tokens, m.state) for m in basis.elements] == \
         [((1, 0), "q0"), ((1, 0), "q1")]
     meet = ideal_basis_of(
-        And((Exists(VectorPattern((1, 0))), Exists(VectorPattern((0, 2), "q1")))),
+        And((Exists(Marking((1, 0))), Exists(Marking((0, 2), "q1")))),
         dom)
     assert [(m.tokens, m.state) for m in meet.elements] == [((1, 2), "q1")]
     empty = ideal_basis_of(
-        And((Exists(VectorPattern((1, 0), "q0")), Exists(VectorPattern((0, 1), "q1")))),
+        And((Exists(Marking((1, 0), "q0")), Exists(Marking((0, 1), "q1")))),
         dom)
     assert len(empty) == 0
 
@@ -182,8 +190,88 @@ def test_custom_mode_requires_negative():
     dom = MarkingDomain(VectorOrder(1))
     with pytest.raises(ModelError):
         anti_ideal_of({"mode": "custom",
-                       "constraint": Exists(VectorPattern((1,)))}, dom)
+                       "constraint": Exists(Marking((1,)))}, dom)
     bad = anti_ideal_of({"mode": "custom",
-                         "constraint": NotExists(VectorPattern((2,)))}, dom)
+                         "constraint": NotExists(Marking((2,)))}, dom)
     assert bad.contains(Marking((1,)))
     assert not bad.contains(Marking((2,)))
+
+
+# -- a custom bad set against the leaf-by-leaf reading -------------------------
+
+
+def random_negative(rng, leaf, depth=2):
+    """A random and/or tree of `not_exists` leaves drawn by `leaf(rng)`."""
+    if depth == 0 or rng.random() < 0.4:
+        return NotExists(leaf(rng))
+    parts = tuple(random_negative(rng, leaf, depth - 1)
+                  for _ in range(rng.randint(1, 3)))
+    return And(parts) if rng.random() < 0.5 else Or(parts)
+
+
+def graph_case(klass):
+    """(domain, universe, leaf) for a graph class over labels a, b: the
+    universe is every normal class graph up to three nodes, and a leaf
+    is a small random pattern free of isolated quotient-label nodes,
+    with a control node when the class has control labels."""
+    dom = GraphDomain(klass, SubgraphOrder())
+    bare = replace(klass, control_labels=frozenset())
+    normal = [g for g in enumerate_class_graphs(["a", "b"], ["x"], 3,
+                                                bare, max_edges=3)
+              if quotient_isolated(g, klass.quotient_labels).key() == g.key()]
+    states = sorted(klass.control_labels)
+    universe = [with_control(g, q) for g in normal for q in states or [None]]
+
+    def leaf(rng):
+        p = quotient_isolated(random_graph(rng, ["a", "b"], ["x"], 2, 2),
+                              klass.quotient_labels)
+        return with_control(p, rng.choice([None] + states))
+    return dom, universe, leaf
+
+
+def marking_case():
+    """A Petri product over two places, two control states and every
+    marker, with wildcard state and marker in half the leaves."""
+    states = ("q0", "q1")
+    dom = MarkingDomain(VectorOrder(2, has_state=True, has_marker=True),
+                        states=states, annotate=True)
+    universe = [Marking((x, y), q, mk) for x in range(4) for y in range(4)
+                for q in states for mk in MARKERS]
+
+    def leaf(rng):
+        return Marking((rng.randint(0, 2), rng.randint(0, 2)),
+                       rng.choice((None, None) + states),
+                       rng.choice((None, None, None) + MARKERS))
+    return dom, universe, leaf
+
+
+CUSTOM_CASES = {
+    "plain": lambda: graph_case(GraphClass(max_path=2)),
+    "control": lambda: graph_case(GraphClass(max_path=2,
+                                             control_labels=frozenset(["q0", "q1"]))),
+    "counts": lambda: graph_case(GraphClass(max_path=2,
+                                            node_count=(("a", (1, 1)),))),
+    "quotient": lambda: graph_case(GraphClass(max_path=2,
+                                              quotient_labels=frozenset(["b"]))),
+    "petri": marking_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUSTOM_CASES))
+def test_custom_bad_set_agrees_with_leaf_by_leaf_reading(case):
+    dom, universe, leaf = CUSTOM_CASES[case]()
+    rng = rng_for("custom-bad:" + case)
+    refused = 0
+    for _ in range(25):
+        c = random_negative(rng, leaf)
+        try:
+            bad = anti_ideal_of({"mode": "custom", "constraint": c}, dom)
+        except ModelError as err:
+            # only a leaf that no class member contains is refused
+            assert [loc for loc, _msg in err.issues] == ["/bad/constraint"]
+            assert "outside the state class" in err.issues[0][1]
+            refused += 1
+            continue
+        for s in universe:
+            assert bad.contains(s) == satisfies(s, c), (c, s)
+    assert refused < 25

@@ -339,17 +339,23 @@ def test_plain_net_without_automaton(tmp_path):
     (plain_net_doc, "safety", {"marker": "sys"}),
     (plain_net_doc, "b_post", {"state": "p"}),
     (base_doc, "safety", {"marker": "sys"}),
+    (plain_net_doc, "bad", {"state": "p"}),
+    (base_doc, "bad", {"marker": "sys"}),
 ])
 def test_cli_state_or_marker_the_model_lacks_exits_two(tmp_path, base, section, extra):
     # A plain net has no control state and an unannotated model no
     # marker; a pattern or state naming one is a model error, not a
-    # state that nothing covers.
+    # state that nothing covers.  A custom bad leaf is read as the
+    # ideal of its negation, so it is refused as a safety leaf is.
     doc = base()
+    doc["bad"] = {"mode": "error"}
     if section == "b_post":
         doc["b_post"][0].update(extra)
+    elif section == "bad":
+        doc["bad"] = {"mode": "custom",
+                      "constraint": dict(doc["safety"], op="not_exists", **extra)}
     else:
         doc["safety"].update(extra)
-    doc["bad"] = {"mode": "error"}
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(doc))
     proc = run_cli("check", str(path))
@@ -402,8 +408,28 @@ def test_quotient_labels_may_not_be_matched_isolated():
         "map": {"nodes": [["p", "p"]], "edges": []},
     })
     doc["automaton"]["edges"][0]["select"].append("touch_point")
-    with pytest.raises(ModelError, match="isolated.*erases|erases"):
+    with pytest.raises(ModelError, match="isolated.*erases|erases") as err:
         model.from_dict(doc)
+    assert [loc for loc, _msg in err.value.issues] == [
+        "/gts/rules/%d/left" % (len(doc["gts"]["rules"]) - 1)]
+    # Safety used to erase such a node in a pattern, while the custom bad
+    # reading required it; both read a leaf as one ideal now, so a
+    # pattern is refused at its leaf as a rule is
+    for section in ("safety", "bad"):
+        doc = json.loads(open(fixture_path("pathgame.json")).read())
+        leaf = copy.deepcopy(doc["safety"]["args"][1])
+        leaf["graph"]["nodes"].append({"id": "lone", "label": "pt"})
+        if section == "bad":
+            doc["bad"] = {"mode": "custom", "constraint": {"op": "and", "args": [
+                {"op": "not_exists", "state": "e"}, dict(leaf, op="not_exists")]}}
+        else:
+            doc["safety"]["args"][1] = leaf
+        with pytest.raises(ModelError) as err:
+            model.from_dict(doc)
+        pointer = "/bad/constraint" if section == "bad" else "/safety"
+        assert err.value.issues == [(pointer + "/args/1",
+                                     "the pattern has an isolated 'pt' node, "
+                                     "which the quotient erases from every state")]
     # an empty node-count range is refused at its label, not blamed on
     # the start graph that no graph of the class could match
     doc = json.loads(open(fixture_path("pathgame.json")).read())
@@ -411,6 +437,66 @@ def test_quotient_labels_may_not_be_matched_isolated():
     with pytest.raises(ModelError) as err:
         model.from_dict(doc)
     assert err.value.issues == [("/gts/class/node_count/L", "min 3 exceeds max 2")]
+
+
+def quotient_minimum_doc(lo):
+    """A one-rule model whose class puts a minimum of `lo` on the
+    quotient label `a`; `post` reaches safety from the start in one step."""
+    def graph(nodes, edges):
+        return {"nodes": [{"id": n, "label": n} for n in nodes],
+                "edges": [{"id": s + t, "src": s, "tgt": t, "label": "y"}
+                          for s, t in edges]}
+    start = graph("axb", ["ax"])
+    return {
+        "format": "resilire/1", "kind": "gts",
+        "gts": {"class": {"max_path": 3, "quotient_isolated": ["a"],
+                          "node_count": {"a": {"min": lo}}},
+                "rules": [{"name": "grow", "left": graph("b", []),
+                           "right": graph("bc", ["bc"]),
+                           "map": {"nodes": [["b", "b"]], "edges": []}}],
+                "start": start},
+        "safety": {"op": "exists", "graph": graph("bc", ["bc"])},
+        "bad": {"mode": "error"},
+        "b_post": [{"graph": start}],
+    }
+
+
+def test_minimum_on_a_quotient_label_is_refused(tmp_path):
+    # The backward step lifts a target to the class minima with isolated
+    # nodes, and normalization erases an isolated `a`: `check` used to
+    # say `unbounded` here although the start reaches safety in one step.
+    with pytest.raises(ModelError) as err:
+        model.from_dict(quotient_minimum_doc(1))
+    assert err.value.issues == [("/gts/class/node_count/a",
+                                 "a quotient_isolated label may not have a min")]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(quotient_minimum_doc(0)))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"verdict": "found", "iterations": 1, "k_min": 1}
+
+
+def custom_copy(name):
+    """The fixture with its adverse bad set written as a custom one:
+    states in no unobserved control state."""
+    doc = json.loads(open(fixture_path(name)).read())
+    observed = doc["bad"]["states"]
+    doc["bad"] = {"mode": "custom", "constraint": {"op": "and", "args": [
+        {"op": "not_exists", "state": q} for q in doc["automaton"]["states"]
+        if q not in observed]}}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["supplychain.json", "adverse_vs_error.json",
+                                  "adverse_vs_error_petri.json"])
+def test_custom_copy_of_an_adverse_fixture_keeps_its_report(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(custom_copy(name)))
+    proc = run_cli("check", str(path), "--trace")
+    assert proc.returncode == 0
+    pinned = {tuple(args): sha for args, sha in pinned_reports()}
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == pinned[("check", name, "--trace")])
 
 
 def test_adverse_mode_needs_an_automaton(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
-                                  VectorPattern, ideal_basis_of)
+                                  ideal_basis_of)
 from resilire.errors import BackendMismatch
 from resilire.order import Basis, Wqo, basis_subset, covers, minimize
 from resilire.petri import MARKERS, Marking, VectorOrder
@@ -340,11 +340,11 @@ def test_blocked_order_refuses_markings_of_another_shape():
             minimize(list(basis) + [odd], basis.order)
 
 
-def meet(b1, b2, domain, pattern=lambda s: s):
+def meet(b1, b2, domain):
     """Basis of up(b1) & up(b2) through the domain's meet, which the
     library applies to conjunctions of safety patterns."""
     def either(basis):
-        return Or(tuple(Exists(pattern(s)) for s in basis.elements))
+        return Or(tuple(Exists(s) for s in basis.elements))
     return ideal_basis_of(And((either(b1), either(b2))), domain)
 
 
@@ -352,7 +352,7 @@ V2_DOMAIN = MarkingDomain(V2)
 
 
 def vector_meet(b1, b2):
-    return meet(b1, b2, V2_DOMAIN, lambda m: VectorPattern(m.tokens))
+    return meet(b1, b2, V2_DOMAIN)
 
 
 def test_intersection_componentwise_max():

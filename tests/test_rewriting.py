@@ -418,8 +418,8 @@ def record_overlaps(monkeypatch):
     """Make the rewriting module's `overlaps` keep each result list."""
     calls = []
 
-    def recording(*args):
-        calls.append(overlaps(*args))
+    def recording(*args, **kwargs):
+        calls.append(overlaps(*args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(rewriting, "overlaps", recording)
