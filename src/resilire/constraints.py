@@ -2,12 +2,12 @@
 
 Safety conditions are positive constraints (existential patterns closed
 under and/or); they denote upward-closed sets and are translated into
-ideal bases.  Bad conditions are downward-closed and stay predicates:
-control-state or marker observations, the complement of the safety
-ideal ("error" mode), or a negative constraint, read as the complement
-of the ideal of its negation.  A graph pattern is a `Graph` that may
-lack a control node; a marking pattern is a `Marking` whose state and
-marker may be None, matching any.
+ideal bases.  Bad conditions are downward-closed, and each is read as
+the complement of an ideal: of the unobserved control states and
+markers ("adverse" mode), of the safety ideal ("error" mode), or of the
+negation of a negative constraint ("custom" mode).  A graph pattern is
+a `Graph` that may lack a control node; a marking pattern is a
+`Marking` whose state and marker may be None, matching any.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ModelError
-from .graphs import Graph, GraphClass
+from .graphs import EMPTY_GRAPH, Graph, GraphClass
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, covers, minimize
 from .petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
@@ -44,29 +44,6 @@ class Or:
     parts: Tuple
 
 
-def polarity(c) -> str:
-    """'positive', 'negative', or 'mixed'."""
-    kinds = set()
-
-    def walk(node):
-        if isinstance(node, Exists):
-            kinds.add("positive")
-        elif isinstance(node, NotExists):
-            kinds.add("negative")
-        elif isinstance(node, (And, Or)):
-            for p in node.parts:
-                walk(p)
-        else:
-            raise TypeError("not a constraint: %r" % (node,))
-
-    walk(c)
-    if kinds == {"positive"}:
-        return "positive"
-    if kinds == {"negative"}:
-        return "negative"
-    return "mixed"
-
-
 def negate(c):
     """De Morgan dual; flips polarity."""
     if isinstance(c, Exists):
@@ -91,12 +68,12 @@ class MarkingDomain:
     def __init__(self, order: VectorOrder,
                  states: Optional[Tuple[str, ...]] = None, annotate: bool = False):
         self.order = order
-        self.states = tuple(states) if states else None
+        self.states = tuple(states or ())
         self.annotate = annotate
 
     def complete(self, pattern: Marking) -> List[Marking]:
         states = [pattern.state] if pattern.state is not None else (
-            sorted(self.states) if self.states else [None])
+            sorted(self.states) or [None])
         markers = [pattern.marker] if pattern.marker is not None else (
             sorted(MARKERS) if self.annotate else [None])
         return [Marking(pattern.tokens, q, mk) for q in states for mk in markers]
@@ -116,11 +93,9 @@ class MarkingDomain:
         toks = tuple(max(a, b) for a, b in zip(p.tokens, q.tokens))
         return [Marking(toks, state, marker)]
 
-    def state_of(self, m: Marking):
-        return m.state
-
-    def marker_of(self, m: Marking):
-        return m.marker
+    def tagged(self, state: Optional[str], marker: Optional[str]) -> Marking:
+        """The pattern of the markings in `state` with `marker` (None: any)."""
+        return Marking((0,) * self.order.dimension, state, marker)
 
 
 class GraphDomain:
@@ -131,11 +106,12 @@ class GraphDomain:
         self.klass = klass
         self.order = order
         self.limits = limits
+        self.states = tuple(sorted(klass.control_labels))
 
     def complete(self, pattern: Graph) -> List[Graph]:
         klass = self.klass
         states = [None] if klass.control_of(pattern) is not None else (
-            sorted(klass.control_labels) or [None])
+            list(self.states) or [None])
         markers = [None] if klass.marker_of(pattern) is not None else (
             sorted(klass.marker_labels) or [None])
         variants = [ctl.with_control(pattern, q, mk) for q in states for mk in markers]
@@ -144,11 +120,9 @@ class GraphDomain:
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
         return [ov.u for ov in overlaps(p, q, self.limits)]
 
-    def state_of(self, g: Graph):
-        return self.klass.control_of(g)
-
-    def marker_of(self, g: Graph):
-        return self.klass.marker_of(g)
+    def tagged(self, state: Optional[str], marker: Optional[str]) -> Graph:
+        """The pattern of the graphs in `state` with `marker` (None: any)."""
+        return ctl.with_control(EMPTY_GRAPH, state, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +136,20 @@ def _basis_patterns(c, domain, where: str) -> List:
             raise ModelError([(where,
                                "pattern %r lies outside the state class" % (c.pattern,))])
         return [c.pattern]
-    if isinstance(c, Or):
-        out = []
-        for p in c.parts:
-            out.extend(_basis_patterns(p, domain, where))
-        return out
-    if isinstance(c, And):
+    if isinstance(c, (And, Or)):
+        branches = [_basis_patterns(p, domain, "%s/args/%d" % (where, i))
+                    for i, p in enumerate(c.parts)]
+        if isinstance(c, Or):
+            return [p for branch in branches for p in branch]
         acc = [None]
-        for part in c.parts:
-            branch = _basis_patterns(part, domain, where)
+        for branch in branches:
             acc = [m
                    for a in acc
                    for b in branch
                    for m in ([b] if a is None else domain.meet(a, b))]
         return [a for a in acc if a is not None]
-    raise ModelError([(where, "needs a positive constraint")])
+    raise ModelError([(where + "/op", "a leaf of the wrong sign: safety is a positive "
+                                      "constraint, a custom bad set a negative one")])
 
 
 def ideal_basis_of(c, domain, where: str = "/safety") -> Basis:
@@ -186,7 +159,7 @@ def ideal_basis_of(c, domain, where: str = "/safety") -> Basis:
     completion that embeds in some state of the class (it may lie below
     a `node_count` minimum).  A leaf with none is reported rather than
     silently dropped, and a negative leaf is refused, both at the JSON
-    pointer `where` of the constraint.
+    pointer of the leaf under `where`, the constraint's own pointer.
     """
     states = [s for p in _basis_patterns(c, domain, where) for s in domain.complete(p)]
     return minimize(states, domain.order)
@@ -205,33 +178,36 @@ class BadSet:
 def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> BadSet:
     """Build the bad-set predicate from its model-file spec.
 
-    Modes: 'adverse' observes the control state and/or the environment
-    marker; 'error' is the complement of the safety ideal; 'custom'
-    takes a negative constraint, the complement of the ideal of its
-    negation.
+    Every mode is the complement of an ideal `good`.  'error' takes the
+    safety ideal; 'adverse' observes the control `states` and/or the
+    environment marker (`env_marker`, in an annotated model), so `good`
+    is every unobserved state with any other marker; 'custom' takes a
+    negative constraint, and `good` is the ideal of its negation.
     """
     mode = spec.get("mode")
     if mode == "error":
         if safe_basis is None:
             raise ModelError([("/bad", "error mode needs the safety basis")])
-        return BadSet(lambda s: not covers(safe_basis, s))
-    if mode == "adverse":
-        states = frozenset(spec.get("states") or ())
+        good = safe_basis
+    elif mode == "adverse":
+        observed = frozenset(spec.get("states") or ())
         env_marker = bool(spec.get("env_marker", False))
-        if not states and not env_marker:
+        if not observed and not env_marker:
             raise ModelError([("/bad",
                                "adverse mode needs 'states' and/or 'env_marker'")])
-
-        def fn(s):
-            if states and domain.state_of(s) in states:
-                return True
-            return env_marker and domain.marker_of(s) == ENVIRONMENT
-
-        return BadSet(fn)
-    if mode == "custom":
+        parts = []
+        if observed:
+            parts.append(Or(tuple(Exists(domain.tagged(q, None))
+                                  for q in domain.states if q not in observed)))
+        if env_marker:
+            parts.append(Or(tuple(Exists(domain.tagged(None, mk))
+                                  for mk in MARKERS if mk != ENVIRONMENT)))
+        good = ideal_basis_of(And(tuple(parts)), domain, "/bad")
+    elif mode == "custom":
         c = spec.get("constraint")
-        if c is None or polarity(c) != "negative":
+        if c is None:
             raise ModelError([("/bad", "custom mode needs a negative constraint")])
         good = ideal_basis_of(negate(c), domain, "/bad/constraint")
-        return BadSet(lambda s: not covers(good, s))
-    raise ModelError([("/bad", "unknown bad-set mode %r" % mode)])
+    else:
+        raise ModelError([("/bad", "unknown bad-set mode %r" % mode)])
+    return BadSet(lambda s: not covers(good, s))

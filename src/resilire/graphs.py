@@ -60,9 +60,6 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def degree(self, node_id: str) -> int:
-        return sum(1 for (s, t, _l) in self.edges.values() if s == node_id or t == node_id)
-
     def label_counts(self) -> Tuple[Counter, Counter]:
         """Node and edge label multiplicities, computed once."""
         if self._counts is None:

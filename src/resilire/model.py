@@ -20,7 +20,7 @@ from . import constraints as cns
 from . import control as ctl
 from .engine import ResilienceInstance
 from .errors import ModelError
-from .graphs import Graph, GraphClass
+from .graphs import Graph, GraphClass, quotient_isolated
 from .limits import Limits
 from .order import Basis, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,
@@ -208,8 +208,9 @@ def _parse_class(obj: dict, where: str, r: _Reader) -> GraphClass:
 def _refuse_isolated(g: Graph, quotient, where: str, r: _Reader, what: str):
     """States are normalized by erasing isolated nodes with a `quotient`
     label, so no rule left side or pattern may hold one."""
+    kept = quotient_isolated(g, quotient).nodes
     for nid, lab in sorted(g.nodes.items()):
-        if lab in quotient and g.degree(nid) == 0:
+        if nid not in kept:
             r.add(where, "%s an isolated %r node, which the quotient erases "
                          "from every state" % (what, lab))
 
@@ -284,11 +285,12 @@ def _parse_literal(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
     when the literal is unusable."""
     state = r.read(obj, "state", where, str, None)
     marker = r.read(obj, "marker", where, MARKERS, None)
-    # A marking order refuses a state or marker its model lacks; a graph
-    # order would take the node for one of an ordinary label.
-    if state is not None and (states or net is None) and state not in states:
+    # Refused here, at its pointer: a marking order would refuse a state
+    # or marker its model lacks without one, and a graph order would
+    # take the node for one of an ordinary label.
+    if state is not None and state not in states:
         r.add(_pointer(where, "state"), "unknown automaton state %r" % state)
-    if marker is not None and net is None and marker not in markers:
+    if marker is not None and marker not in markers:
         r.add(_pointer(where, "marker"), "the model is not annotated")
     if net is not None:
         return net.weights(r.counts(obj, "marking", where, net.places)), state, marker
@@ -299,17 +301,22 @@ def _parse_literal(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
 
 
 def _parse_constraint(obj: dict, where: str, r: _Reader, net: Optional[PetriNet],
-                      states: Tuple[str, ...], markers: Tuple[str, ...], quotient):
-    op = r.read(obj, "op", where, ("and", "or", "exists", "not_exists"))
+                      states: Tuple[str, ...], markers: Tuple[str, ...], quotient,
+                      leaf: str):
+    """A constraint whose leaves all have the op `leaf`: "exists" for
+    safety, "not_exists" for a custom bad set."""
+    op = r.read(obj, "op", where, ("and", "or", leaf))
     if op is None:
         return None
     if op in ("and", "or"):
+        seen = len(r.issues)
         parts = tuple(
-            p for p in (_parse_constraint(a, w, r, net, states, markers, quotient)
+            p for p in (_parse_constraint(a, w, r, net, states, markers, quotient, leaf)
                         for _i, w, a in r.each(obj, "args", where, dict))
             if p is not None)
         if not parts:
-            r.add(where, "'%s' needs at least one argument" % op)
+            if len(r.issues) == seen:  # else the faulty arguments are named
+                r.add(where, "'%s' needs at least one argument" % op)
             return None
         return cns.And(parts) if op == "and" else cns.Or(parts)
     body, state, marker = _parse_literal(obj, where, r, net, states, markers)
@@ -457,9 +464,8 @@ def from_dict(obj: dict) -> ModelDocument:
     quotient = base_class.quotient_labels if base_class else ()
     safety = r.read(obj, "safety", "", dict)
     if safety is not None:
-        safety = _parse_constraint(safety, "/safety", r, net, states, markers, quotient)
-        if safety is not None and cns.polarity(safety) != "positive":
-            r.add("/safety", "safety must be a positive constraint")
+        safety = _parse_constraint(safety, "/safety", r, net, states, markers, quotient,
+                                   "exists")
 
     bad_spec = r.read(obj, "bad", "", dict)
     if bad_spec is not None:
@@ -480,9 +486,7 @@ def from_dict(obj: dict) -> ModelDocument:
             c = r.read(bad_spec, "constraint", "/bad", dict)
             if c is not None:
                 c = _parse_constraint(c, "/bad/constraint", r, net, states, markers,
-                                      quotient)
-            if c is not None and cns.polarity(c) != "negative":
-                r.add("/bad/constraint", "must be a negative constraint")
+                                      quotient, "not_exists")
             bad_spec["constraint"] = c
 
     b_post = _parse_b_post(obj, r, net, states, markers)

@@ -1,5 +1,7 @@
 """Constraint semantics and their translation to bases and predicates."""
 
+import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -7,24 +9,17 @@ import pytest
 from resilire import model
 from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain,
                                   NotExists, Or, anti_ideal_of, ideal_basis_of,
-                                  negate, polarity)
+                                  negate)
 from resilire.control import with_control
+from resilire.engine import forward_states
 from resilire.errors import ModelError
 from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
 from resilire.order import covers, minimize
-from resilire.petri import MARKERS, Marking, VectorOrder
+from resilire.petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
 from resilire.rewriting import SubgraphOrder
 
 from conftest import (enumerate_class_graphs, fixture_path, random_graph, rng_for,
                       satisfies)
-
-
-def test_polarity():
-    pos = Or((Exists(single_node("a")), And((Exists(single_node("b")),))))
-    neg = negate(pos)
-    assert polarity(pos) == "positive"
-    assert polarity(neg) == "negative"
-    assert polarity(And((pos, neg))) == "mixed"
 
 
 def test_satisfies_graph_exists():
@@ -118,26 +113,30 @@ def test_ideal_basis_rejects_out_of_class_pattern():
     dom = plain_graph_domain(max_path=0)
     outside = Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")]))
     inside = Exists(single_node("a"))
-    for c in (outside, And((inside, outside)), Or((inside, outside)),
-              And((inside, Or((outside, inside))))):
+    # each constraint with the pointer of its outside leaf
+    for c, leaf in ((outside, ""), (And((inside, outside)), "/args/1"),
+                    (Or((inside, outside)), "/args/1"),
+                    (And((inside, Or((outside, inside)))), "/args/1/args/0")):
         with pytest.raises(ModelError, match="outside the state class") as err:
             ideal_basis_of(c, dom)
-        assert [loc for loc, _msg in err.value.issues] == ["/safety"]
+        assert [loc for loc, _msg in err.value.issues] == ["/safety" + leaf]
         # a custom bad set is read through the ideal of its negation, so a
         # `not_exists` leaf that no class member contains is refused too
         with pytest.raises(ModelError, match="outside the state class") as err:
             anti_ideal_of({"mode": "custom", "constraint": negate(c)}, dom)
-        assert [loc for loc, _msg in err.value.issues] == ["/bad/constraint"]
+        assert [loc for loc, _msg in err.value.issues] == ["/bad/constraint" + leaf]
 
 
 def test_ideal_basis_rejects_negative():
     dom = plain_graph_domain()
     a, b = single_node("a"), single_node("b")
-    for c in (NotExists(a), Or((Exists(a), NotExists(b))),
-              And((Exists(a), NotExists(b))), Or((Exists(a), And((NotExists(b),))))):
+    # each constraint with the pointer of its negative leaf
+    for c, leaf in ((NotExists(a), ""), (Or((Exists(a), NotExists(b))), "/args/1"),
+                    (And((Exists(a), NotExists(b))), "/args/1"),
+                    (Or((Exists(a), And((NotExists(b),)))), "/args/1/args/0")):
         with pytest.raises(ModelError, match="positive") as err:
             ideal_basis_of(c, dom)
-        assert [loc for loc, _msg in err.value.issues] == ["/safety"]
+        assert [loc for loc, _msg in err.value.issues] == ["/safety%s/op" % leaf]
 
 
 def test_vector_domain_completion_and_meet():
@@ -162,6 +161,43 @@ def test_adverse_bad_set_on_path_game():
     at_s = quotient_isolated(with_control(single_node("L"), "s"), quotient).canonical()
     assert built.bad.contains(at_e)
     assert not built.bad.contains(at_s)
+
+
+ADVERSE_SPECS = {
+    "env": lambda states: {"env_marker": True},
+    "first+env": lambda states: {"states": states[:1], "env_marker": True},
+    "all": lambda states: {"states": states},
+    "all+env": lambda states: {"states": states, "env_marker": True},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ADVERSE_SPECS))
+@pytest.mark.parametrize("name", ["adverse_vs_error_petri.json", "supplychain.json",
+                                  "adverse_vs_error.json"])
+def test_adverse_bad_set_observes_states_and_environment_marker(name, spec):
+    # an annotated copy of the fixture: a state is bad iff its control
+    # state is observed or its marker is the environment's
+    doc = json.loads(open(fixture_path(name)).read())
+    doc["annotate"] = True
+    doc.pop("b_post")
+    states = doc["automaton"]["states"]
+    doc["bad"] = dict(ADVERSE_SPECS[spec](states), mode="adverse")
+    built = model.build(model.from_dict(doc))
+    observed = set(doc["bad"].get("states", ()))
+    env_marker = doc["bad"].get("env_marker", False)
+    if doc["kind"] == "petri":
+        width = len(doc["petri"]["places"])
+        universe = [(Marking(tokens, q, mk), q, mk)
+                    for tokens in itertools.product(range(3), repeat=width)
+                    for q in states for mk in MARKERS]
+    else:
+        klass = built.backend.klass
+        universe = [(g, klass.control_of(g), klass.marker_of(g))
+                    for layer in forward_states(built.start, built.backend, 6)
+                    for g in layer]
+    for s, q, mk in universe:
+        expected = q in observed or (env_marker and mk == ENVIRONMENT)
+        assert built.bad.contains(s) == expected, (s, spec)
 
 
 def test_error_mode_is_complement_of_safety():
@@ -198,6 +234,17 @@ def test_custom_mode_requires_negative():
 
 
 # -- a custom bad set against the leaf-by-leaf reading -------------------------
+
+
+def resolve(c, pointer, root):
+    """The part of constraint `c` at `pointer`, `c` itself being at `root`."""
+    assert pointer.startswith(root)
+    steps = pointer[len(root):].split("/")[1:]
+    for key, index in zip(steps[::2], steps[1::2]):
+        assert key == "args"
+        c = c.parts[int(index)]
+    assert len(steps) % 2 == 0
+    return c
 
 
 def random_negative(rng, leaf, depth=2):
@@ -267,9 +314,11 @@ def test_custom_bad_set_agrees_with_leaf_by_leaf_reading(case):
         try:
             bad = anti_ideal_of({"mode": "custom", "constraint": c}, dom)
         except ModelError as err:
-            # only a leaf that no class member contains is refused
-            assert [loc for loc, _msg in err.issues] == ["/bad/constraint"]
-            assert "outside the state class" in err.issues[0][1]
+            # only a leaf that no class member contains is refused, at
+            # its own pointer
+            [(loc, msg)] = err.issues
+            assert isinstance(resolve(c, loc, "/bad/constraint"), NotExists), loc
+            assert "outside the state class" in msg
             refused += 1
             continue
         for s in universe:

@@ -118,8 +118,15 @@ def test_mixed_polarity_safety_rejected():
         {"op": "exists", "marking": {"stock": 1}},
         {"op": "not_exists", "marking": {"reserve": 5}},
     ]}
-    with pytest.raises(ModelError, match="positive"):
+    with pytest.raises(ModelError, match="not 'not_exists'") as err:
         model.from_dict(doc)
+    # refused at the leaf's own op
+    assert [loc for loc, _msg in err.value.issues] == ["/safety/args/1/op"]
+    # an `and` whose only argument is refused is not also called empty
+    del doc["safety"]["args"][0]
+    with pytest.raises(ModelError) as err:
+        model.from_dict(doc)
+    assert [loc for loc, _msg in err.value.issues] == ["/safety/args/0/op"]
 
 
 def test_cli_check_found_exit_zero():
@@ -345,8 +352,7 @@ def test_plain_net_without_automaton(tmp_path):
 def test_cli_state_or_marker_the_model_lacks_exits_two(tmp_path, base, section, extra):
     # A plain net has no control state and an unannotated model no
     # marker; a pattern or state naming one is a model error, not a
-    # state that nothing covers.  A custom bad leaf is read as the
-    # ideal of its negation, so it is refused as a safety leaf is.
+    # state that nothing covers, refused at the field's own pointer.
     doc = base()
     doc["bad"] = {"mode": "error"}
     if section == "b_post":
@@ -360,7 +366,9 @@ def test_cli_state_or_marker_the_model_lacks_exits_two(tmp_path, base, section, 
     path.write_text(json.dumps(doc))
     proc = run_cli("check", str(path))
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "state/marker presence" in proc.stderr
+    (key,) = extra
+    pointer = {"b_post": "/b_post/0/", "bad": "/bad/constraint/"}.get(section, "/safety/")
+    assert pointer + key + ":" in proc.stderr
 
 
 def graph_doc():
