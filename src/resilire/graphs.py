@@ -15,7 +15,8 @@ embedding search prunes them and parallel host edges the same way, for
 callers that need morphisms only up to host automorphisms.  A caller
 may prepare a host once for many embedding searches (`host_plan`).
 Candidates are filtered by class membership, an isomorphism invariant,
-before they are canonicalized (`GraphClass.admit`).
+before they are canonicalized (`GraphClass.admit`); a caller that knows
+a candidate's simple paths to be a member's skips the path walk.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ class Graph:
         return len(self.nodes)
 
     def label_counts(self) -> Tuple[Counter, Counter]:
-        """Node and edge label multiplicities, computed once."""
+        """Node labels and (source, edge, target) label triples, counted once."""
         if self._counts is None:
-            self._counts = (Counter(self.nodes.values()),
-                            Counter(l for (_s, _t, l) in self.edges.values()))
+            n, e = self.nodes, self.edges.values()
+            self._counts = Counter(n.values()), Counter((n[s], l, n[t]) for s, t, l in e)
         return self._counts
 
     # -- identity up to isomorphism -------------------------------------
@@ -213,17 +214,25 @@ def _canonical_key(g: Graph) -> tuple:
         return (0, 0, (), ())
     index = {v: i for i, v in enumerate(g.nodes)}
     labels = list(g.nodes.values())
-    triples = [(index[s], index[t], l) for (s, t, l) in g.edges.values()]
-    adj = ([[] for _ in labels], [[] for _ in labels])
-    for s, t, l in triples:
-        adj[0][s].append((l, t))
-        adj[1][t].append((l, s))
-    colors = _ranks([(lab, len(out), len(inn)) for lab, out, inn in zip(labels, *adj)])
+    triples, out, inn = [], [[] for _ in labels], [[] for _ in labels]
+    for s, t, l in g.edges.values():
+        s, t = index[s], index[t]
+        triples.append((s, t, l))
+        out[s].append((l, t))
+        inn[t].append((l, s))
+    colors = _ranks([(lab, len(o), len(i)) for lab, o, i in zip(labels, out, inn)])
     # A discrete coloring is stable: refining it would rank it again.
     if max(colors) + 1 < n:
-        colors = _refine(adj, colors)
-    twins = list(twin_signatures(g).values()) if max(colors) + 1 < n else None
-    labels, triples = _min_encoding((labels, triples, adj), colors, twins)
+        colors = _refine((out, inn), colors)
+    if max(colors) + 1 == n:  # discrete: the coloring is the ordering
+        labels = tuple(lab for _c, lab in sorted(zip(colors, labels)))
+        triples = tuple(sorted([(colors[s], colors[t], l) for s, t, l in triples]))
+        return (n, len(triples), labels, triples)
+    # Twins as `twin_signatures` has them, with a loop's far end as -1.
+    twins = [(lab, tuple(sorted([(l, -1 if t == v else t) for l, t in o])),
+              tuple(sorted([e for e in i if e[1] != v])))
+             for v, (lab, o, i) in enumerate(zip(labels, out, inn))]
+    labels, triples = _min_encoding((labels, triples, (out, inn)), colors, twins)
     return (n, len(triples), labels, triples)
 
 
@@ -388,8 +397,8 @@ def exists_embedding(pattern: Graph, host: Graph) -> bool:
 
 
 def counts_fit(pattern: Graph, host: Graph) -> bool:
-    """Necessary for an embedding: the host has at least as many nodes
-    and edges of every label as the pattern."""
+    """Necessary for an embedding: the host has at least as many nodes of
+    every label, and edges of every `label_counts` triple, as the pattern."""
     if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
         return False
     (pn, pe), (hn, he) = pattern.label_counts(), host.label_counts()
@@ -486,22 +495,24 @@ class GraphClass:
                 if labels]
         return tuple(out)
 
-    def admit(self, g: Graph, subgraph: bool = False) -> Optional[Graph]:
-        """The canonical quotient of g if `contains(g, subgraph)` holds for
-        it, else None.  Membership is an isomorphism invariant, so it is
-        decided before canonicalizing."""
+    def admit(self, g: Graph, subgraph: bool = False, paths: bool = True) -> Optional[Graph]:
+        """The canonical quotient of g if `contains(g, subgraph, paths)`
+        holds for it, else None.  Membership is an isomorphism invariant,
+        so it is decided before canonicalizing."""
         g = quotient_isolated(g, self.quotient_labels)
-        return g.canonical() if self.contains(g, subgraph) else None
+        return g.canonical() if self.contains(g, subgraph, paths) else None
 
-    def contains(self, g: Graph, subgraph: bool = False) -> bool:
+    def contains(self, g: Graph, subgraph: bool = False, paths: bool = True) -> bool:
         """Membership; with `subgraph`, whether g embeds in some member,
         which checks only what subgraphs inherit: the path bound, the
-        count maxima, and at most one control and one marker node."""
+        count maxima, and at most one control and one marker node.
+        Without `paths` the path bound goes untested: the caller knows
+        that each simple path of g is one of a graph that meets it."""
         for labels, lo, hi in self.bounds:
             n = sum(lab in labels for lab in g.nodes.values())
             if (hi is not None and n > hi) or (lo is not None and n < lo and not subgraph):
                 return False
-        return self.max_path is None or path_length_within(g, self.max_path)
+        return not paths or self.max_path is None or path_length_within(g, self.max_path)
 
     def lifts(self, g: Graph) -> list:
         """The least graphs made of g and isolated nodes that meet every

@@ -19,7 +19,9 @@ graph is built.  Their results are ideal generators: they are filtered
 only by what subgraphs of class members inherit
 (`GraphClass.admit(g, subgraph=True)`), may repeat, and are made a
 basis by `minimize`.  The backward step first lifts its target to the
-class's node-count minima with isolated nodes.
+class's node-count minima with isolated nodes.  The forward steps
+prepare each host once for all rules, and test the path bound only on
+results of rules that can lengthen a path (`Rule.keeps_paths`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ from .order import Wqo, _ScanIndex
 
 class Rule:
     """An SPO rule: left graph, right graph, and the partial morphism
-    between them as explicit (left id, right id) pairs."""
+    between them as explicit (left id, right id) pairs.
+
+    `keeps_paths` holds when no result has a simple path its host lacks:
+    every created edge is a loop, or joins two preserved nodes that an
+    edge of `left` joins already, so created nodes stay isolated."""
 
     def __init__(self, name: str, owner: str, left: Graph, right: Graph,
                  node_map, edge_map=()):
@@ -54,6 +60,11 @@ class Rule:
         self.deleted_edges = sorted(set(left.edges) - set(self.edge_map))
         self.created_nodes = sorted(set(right.nodes) - set(self.node_map.values()))
         self.created_edges = sorted(set(right.edges) - set(self.edge_map.values()))
+        back = {r: l for l, r in self.node_map.items()}
+        joined = {frozenset(e[:2]) for e in left.edges.values()}
+        self.keeps_paths = all(
+            s == t or (s in back and t in back and frozenset((back[s], back[t])) in joined)
+            for s, t, _l in map(right.edges.get, self.created_edges))
         self._inverse = None
 
     def inverse(self) -> "Rule":
@@ -103,16 +114,16 @@ def identity_rule(name: str, owner: str) -> Rule:
     return Rule(name, owner, EMPTY_GRAPH, EMPTY_GRAPH, {})
 
 
-def matches(rule: Rule, g: Graph, twins=None) -> Iterator[dict]:
+def matches(rule: Rule, g: Graph, twins=None, plan=None) -> Iterator[dict]:
     """Total injective match morphisms of the rule's left side, one per
     orbit of g's twin swaps and parallel-edge swaps; `twins` is g's
-    `twin_signatures`, computed unless given.  Matches in one orbit
-    give isomorphic results, so these give every result up to
-    isomorphism; `graphs.embeddings` without `twins` yields every
-    match."""
+    `twin_signatures` and `plan` its `host_plan`, each computed unless
+    given.  Matches in one orbit give isomorphic results, so these give
+    every result up to isomorphism; `graphs.embeddings` without `twins`
+    yields every match."""
     if twins is None:
         twins = twin_signatures(g)
-    return embeddings(rule.left, g, twins=twins)
+    return embeddings(rule.left, g, twins=twins, plan=plan)
 
 
 def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
@@ -144,12 +155,16 @@ def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
 
 def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
     """All one-step SPO successors inside the class, canonical,
-    deduplicated by key and unordered; `minimize` orders them."""
+    deduplicated by key and unordered; `minimize` orders them.
+
+    g must be a member of the class: then a result of a rule that
+    `keeps_paths` meets the path bound, and only the other rules' results
+    are walked for it.  g's twins and host plan serve every rule."""
     seen = {}
-    twins = twin_signatures(g)
+    twins, plan = twin_signatures(g), host_plan(g)
     for rule in rules:
-        for m in matches(rule, g, twins):
-            h = klass.admit(apply_rule(rule, g, m))
+        for m in matches(rule, g, twins, plan):
+            h = klass.admit(apply_rule(rule, g, m), paths=not rule.keeps_paths)
             if h is not None:
                 seen.setdefault(h.key(), h)
     return list(seen.values())
@@ -424,7 +439,8 @@ class GraphBackend:
         successor of such a host.  Results are filtered only by the
         class conditions that subgraphs of members inherit, so one
         below a `node_count` minimum stays: a larger host brings its
-        successors into the class.
+        successors into the class.  An overlap that meets the path
+        bound passes it on to the results of rules that `keeps_paths`.
         """
         klass = self.klass
         twins = twin_signatures(g)
@@ -434,7 +450,8 @@ class GraphBackend:
             for ov in overlaps(rule.left, g, self.limits, windows, (), twins):
                 if not klass.contains(ov.u, subgraph=True):
                     continue
-                h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True)
+                h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True,
+                                paths=not rule.keeps_paths)
                 if h is not None:
                     out.append(h)
         return out

@@ -1,10 +1,11 @@
 """SPO application, overlap enumeration, and the backward step."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from resilire import rewriting
+from resilire import graphs, model, rewriting
 from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,
                              single_node)
 from resilire.limits import Limits
@@ -14,7 +15,7 @@ from resilire.rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule,
                                 identity_rule, matches, overlaps,
                                 rule_predecessor_basis, successors)
 
-from conftest import enumerate_class_graphs, random_graph, rng_for
+from conftest import enumerate_class_graphs, fixture_path, random_graph, rng_for
 
 FREE = GraphClass()
 
@@ -308,6 +309,106 @@ def test_successors_equal_the_results_at_every_embedding(klass):
         nonempty += bool(want)
         pruned += count < len(every)
     assert nonempty > 80 and pruned > 30
+
+
+def test_keeps_paths_on_the_path_game_rules():
+    """Only `new_point` creates an edge at a node the rule creates; the
+    other rules recreate edges between nodes their left sides join.
+    Read backwards, `sever` joins nodes its left side leaves apart."""
+    rules = model.build(model.load(fixture_path("pathgame.json"))).backend.rules
+    kept = {rule.name.split("[")[0]: rule.keeps_paths for rule in rules}
+    assert kept == {"new_point": False, "widen1": True, "widen2": True, "flip1": True,
+                    "flip2": True, "sever1": True, "sever2": True}
+    assert not any(rule.inverse().keeps_paths for rule in rules
+                   if rule.name.startswith("sever"))
+
+
+def path_rule(rng):
+    """A random rule whose created edges are loops, copies of left edges
+    in either direction, or edges between any other preserved or
+    created nodes."""
+    left = random_graph(rng, ["a", "b"], ["x"], 3, 3)
+    keep = [n for n in sorted(left.nodes) if rng.random() < 0.8]
+    kept = [e for e, (s, t, _l) in sorted(left.edges.items())
+            if s in keep and t in keep and rng.random() < 0.5]
+    nodes = {n: left.nodes[n] for n in keep}
+    edges = {e: left.edges[e] for e in kept}
+    if rng.random() < 0.3:
+        nodes["c"] = rng.choice(["a", "b"])
+    joined = [(s, t) for s, t, _l in left.edges.values() if s in keep and t in keep]
+    for j in range(rng.randint(0, 2) if nodes else 0):
+        if joined and rng.random() < 0.4:
+            s, t = rng.choice(joined)[::rng.choice([1, -1])]
+        else:
+            s, t = rng.choice(sorted(nodes)), rng.choice(sorted(nodes))
+        edges["f%d" % j] = (s, t, "x")
+    return Rule("r", "sys", left, Graph(nodes, edges),
+                {n: n for n in keep}, {e: e for e in kept})
+
+
+def created_edge_kinds(rule):
+    back = {r: l for l, r in rule.node_map.items()}
+    joined = {frozenset((s, t)) for s, t, _l in rule.left.edges.values()}
+    kinds = set()
+    for s, t, _l in map(rule.right.edges.get, rule.created_edges):
+        if s == t:
+            kinds.add("loop")
+        elif s not in back or t not in back:
+            kinds.add("at a created node")
+        elif frozenset((back[s], back[t])) in joined:
+            kinds.add("joined")
+        else:
+            kinds.add("unjoined")
+    return kinds
+
+
+def grown_member(rng, klass):
+    """A random class member, its edges (loops among them) added one at
+    a time while the class allows."""
+    g = random_graph(rng, ["a", "b"], ["x"], 6, 0, klass)
+    for j in range(8 if g.nodes else 0):
+        s, t = rng.choice(sorted(g.nodes)), rng.choice(sorted(g.nodes))
+        grown = Graph(g.nodes, {**g.edges, "e%d" % j: (s, t, "x")})
+        g = grown if klass.contains(grown) else g
+    return g
+
+
+@pytest.mark.parametrize("klass", [
+    GraphClass(max_path=2),
+    GraphClass(max_path=3, quotient_labels=frozenset({"b"}), node_count=(("a", (None, 3)),)),
+], ids=["plain", "quotient"])
+def test_successors_skip_the_path_test_only_where_it_cannot_fail(klass):
+    """On class members, `successors` with the path test skipped for
+    rules that keep paths equals the full class test of every result."""
+    rng = rng_for("keeps-paths")
+    kinds, refused, kept = Counter(), 0, 0
+    for _ in range(400):
+        rule = path_rule(rng)
+        g = grown_member(rng, klass)
+        assert rule.keeps_paths == (created_edge_kinds(rule) <= {"loop", "joined"})
+        kinds.update(created_edge_kinds(rule))
+        results = [apply_rule(rule, g, m) for m in embeddings(rule.left, g)]
+        want = {h.key() for h in map(klass.admit, results) if h is not None}
+        assert {h.key() for h in successors(g, [rule], klass)} == want, (rule.right, g)
+        refused += sum(klass.admit(h, paths=False) is not None and klass.admit(h) is None
+                       for h in results)
+        kept += rule.keeps_paths and bool(want)
+    assert min(kinds[k] for k in ("loop", "joined", "unjoined", "at a created node")) >= 20, kinds
+    assert refused > 20 and kept > 20, (refused, kept)
+
+
+def test_successors_prepare_the_host_once_for_all_rules(monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    g = max(built.backend.post_step(built.start), key=len)
+    built_for = Counter()
+    for module in (graphs, rewriting):
+        for name in ("host_plan", "twin_signatures"):
+            def counting(host, real=getattr(module, name), name=name):
+                built_for[name] += 1
+                return real(host)
+            monkeypatch.setattr(module, name, counting)
+    assert successors(g, built.backend.rules, built.backend.klass)
+    assert built_for == {"host_plan": 1, "twin_signatures": 1}
 
 
 def test_backward_step_sound_and_complete_smoke():
