@@ -10,11 +10,12 @@ loop and reports a distinct 'exhausted' outcome when it trips.
 Rounds are frontier-only.  An element of round k's basis that was
 already in round k-1's has its predecessors in I_k, so round k+1 merges
 the one-step basis of the *fresh* elements of round k alone into round
-k's basis, whose elements are never compared with each other again.
-Each basis element is stepped exactly once.  Bases are canonical, so a
-round without fresh elements has the previous round's ideal: it is the
-fixed point.  `backward_step` keeps the full one-step operator as a
-reference.
+k's basis.  That basis is one `Antichain` for the whole saturation:
+each merge compares the candidates only with each other and with the
+live elements, and returns exactly the fresh elements of the next
+round.  Each basis element is stepped exactly once.  A round without
+fresh elements has the previous round's ideal: it is the fixed point.
+`backward_step` keeps the full one-step operator as a reference.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
@@ -35,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GuardExceeded, SaturationExhausted
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Basis, basis_subset, minimize
+from .order import Antichain, Basis, basis_subset, minimize
 
 INFINITY = math.inf
 
@@ -72,45 +73,35 @@ class Verdict:
     reason: Optional[str] = None
 
 
-def _round(seed: Basis, current, step, order) -> Basis:
-    """Basis of up(seed) union the ideals of `step(b)` for b in `current`.
-
-    The steps' candidates stream into `minimize`, the one place where
-    repeats collapse."""
-    return minimize((c for b in current for c in step(b)), order, base=seed)
-
-
 def backward_step(current: Basis, safe: Basis, backend) -> Basis:
     """Basis of (safety ideal) union (one-step predecessors of `current`).
 
     The full one-step operator; saturation itself only steps the fresh
     elements of each round and yields the same bases.
     """
-    return _round(safe, current, backend.pre_basis, backend.order)
+    return minimize((c for b in current for c in backend.pre_basis(b)),
+                    backend.order, base=safe)
 
 
 def _saturation(seed: Basis, step, order, max_iters: int):
     """Yield (k, basis-of-round-k, stable) starting at k=0.
 
     Round k+1 is the basis of round k's ideal together with the ideals
-    of `step(b)` for the fresh elements b of round k: those whose key
-    is not in round k-1 (all of round 0).  `stable` marks the first
-    round without fresh elements, which is the fixed point; iteration
-    stops after yielding it.  Raises SaturationExhausted when the guard
-    trips first.
+    of `step(b)` for the fresh elements b of round k: those that the
+    merge into round k-1's antichain kept (all of round 0).  `stable`
+    marks the first round without fresh elements, which is the fixed
+    point; iteration stops after yielding it.  The steps' candidates
+    stream into the merge, the one place where repeats collapse.
+    Raises SaturationExhausted when the guard trips first.
     """
-    key = order.key
-    current, fresh = seed, seed.elements
-    known = {key(b) for b in fresh}
-    yield 0, current, False
+    live, fresh = Antichain(order, seed), seed.elements
+    yield 0, seed, False
     for k in range(1, max_iters + 1):
-        nxt = _round(current, fresh, step, order)
-        fresh = [b for b in nxt if key(b) not in known]
+        fresh = live.merge(c for b in fresh for c in step(b))
         stable = not fresh
-        yield k, nxt, stable
+        yield k, live.basis(), stable
         if stable:
             return
-        current, known = nxt, {key(b) for b in nxt}
     raise SaturationExhausted("no fixed point within %d rounds" % max_iters)
 
 

@@ -6,16 +6,20 @@ that every computation over bases is reproducible byte for byte.
 Downward-closed sets have no useful finite basis and are handled
 elsewhere as membership predicates.
 
-Minimization asks an antichain index whether a kept element lies below
-the candidate (`Wqo.antichain_index`); the default index scans with
-`leq`, and an order may answer from a structure of its own instead
-(markings: a token trie; graphs: each query's host prepared once).
-Coverage of one state by a basis scans the basis with `leq`.
+An `Antichain` is a basis kept live across merges: each merge compares
+the new candidates with each other and with the live elements through
+one antichain index (`Wqo.antichain_index`) that lives as long as the
+antichain, so a saturation never rebuilds its previous basis.  The
+default index scans with the order's `below`; an order may answer from
+a structure of its own instead (markings: one bitmask per coordinate
+and token count).  Coverage of one state by a basis is the first
+element that `below` yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -31,11 +35,13 @@ class Wqo:
       ``size(a) <= size(b)``, with equality only when the states are
       order-equivalent.  Minimization sorts on it so that potential
       dominators are always seen before the states they dominate;
+    * ``below(elements, s)`` -- optional: the given elements ``t`` with
+      ``leq(t, s)``, lazily and in their order.  An order may prepare
+      ``s`` once for all of them;
     * ``antichain_index()`` -- optional: a fresh, empty index with
-      ``add(s)`` and ``covers(s)``, where ``covers(s)`` tells whether some
-      added state ``t`` has ``leq(t, s)``.  ``minimize`` builds one per
-      side of a call, base and new.  The default scans the added states
-      with ``leq``.
+      ``add(s)``, ``remove(s)`` for a state added before, ``below(s)``
+      yielding the added states under ``s``, and ``covers(s)``, its
+      first hit.  The default scans the added states with ``below``.
     """
 
     def leq(self, a, b) -> bool:
@@ -47,22 +53,32 @@ class Wqo:
     def size(self, a) -> int:
         raise NotImplementedError
 
+    def below(self, elements: Iterable, s) -> Iterator:
+        return (t for t in elements if self.leq(t, s))
+
     def antichain_index(self):
         return _ScanIndex(self)
 
 
 class _ScanIndex:
-    """The default antichain index: a list scanned with the order's `leq`."""
+    """The default antichain index: the added states, by identity, in
+    the order they came, scanned with the order's `below`."""
 
     def __init__(self, order: Wqo):
         self._order = order
-        self._items: list = []
+        self._items: dict = {}
 
     def add(self, s) -> None:
-        self._items.append(s)
+        self._items[id(s)] = s
+
+    def remove(self, s) -> None:
+        del self._items[id(s)]
+
+    def below(self, s) -> Iterator:
+        return self._order.below(self._items.values(), s)
 
     def covers(self, s) -> bool:
-        return any(self._order.leq(t, s) for t in self._items)
+        return next(self.below(s), None) is not None
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,82 @@ class Basis:
         return bool(self.elements)
 
 
+class Antichain:
+    """The minimal elements of a growing ideal, starting from `base`,
+    which must be an antichain, as every `Basis` from `minimize` is.
+
+    The elements are kept with their sizes and keys, sorted by (size,
+    key), and in one antichain index for the antichain's whole life:
+    two of them are never compared with each other, and none is keyed
+    or indexed again.
+    """
+
+    def __init__(self, order: Wqo, base: Iterable = ()):
+        self.order = order
+        self._index = order.antichain_index()
+        self._sweep = sorted(((order.size(b), order.key(b), b) for b in base),
+                             key=_size_key)
+        self._keys = {k for _n, k, _b in self._sweep}
+        for _n, _k, b in self._sweep:
+            self._index.add(b)
+
+    def merge(self, candidates: Iterable) -> list:
+        """Join the candidates' ideal to the antichain's; return the
+        candidates that became elements, sorted by key.
+
+        A candidate under a key already present is dropped uncompared;
+        of repeats, the first stays.  The rest and the elements are
+        swept together in (size, key) order, so everything below a state
+        comes before it.  A candidate is kept unless a kept candidate
+        lies below it, or an element that comes before it, so of two
+        order-equivalent states the one with the smaller key stays.  An
+        element that a kept candidate lies below is removed when the
+        sweep reaches it, before any later candidate is compared with it.
+        """
+        order, keys = self.order, self._keys
+        new: dict = {}
+        for c in candidates:
+            k = order.key(c)
+            if k not in keys:
+                new.setdefault(k, c)
+        entries = self._sweep + [(order.size(c), k, c) for k, c in new.items()]
+        entries.sort(key=_size_key)
+        fresh = order.antichain_index()
+        sweep, kept = [], []
+        for entry in entries:
+            n, k, s = entry
+            if k not in new:
+                if kept and fresh.covers(s):
+                    keys.remove(k)
+                    self._index.remove(s)
+                    continue
+            elif fresh.covers(s) or self._earlier_below(n, k, s):
+                continue
+            else:
+                fresh.add(s)
+                kept.append(entry)
+            sweep.append(entry)
+        self._sweep = sweep
+        for _n, k, c in kept:
+            keys.add(k)
+            self._index.add(c)
+        return [c for _n, _k, c in sorted(kept, key=_key)]
+
+    def _earlier_below(self, n, k, s) -> bool:
+        """Whether an element below `s`, of size `n` and key `k`, comes
+        before it in (size, key) order.  One below `s` is smaller, or of
+        equal size and then order-equivalent to it."""
+        order = self.order
+        return any(order.size(t) < n or order.key(t) < k for t in self._index.below(s))
+
+    def basis(self) -> Basis:
+        return Basis(self.order, tuple(b for _n, _k, b in sorted(self._sweep, key=_key)))
+
+
+# Sort keys of the (size, key, state) entries of an `Antichain`.
+_size_key, _key = itemgetter(0, 1), itemgetter(1)
+
+
 def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
 
@@ -92,26 +184,11 @@ def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
 
     `base`, a basis of the same order, joins its ideal to the result as
     if its elements came first in `states`, so a base element wins a key
-    tie.  It must be an antichain, as every `Basis` from `minimize` is:
-    its elements are compared only with kept candidates, never with each
-    other.  Each side is checked through an antichain index of its own.
+    tie: one `Antichain.merge` into `base`.
     """
-    old = {order.key(b): b for b in base}
-    new: dict = {}
-    for s in states:
-        new.setdefault(order.key(s), s)
-    entries = [(k, s, False) for k, s in old.items()]
-    entries += [(k, s, True) for k, s in new.items() if k not in old]
-    entries.sort(key=lambda e: (order.size(e[1]), e[0]))
-    old_index, new_index = order.antichain_index(), order.antichain_index()
-    kept = []
-    for k, s, fresh in entries:
-        if new_index.covers(s) or fresh and old_index.covers(s):
-            continue
-        (new_index if fresh else old_index).add(s)
-        kept.append((k, s))
-    kept.sort(key=lambda ks: ks[0])
-    return Basis(order, tuple(s for _, s in kept))
+    live = Antichain(order, base)
+    live.merge(states)
+    return live.basis()
 
 
 def covers(basis: Basis, state) -> bool:
@@ -119,10 +196,9 @@ def covers(basis: Basis, state) -> bool:
     the state first refuses one of the wrong shape, even for an empty basis."""
     order = basis.order
     order.key(state)
-    return any(order.leq(b, state) for b in basis)
+    return next(order.below(basis.elements, state), None) is not None
 
 
 def basis_subset(states: Iterable, basis: Basis) -> bool:
     """True iff every given state lies in the ideal generated by `basis`."""
     return all(covers(basis, s) for s in states)
-

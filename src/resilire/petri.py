@@ -124,7 +124,8 @@ class VectorOrder(Wqo):
     `has_marker` say whether its markings carry a control state and an
     owner marker; every method refuses a marking of another shape.
     Markings that differ in state or marker are never comparable, so its
-    antichain index keeps one token trie root per (state, marker) pair.
+    antichain index keeps one group of token bitmasks per (state, marker)
+    pair.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -156,47 +157,107 @@ class VectorOrder(Wqo):
     def size(self, a: Marking) -> int:
         return sum(a.tokens)
 
-    def antichain_index(self) -> "_TokenTrie":
-        return _TokenTrie(self)
+    def antichain_index(self) -> "_TokenMasks":
+        return _TokenMasks(self)
 
 
-class _TokenTrie:
-    """Antichain index of `VectorOrder`: per (state, marker) pair, a
-    root of a trie of token vectors keyed coordinate by coordinate.
-    `add` and `covers` check the marking's shape.
+class _TokenMasks:
+    """Antichain index of `VectorOrder`: markings grouped by (state,
+    marker, dimension), since only markings of one group compare.
 
-    `covers(m)` descends only into children whose token count is at most
-    m's in that coordinate, so whole subtrees of vectors that exceed m
-    somewhere are skipped at once instead of compared one by one.
+    A group gives each added marking a slot, reused after a removal,
+    and keeps for coordinate i and token count v one int, `rows[i][v]`,
+    with bit j set when slot j holds at most v tokens in coordinate i.
+    The markings below m are the slots of the AND of `rows[i][m[i]]`
+    over all i.  A marking's shape is checked only when no group fits
+    it, and a group exists only after a checked `add`.
     """
 
     def __init__(self, order: VectorOrder):
         self._order = order
-        self._roots: dict = {}
+        self._groups: dict = {}
+
+    def _group(self, m: Marking) -> Optional["_Group"]:
+        group = (self._groups.get((m.state, m.marker, len(m.tokens)))
+                 if isinstance(m, Marking) else None)
+        if group is None:
+            self._order._check(m)
+        return group
 
     def add(self, m: Marking) -> None:
-        self._order._check(m)
-        node = self._roots.setdefault((m.state, m.marker), {})
-        for v in m.tokens:
-            node = node.setdefault(v, {})
+        group = self._group(m)
+        if group is None:
+            group = self._groups[m.state, m.marker, len(m.tokens)] = _Group(len(m.tokens))
+        group.add(m)
+
+    def remove(self, m: Marking) -> None:
+        self._groups[m.state, m.marker, len(m.tokens)].remove(m)
+
+    def below(self, m: Marking):
+        group = self._group(m)
+        mask = group.mask(m.tokens) if group is not None else 0
+        while mask:
+            low = mask & -mask
+            yield group.items[low.bit_length() - 1]
+            mask ^= low
 
     def covers(self, m: Marking) -> bool:
-        self._order._check(m)
-        root = self._roots.get((m.state, m.marker))
-        if root is None:
-            return False
-        tokens = m.tokens
-        depth = len(tokens)
-        stack = [(root, 0)]
-        while stack:
-            node, i = stack.pop()
-            if i == depth:
-                return True
-            bound = tokens[i]
-            for v, child in node.items():
-                if v <= bound:
-                    stack.append((child, i + 1))
-        return False
+        group = self._group(m)
+        return group is not None and group.mask(m.tokens) != 0
+
+
+class _Group:
+    """One group of `_TokenMasks`: slot j holds `items[j]`, found by its
+    tokens through `slots`; `occupied` has the bits of the held slots."""
+
+    __slots__ = ("rows", "items", "slots", "free", "occupied")
+
+    def __init__(self, dimension: int):
+        self.rows: List[List[int]] = [[] for _ in range(dimension)]
+        self.items: List[Optional[Marking]] = []
+        self.slots: Dict[Tuple[int, ...], int] = {}
+        self.free: List[int] = []
+        self.occupied = 0
+
+    def add(self, m: Marking) -> None:
+        if m.tokens in self.slots:
+            return
+        if self.free:
+            j = self.free.pop()
+            self.items[j] = m
+        else:
+            j = len(self.items)
+            self.items.append(m)
+        self.slots[m.tokens] = j
+        bit = 1 << j
+        for row, v in zip(self.rows, m.tokens):
+            if v >= len(row):
+                # every held slot has at most len(row) - 1 tokens here
+                row.extend([self.occupied] * (v + 1 - len(row)))
+            for u in range(v, len(row)):
+                row[u] |= bit
+        self.occupied |= bit
+
+    def remove(self, m: Marking) -> None:
+        j = self.slots.pop(m.tokens)
+        self.items[j] = None
+        self.free.append(j)
+        keep = ~(1 << j)
+        for row, v in zip(self.rows, m.tokens):
+            for u in range(v, len(row)):
+                row[u] &= keep
+        self.occupied &= keep
+
+    def mask(self, tokens: Tuple[int, ...]) -> int:
+        """The bits of the held slots with at most `tokens`, coordinate
+        by coordinate; a count past a row's end bounds nothing."""
+        mask = self.occupied
+        for row, v in zip(self.rows, tokens):
+            if v < len(row):
+                mask &= row[v]
+                if not mask:
+                    return 0
+        return mask
 
 
 class PetriBackend:

@@ -34,7 +34,7 @@ from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
                      exists_embedding, host_plan, twin_signatures)
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Wqo, _ScanIndex
+from .order import Wqo
 
 
 class Rule:
@@ -377,7 +377,7 @@ class SubgraphOrder(Wqo):
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
     labels).  A label-count test refuses most pairs without a search.
-    Its antichain index prepares each candidate host once per query.
+    `below` prepares the host once for all the elements it tests.
     """
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -389,22 +389,15 @@ class SubgraphOrder(Wqo):
     def size(self, a: Graph) -> int:
         return len(a.nodes) + len(a.edges)
 
-    def antichain_index(self) -> "_SubgraphIndex":
-        return _SubgraphIndex(self)
-
-
-class _SubgraphIndex(_ScanIndex):
-    """The scan index, building each query's `host_plan` once, when the
-    first added graph passes the label-count test, for all its searches."""
-
-    def covers(self, s: Graph) -> bool:
+    def below(self, elements, s: Graph):
+        """The elements that embed into `s`; its `host_plan` is built
+        once, when the first element passes the label-count test."""
         plan = None
-        for t in self._items:
+        for t in elements:
             if counts_fit(t, s):
                 plan = plan or host_plan(s)
                 if next(embeddings(t, s, nodes_only=True, plan=plan), None) is not None:
-                    return True
-        return False
+                    yield t
 
 
 class GraphBackend:

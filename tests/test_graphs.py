@@ -6,11 +6,11 @@ from collections import Counter, defaultdict
 from math import factorial
 from typing import Dict
 
-from resilire import engine, graphs, model
+from resilire import engine, graphs, model, rewriting
 from resilire.graphs import (_BRUTE_ORDERINGS, Graph, GraphClass, _canonical_key,
                              counts_fit, embeddings, exists_embedding, graph_of,
                              path_length_within, quotient_isolated, single_node)
-from resilire.order import _ScanIndex, minimize
+from resilire.order import Wqo, covers, minimize
 from resilire.rewriting import SubgraphOrder
 
 from conftest import fixture_path, random_graph, rng_for
@@ -519,10 +519,10 @@ def test_leq_prefilter_never_refuses_an_embedding():
 
 
 class ScanSubgraphOrder(SubgraphOrder):
-    """The subgraph order with the default antichain index."""
+    """The subgraph order with the default `below`: a `leq` per element."""
 
-    def antichain_index(self):
-        return _ScanIndex(self)
+    def below(self, elements, s):
+        return Wqo.below(self, elements, s)
 
 
 def test_subgraph_index_covers_as_the_scan_does():
@@ -534,14 +534,40 @@ def test_subgraph_index_covers_as_the_scan_does():
         index = order.antichain_index()
         for t in added:
             index.add(t)
-        for _ in range(4):
+        for query in range(4):
+            if query == 2:
+                for t in added[::2]:
+                    index.remove(t)
+                added = added[1::2]
             host = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8)
             s = random_subgraph(rng, host) if rng.random() < 0.3 else host
-            expected = any(order.leq(t, s) for t in added)
-            assert index.covers(s) == expected, (added, s)
-            outcomes.add(expected)
+            under = [t for t in added if order.leq(t, s)]
+            assert list(index.below(s)) == under
+            assert index.covers(s) == bool(under), (added, s)
+            outcomes.add(bool(under))
             refused += sum(not counts_fit(t, s) for t in added)
     assert outcomes == {True, False} and refused > 100
+
+
+def test_covers_prepares_the_host_once_per_call(monkeypatch):
+    rng = rng_for("covers-plan")
+    order = SubgraphOrder()
+    plans, real = [], graphs.host_plan
+    for module in (graphs, rewriting):
+        monkeypatch.setattr(module, "host_plan", lambda host: plans.append(host) or real(host))
+    outcomes, shared = set(), 0
+    for _ in range(300):
+        basis = minimize([g for g in (random_graph(rng, ["a", "b"], ["x"], 4, 4)
+                                      for _ in range(20)) if len(g.edges) >= 2][:6], order)
+        host = max((random_graph(rng, ["a", "b"], ["x"], 7, 12) for _ in range(3)),
+                   key=lambda g: len(g.edges))
+        expected = any(order.leq(t, host) for t in basis)
+        plans.clear()
+        assert covers(basis, host) == expected
+        assert plans in ([], [host])
+        outcomes.add(expected)
+        shared += sum(counts_fit(t, host) for t in basis) >= 2
+    assert outcomes == {True, False} and shared > 60
 
 
 def test_minimize_with_the_subgraph_index_equals_the_scan():

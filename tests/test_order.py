@@ -8,7 +8,7 @@ import pytest
 from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
                                   ideal_basis_of)
 from resilire.errors import BackendMismatch
-from resilire.order import Basis, Wqo, basis_subset, covers, minimize
+from resilire.order import Antichain, Basis, Wqo, basis_subset, covers, minimize
 from resilire.petri import MARKERS, Marking, VectorOrder
 
 from conftest import rng_for
@@ -243,16 +243,59 @@ def test_minimize_into_a_base_never_compares_two_base_elements():
     assert against_base >= 100
 
 
+def assert_live_antichain_matches_reference(order, draw, rng, merges=6):
+    """Random merges into one `Antichain`: after each, its basis is the
+    reference basis of everything merged so far, and the merge returns
+    exactly the elements under keys that were not there before.  Counts
+    the merges that added elements and those that removed some."""
+    base = draw(rng.randint(0, 8))
+    live = Antichain(order, minimize(base, order))
+    seen = list(base)
+    added = removed = 0
+    for _ in range(merges):
+        before = {order.key(b) for b in live.basis()}
+        batch = draw(rng.randint(0, 10))
+        fresh = live.merge(iter(batch))
+        seen += batch
+        want = reference_minimize(seen, order)
+        assert live.basis().elements == want.elements
+        assert fresh == [b for b in want if order.key(b) not in before]
+        added += bool(fresh)
+        removed += not before <= {order.key(b) for b in want}
+    return added, removed
+
+
+def test_live_antichain_merges_match_reference():
+    rng = rng_for("live-antichain")
+    _klass, graph_order, graphs = graph_setup()
+    draws = (
+        (V3_PLAIN, lambda n: random_product_markings(rng, n, states=(None,), markers=(None,))),
+        (V3, lambda n: random_product_markings(rng, n)),
+        # the random float, outside the key, tells apart states under one key
+        (TaggedOrder(), lambda n: [(m, rng.randint(0, 2), rng.random())
+                                   for m in random_product_markings(rng, n)]),
+        (graph_order, lambda n: [rng.choice(graphs) for _ in range(n)]),
+    )
+    added = removed = 0
+    for trial in range(120):
+        order, draw = draws[trial % len(draws)]
+        counts = assert_live_antichain_matches_reference(order, draw, rng)
+        added, removed = added + counts[0], removed + counts[1]
+    assert added > 300 and removed > 150
+
+
 V6 = VectorOrder(6, has_state=True, has_marker=True)
 V6_PLAIN = VectorOrder(6)
 
 
 def test_token_trie_matches_quadratic_reference():
-    """Minimization through the token trie, and the trie's own `covers`,
-    agree with a plain `leq` scan.  Vectors recur under different
-    (state, marker) pairs, and queries sit one token off the stored vectors."""
+    """Minimization through the marking index, and the index's own
+    `covers` and `below`, agree with a plain `leq` scan, also after
+    removals whose slots later additions reuse.  Vectors recur under
+    different (state, marker) pairs, and queries sit one token off the
+    stored vectors."""
     rng = rng_for("trie-reference")
-    answers = []
+    answers, removed = [], 0
     for trial in range(150):
         plain = trial % 5 == 0
         order = V6_PLAIN if plain else V6
@@ -263,10 +306,20 @@ def test_token_trie_matches_quadratic_reference():
                   for _ in range(rng.randint(0, 60))]
         got, want = minimize(sample, order), reference_minimize(sample, order)
         assert got.elements == want.elements
-        stored = sample[:len(sample) // 2]
+        distinct = list({order.key(m): m for m in sample}.values())
+        rng.shuffle(distinct)
+        half = len(distinct) // 2
+        stored, later = distinct[:half], distinct[half:]
         index = order.antichain_index()
         for m in stored:
             index.add(m)
+        gone = rng.sample(stored, len(stored) // 3)
+        for m in gone:
+            index.remove(m)
+        stored = [m for m in stored if m not in gone] + later[:len(gone)]
+        for m in later[:len(gone)]:
+            index.add(m)
+        removed += len(gone)
         queries = list(sample)
         for m in sample[:10]:
             i = rng.randrange(6)
@@ -275,9 +328,12 @@ def test_token_trie_matches_quadratic_reference():
                 tokens[i] = max(tokens[i] + delta, 0)
                 queries.append(replace(m, tokens=tuple(tokens)))
         for q in queries:
+            under = [t for t in stored if order.leq(t, q)]
             answers.append(index.covers(q))
-            assert answers[-1] == any(order.leq(t, q) for t in stored)
+            assert answers[-1] == bool(under)
+            assert sorted(map(order.key, index.below(q))) == sorted(map(order.key, under))
     assert 0.2 < sum(answers) / len(answers) < 0.8
+    assert removed > 200
 
 
 def test_token_trie_refuses_markings_of_another_shape():
