@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from . import engine, model
 from .errors import ResilError
+from .order import minimize
 
 EXIT_FOUND = 0
 EXIT_UNBOUNDED = 1
@@ -120,7 +121,6 @@ def cmd_post(args) -> int:
     built = _load(args.model)
     layers = engine.forward_states(built.start, built.backend, args.depth,
                                    built.doc.limits)
-    from .order import minimize
     antichain = minimize([s for layer in layers for s in layer],
                          built.backend.order)
     _emit({

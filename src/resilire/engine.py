@@ -15,7 +15,8 @@ each merge compares the candidates only with each other and with the
 live elements, and returns exactly the fresh elements of the next
 round.  Each basis element is stepped exactly once.  A round without
 fresh elements has the previous round's ideal: it is the fixed point.
-`backward_step` keeps the full one-step operator as a reference.
+Targets are looked up in the live antichain; a `Basis` is built only
+to be reported.  `backward_step` keeps the full one-step operator.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
@@ -36,7 +37,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GuardExceeded, SaturationExhausted
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Antichain, Basis, basis_subset, minimize
+from .order import Antichain, Basis, minimize
 
 INFINITY = math.inf
 
@@ -79,12 +80,15 @@ def backward_step(current: Basis, safe: Basis, backend) -> Basis:
     The full one-step operator; saturation itself only steps the fresh
     elements of each round and yields the same bases.
     """
-    return minimize((c for b in current for c in backend.pre_basis(b)),
-                    backend.order, base=safe)
+    live = Antichain(backend.order, safe)
+    live.merge(c for b in current for c in backend.pre_basis(b))
+    return live.basis()
 
 
 def _saturation(seed: Basis, step, order, max_iters: int):
-    """Yield (k, basis-of-round-k, stable) starting at k=0.
+    """Yield (k, live, stable) starting at k=0, where `live` is the one
+    `Antichain` of the saturation, holding round k's basis until the
+    next round is asked for.
 
     Round k+1 is the basis of round k's ideal together with the ideals
     of `step(b)` for the fresh elements b of round k: those that the
@@ -95,11 +99,11 @@ def _saturation(seed: Basis, step, order, max_iters: int):
     Raises SaturationExhausted when the guard trips first.
     """
     live, fresh = Antichain(order, seed), seed.elements
-    yield 0, seed, False
+    yield 0, live, False
     for k in range(1, max_iters + 1):
         fresh = live.merge(c for b in fresh for c in step(b))
         stable = not fresh
-        yield k, live.basis(), stable
+        yield k, live, stable
         if stable:
             return
     raise SaturationExhausted("no fixed point within %d rounds" % max_iters)
@@ -122,11 +126,11 @@ def _cover(target_lists, rounds, trace: Optional[List[Basis]] = None):
     found: List[Optional[int]] = [None] * len(target_lists)
     k = 0
     try:
-        for k, basis, stable in rounds:
+        for k, live, stable in rounds:
             if trace is not None:
-                trace.append(basis)
+                trace.append(live.basis())
             for i, targets in enumerate(target_lists):
-                if found[i] is None and basis_subset(targets, basis):
+                if found[i] is None and all(map(live.covers, targets)):
                     found[i] = k
             if stable or None not in found:
                 return found, k, None
@@ -161,13 +165,11 @@ def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,
     per-round bases.
     """
     trace: List[Basis] = []
-    previous = safe
-    for k, basis, stable in _backward(safe, backend, max_iters):
+    for k, live, stable in _backward(safe, backend, max_iters):
         if keep_trace:
-            trace.append(basis)
-        if stable:
-            return (previous, k - 1, trace) if keep_trace else (previous, k - 1)
-        previous = basis
+            trace.append(live.basis())
+        if stable:  # it kept no candidate, so it holds the previous basis
+            return (live.basis(), k - 1, trace) if keep_trace else (live.basis(), k - 1)
 
 
 def _recovery_bounds(state_lists, bad, safe: Basis, backend, max_iters: int) -> list:
@@ -241,7 +243,7 @@ def approx_bounds(start, bad, safe: Basis, backend, depth: Optional[int] = None,
         for _k, closure, _stable in _saturation(start_basis, backend.post_basis,
                                                 backend.order, limits.max_iters):
             pass
-        asked.append(closure.elements)
+        asked.append(closure.basis().elements)
     bounds = iter(_recovery_bounds(asked, bad, safe, backend, limits.max_iters))
     return (next(bounds) if depth is not None else None,
             next(bounds) if over else None)

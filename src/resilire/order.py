@@ -9,11 +9,11 @@ elsewhere as membership predicates.
 An `Antichain` is a basis kept live across merges: each merge compares
 the new candidates with each other and with the live elements through
 one antichain index (`Wqo.antichain_index`) that lives as long as the
-antichain, so a saturation never rebuilds its previous basis.  The
-default index scans with the order's `below`; an order may answer from
-a structure of its own instead (markings: one bitmask per coordinate
-and token count).  Coverage of one state by a basis is the first
-element that `below` yields.
+antichain, so a saturation never rebuilds its previous basis.  The one
+question asked of an index, a basis or an antichain is `covers`: is
+this state in the ideal?  The default index scans with the order's
+`any_below`; an order may answer from a structure of its own instead
+(markings: one bitmask per coordinate and token count).
 """
 
 from __future__ import annotations
@@ -29,19 +29,20 @@ class Wqo:
     Subclasses provide:
 
     * ``leq(a, b)`` -- reflexive, transitive, decidable;
-    * ``key(a)``    -- total canonical encoding; equal keys imply the
-      states are order-equivalent (each below the other);
+    * ``key(a)``    -- total canonical encoding that names the
+      order-equivalence class: ``key(a) == key(b)`` exactly when
+      ``leq(a, b) and leq(b, a)``;
     * ``size(a)``   -- cheap monotone proxy: ``leq(a, b)`` implies
       ``size(a) <= size(b)``, with equality only when the states are
       order-equivalent.  Minimization sorts on it so that potential
       dominators are always seen before the states they dominate;
-    * ``below(elements, s)`` -- optional: the given elements ``t`` with
-      ``leq(t, s)``, lazily and in their order.  An order may prepare
-      ``s`` once for all of them;
+    * ``any_below(elements, s)`` -- optional: whether some given
+      element ``t`` has ``leq(t, s)``.  An order may prepare ``s`` once
+      for all of them;
     * ``antichain_index()`` -- optional: a fresh, empty index with
-      ``add(s)``, ``remove(s)`` for a state added before, ``below(s)``
-      yielding the added states under ``s``, and ``covers(s)``, its
-      first hit.  The default scans the added states with ``below``.
+      ``add(s)``, ``remove(s)`` for a state added before, and
+      ``covers(s)``, whether an added state lies below ``s``.  The
+      default scans the added states with ``any_below``.
     """
 
     def leq(self, a, b) -> bool:
@@ -53,8 +54,8 @@ class Wqo:
     def size(self, a) -> int:
         raise NotImplementedError
 
-    def below(self, elements: Iterable, s) -> Iterator:
-        return (t for t in elements if self.leq(t, s))
+    def any_below(self, elements: Iterable, s) -> bool:
+        return any(self.leq(t, s) for t in elements)
 
     def antichain_index(self):
         return _ScanIndex(self)
@@ -62,7 +63,7 @@ class Wqo:
 
 class _ScanIndex:
     """The default antichain index: the added states, by identity, in
-    the order they came, scanned with the order's `below`."""
+    the order they came, scanned with the order's `any_below`."""
 
     def __init__(self, order: Wqo):
         self._order = order
@@ -74,11 +75,8 @@ class _ScanIndex:
     def remove(self, s) -> None:
         del self._items[id(s)]
 
-    def below(self, s) -> Iterator:
-        return self._order.below(self._items.values(), s)
-
     def covers(self, s) -> bool:
-        return next(self.below(s), None) is not None
+        return self._order.any_below(self._items.values(), s)
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,12 @@ class Basis:
 
 class Antichain:
     """The minimal elements of a growing ideal, starting from `base`,
-    which must be an antichain, as every `Basis` from `minimize` is.
+    which must be an antichain, as every `Basis` is.
 
     The elements are kept with their sizes and keys, sorted by (size,
     key), and in one antichain index for the antichain's whole life:
     two of them are never compared with each other, and none is keyed
-    or indexed again.
+    or indexed again.  `covers` asks that index.
     """
 
     def __init__(self, order: Wqo, base: Iterable = ()):
@@ -124,11 +122,11 @@ class Antichain:
         A candidate under a key already present is dropped uncompared;
         of repeats, the first stays.  The rest and the elements are
         swept together in (size, key) order, so everything below a state
-        comes before it.  A candidate is kept unless a kept candidate
-        lies below it, or an element that comes before it, so of two
-        order-equivalent states the one with the smaller key stays.  An
-        element that a kept candidate lies below is removed when the
-        sweep reaches it, before any later candidate is compared with it.
+        comes before it: keys name order classes, so a state below
+        another of equal size has its key.  A candidate is kept unless a
+        kept candidate or an element lies below it.  An element that a
+        kept candidate lies below is removed when the sweep reaches it,
+        before any later candidate is compared with it.
         """
         order, keys = self.order, self._keys
         new: dict = {}
@@ -141,13 +139,13 @@ class Antichain:
         fresh = order.antichain_index()
         sweep, kept = [], []
         for entry in entries:
-            n, k, s = entry
+            _n, k, s = entry
             if k not in new:
                 if kept and fresh.covers(s):
                     keys.remove(k)
                     self._index.remove(s)
                     continue
-            elif fresh.covers(s) or self._earlier_below(n, k, s):
+            elif fresh.covers(s) or self._index.covers(s):
                 continue
             else:
                 fresh.add(s)
@@ -159,12 +157,9 @@ class Antichain:
             self._index.add(c)
         return [c for _n, _k, c in sorted(kept, key=_key)]
 
-    def _earlier_below(self, n, k, s) -> bool:
-        """Whether an element below `s`, of size `n` and key `k`, comes
-        before it in (size, key) order.  One below `s` is smaller, or of
-        equal size and then order-equivalent to it."""
-        order = self.order
-        return any(order.size(t) < n or order.key(t) < k for t in self._index.below(s))
+    def covers(self, s) -> bool:
+        """Membership of `s` in the antichain's ideal."""
+        return self._index.covers(s)
 
     def basis(self) -> Basis:
         return Basis(self.order, tuple(b for _n, _k, b in sorted(self._sweep, key=_key)))
@@ -174,19 +169,14 @@ class Antichain:
 _size_key, _key = itemgetter(0, 1), itemgetter(1)
 
 
-def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
+def minimize(states: Iterable, order: Wqo) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
 
     Deterministic: duplicates (by canonical key) collapse to their first
     occurrence, elements are examined in (size, key) order, and the
-    result is sorted by key.  Of two order-equivalent elements the one
-    with the smaller canonical key is kept.
-
-    `base`, a basis of the same order, joins its ideal to the result as
-    if its elements came first in `states`, so a base element wins a key
-    tie: one `Antichain.merge` into `base`.
+    result is sorted by key: one `Antichain.merge` into an empty antichain.
     """
-    live = Antichain(order, base)
+    live = Antichain(order)
     live.merge(states)
     return live.basis()
 
@@ -194,9 +184,8 @@ def minimize(states: Iterable, order: Wqo, base: Basis = ()) -> Basis:
 def covers(basis: Basis, state) -> bool:
     """Membership of `state` in the ideal generated by `basis`.  Encoding
     the state first refuses one of the wrong shape, even for an empty basis."""
-    order = basis.order
-    order.key(state)
-    return next(order.below(basis.elements, state), None) is not None
+    basis.order.key(state)
+    return basis.order.any_below(basis.elements, state)
 
 
 def basis_subset(states: Iterable, basis: Basis) -> bool:

@@ -125,7 +125,7 @@ class VectorOrder(Wqo):
     owner marker; every method refuses a marking of another shape.
     Markings that differ in state or marker are never comparable, so its
     antichain index keeps one group of token bitmasks per (state, marker)
-    pair.
+    pair.  Its key is the marking itself, so keys name order classes.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -168,9 +168,9 @@ class _TokenMasks:
     A group gives each added marking a slot, reused after a removal,
     and keeps for coordinate i and token count v one int, `rows[i][v]`,
     with bit j set when slot j holds at most v tokens in coordinate i.
-    The markings below m are the slots of the AND of `rows[i][m[i]]`
-    over all i.  A marking's shape is checked only when no group fits
-    it, and a group exists only after a checked `add`.
+    A marking lies below m when the AND of `rows[i][m[i]]` over all i
+    has its slot's bit.  A marking's shape is checked only when no
+    group fits it, and a group exists only after a checked `add`.
     """
 
     def __init__(self, order: VectorOrder):
@@ -193,28 +193,20 @@ class _TokenMasks:
     def remove(self, m: Marking) -> None:
         self._groups[m.state, m.marker, len(m.tokens)].remove(m)
 
-    def below(self, m: Marking):
-        group = self._group(m)
-        mask = group.mask(m.tokens) if group is not None else 0
-        while mask:
-            low = mask & -mask
-            yield group.items[low.bit_length() - 1]
-            mask ^= low
-
     def covers(self, m: Marking) -> bool:
         group = self._group(m)
         return group is not None and group.mask(m.tokens) != 0
 
 
 class _Group:
-    """One group of `_TokenMasks`: slot j holds `items[j]`, found by its
-    tokens through `slots`; `occupied` has the bits of the held slots."""
+    """One group of `_TokenMasks`: `slots` maps the tokens of each held
+    marking to its slot, `free` lists the slots given up and not
+    reused yet, and `occupied` has the bits of the held slots."""
 
-    __slots__ = ("rows", "items", "slots", "free", "occupied")
+    __slots__ = ("rows", "slots", "free", "occupied")
 
     def __init__(self, dimension: int):
         self.rows: List[List[int]] = [[] for _ in range(dimension)]
-        self.items: List[Optional[Marking]] = []
         self.slots: Dict[Tuple[int, ...], int] = {}
         self.free: List[int] = []
         self.occupied = 0
@@ -222,12 +214,7 @@ class _Group:
     def add(self, m: Marking) -> None:
         if m.tokens in self.slots:
             return
-        if self.free:
-            j = self.free.pop()
-            self.items[j] = m
-        else:
-            j = len(self.items)
-            self.items.append(m)
+        j = self.free.pop() if self.free else len(self.slots)
         self.slots[m.tokens] = j
         bit = 1 << j
         for row, v in zip(self.rows, m.tokens):
@@ -240,7 +227,6 @@ class _Group:
 
     def remove(self, m: Marking) -> None:
         j = self.slots.pop(m.tokens)
-        self.items[j] = None
         self.free.append(j)
         keep = ~(1 << j)
         for row, v in zip(self.rows, m.tokens):

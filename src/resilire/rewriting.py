@@ -376,8 +376,10 @@ class SubgraphOrder(Wqo):
     On a class of bounded path length this is a well-quasi-order, and
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
-    labels).  A label-count test refuses most pairs without a search.
-    `below` prepares the host once for all the elements it tests.
+    labels).  Keys are canonical forms, and finite graphs that embed in
+    each other are isomorphic, so keys name order classes.  A
+    label-count test refuses most pairs without a search.
+    `any_below` prepares the host once for all the elements it tests.
     """
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -389,15 +391,16 @@ class SubgraphOrder(Wqo):
     def size(self, a: Graph) -> int:
         return len(a.nodes) + len(a.edges)
 
-    def below(self, elements, s: Graph):
-        """The elements that embed into `s`; its `host_plan` is built
+    def any_below(self, elements, s: Graph) -> bool:
+        """Whether an element embeds into `s`; its `host_plan` is built
         once, when the first element passes the label-count test."""
         plan = None
         for t in elements:
             if counts_fit(t, s):
                 plan = plan or host_plan(s)
                 if next(embeddings(t, s, nodes_only=True, plan=plan), None) is not None:
-                    yield t
+                    return True
+        return False
 
 
 class GraphBackend:

@@ -17,7 +17,8 @@ from resilire.errors import GuardExceeded, SaturationExhausted
 from resilire.limits import Limits
 from resilire.order import Basis, basis_subset, covers, minimize
 from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
-                            PetriBackend, ProductBackend, enabled, fire, make_net)
+                            PetriBackend, ProductBackend, VectorOrder, enabled, fire,
+                            make_net)
 
 from conftest import explore, fixture_path, recovery_oracle, rng_for
 
@@ -75,7 +76,8 @@ def assert_frontier_rounds_match(seed, step, order, one_round):
     """Frontier-only saturation yields the reference's bases, round by
     round, and flags exactly its last round as stable."""
     want = full_rounds(seed, one_round)
-    got = list(_saturation(seed, step, order, len(want) + 5))
+    got = [(k, live.basis(), stable)
+           for k, live, stable in _saturation(seed, step, order, len(want) + 5)]
     assert [k for k, _, _ in got] == list(range(len(want)))
     assert [[order.key(b) for b in basis] for _, basis, _ in got] == \
         [[order.key(b) for b in basis] for basis in want]
@@ -375,6 +377,20 @@ def test_approx_bounds_share_one_backward_saturation(supply_built, monkeypatch):
     assert len(saturations) == 1
     assert approx_bounds(*args, over=True) == (None, separate[1])
     assert approx_bounds(*args, depth=12) == (separate[0], None)
+
+
+def test_saturation_covers_targets_without_comparing_markings(supply_built, monkeypatch):
+    """Targets are looked up in the live antichain's index: a whole
+    `check` of the supply chain makes no `VectorOrder.leq` call."""
+    instance = supply_built.instance()
+    targets = [b for b in instance.reachable if instance.bad.contains(b)]
+    calls = []
+    leq = VectorOrder.leq
+    monkeypatch.setattr(VectorOrder, "leq",
+                        lambda self, a, b: calls.append((a, b)) or leq(self, a, b))
+    rounds = engine._backward(instance.safe, instance.backend, instance.max_iters)
+    assert engine._cover([targets], rounds) == ([6], 6, None)
+    assert targets and calls == []
 
 
 def test_approx_bounds_guard_trip_raises():

@@ -10,8 +10,10 @@ from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
 from resilire.errors import BackendMismatch
 from resilire.order import Antichain, Basis, Wqo, basis_subset, covers, minimize
 from resilire.petri import MARKERS, Marking, VectorOrder
+from resilire.rewriting import SubgraphOrder
 
-from conftest import rng_for
+from conftest import random_graph, rng_for
+from test_graphs import random_subgraph, shuffled_copy
 
 V4 = VectorOrder(4)
 V4Q = VectorOrder(4, has_state=True)
@@ -134,9 +136,11 @@ def reference_covers(basis, state):
 
 
 def merged(states, cut, order):
-    """`minimize` of `states` with its first `cut` elements as a base:
-    the same basis as minimizing them all."""
-    return minimize(states[cut:], order, base=minimize(states[:cut], order))
+    """The basis of `states` merged into an `Antichain` of its first
+    `cut` elements: the same basis as minimizing them all."""
+    live = Antichain(order, minimize(states[:cut], order))
+    live.merge(states[cut:])
+    return live.basis()
 
 
 V3 = VectorOrder(3, has_state=True, has_marker=True)
@@ -157,30 +161,22 @@ def random_product_markings(rng, count, states=("p", "q"), markers=MARKERS):
     return out
 
 
-class TaggedOrder(Wqo):
-    """(marking, tag) pairs ordered by the marking alone, so pairs that
-    differ only in their tag are order-equivalent under distinct keys."""
-
-    def leq(self, a, b):
-        return V3.leq(a[0], b[0])
-
-    def key(self, a):
-        return (V3.key(a[0]), a[1])
-
-    def size(self, a):
-        return V3.size(a[0])
-
-
-class RecordingTaggedOrder(TaggedOrder):
-    """A `TaggedOrder`, on the default scanning antichain index, that
-    records every pair it compares."""
+class RecordingOrder(Wqo):
+    """`V3` on the default scanning antichain index, recording every
+    pair it compares."""
 
     def __init__(self):
         self.pairs = []
 
     def leq(self, a, b):
         self.pairs.append((a, b))
-        return super().leq(a, b)
+        return V3.leq(a, b)
+
+    def key(self, a):
+        return V3.key(a)
+
+    def size(self, a):
+        return V3.size(a)
 
 
 def test_blocked_minimize_and_covers_match_reference():
@@ -205,36 +201,15 @@ def test_blocked_minimize_and_covers_match_reference():
     assert queries >= 500
 
 
-def test_blocked_minimize_keeps_smaller_key_of_equivalents():
-    rng = rng_for("blocked-tagged")
-    order = TaggedOrder()
-    for _ in range(100):
-        # the position, outside the key, tells apart elements under one key
-        sample = [(m, rng.randint(0, 2), i) for i, m in
-                  enumerate(random_product_markings(rng, rng.randint(0, 16)))]
-        got, want = minimize(sample, order), reference_minimize(sample, order)
-        assert got.elements == want.elements
-        cut = rng.randint(0, len(sample))
-        assert merged(sample, cut, order).elements == want.elements
-        for s in sample:
-            assert covers(got, s) and reference_covers(want, s)
-    # merged into a base, the smaller key stays on either side, and of
-    # two elements under one key the base element stays
-    m = Marking((1, 0, 2), "p", "sys")
-    for base_tag, new_tag, winner in ((0, 1, "base"), (1, 0, "new"), (0, 0, "base")):
-        got = merged([(m, base_tag, "base"), (m, new_tag, "new")], 1, order)
-        assert [side for _m, _tag, side in got] == [winner]
-
-
 def test_minimize_into_a_base_never_compares_two_base_elements():
-    order = RecordingTaggedOrder()
+    order = RecordingOrder()
     rng = rng_for("base-recording")
     against_base = 0
     for _ in range(50):
-        pool = [(m, rng.randint(0, 2)) for m in random_product_markings(rng, 24)]
+        pool = random_product_markings(rng, 24)
         base = minimize(rng.sample(pool, 12), order)
         order.pairs.clear()
-        minimize(rng.sample(pool, 12), order, base=base)
+        Antichain(order, base).merge(rng.sample(pool, 12))
         # a candidate under a base element's key is dropped uncompared,
         # so two base objects in one pair are two base elements
         ids = {id(b) for b in base}
@@ -243,11 +218,24 @@ def test_minimize_into_a_base_never_compares_two_base_elements():
     assert against_base >= 100
 
 
-def assert_live_antichain_matches_reference(order, draw, rng, merges=6):
+def one_token_off(markings):
+    """Each marking with one coordinate one token up, and one down
+    where it has a token."""
+    out = []
+    for m in markings:
+        for i, v in enumerate(m.tokens):
+            for w in {v + 1, max(v - 1, 0)} - {v}:
+                out.append(replace(m, tokens=m.tokens[:i] + (w,) + m.tokens[i + 1:]))
+    return out
+
+
+def assert_live_antichain_matches_reference(order, draw, near, rng, merges=6):
     """Random merges into one `Antichain`: after each, its basis is the
-    reference basis of everything merged so far, and the merge returns
-    exactly the elements under keys that were not there before.  Counts
-    the merges that added elements and those that removed some."""
+    reference basis of everything merged so far, the merge returns
+    exactly the elements under keys that were not there before, and
+    `covers` answers as the reference on the batch and on the states
+    that `near` gives for it.  Counts the merges that added elements
+    and those that removed some."""
     base = draw(rng.randint(0, 8))
     live = Antichain(order, minimize(base, order))
     seen = list(base)
@@ -260,6 +248,8 @@ def assert_live_antichain_matches_reference(order, draw, rng, merges=6):
         want = reference_minimize(seen, order)
         assert live.basis().elements == want.elements
         assert fresh == [b for b in want if order.key(b) not in before]
+        for q in batch + near(batch):
+            assert live.covers(q) == reference_covers(want, q)
         added += bool(fresh)
         removed += not before <= {order.key(b) for b in want}
     return added, removed
@@ -269,17 +259,16 @@ def test_live_antichain_merges_match_reference():
     rng = rng_for("live-antichain")
     _klass, graph_order, graphs = graph_setup()
     draws = (
-        (V3_PLAIN, lambda n: random_product_markings(rng, n, states=(None,), markers=(None,))),
-        (V3, lambda n: random_product_markings(rng, n)),
-        # the random float, outside the key, tells apart states under one key
-        (TaggedOrder(), lambda n: [(m, rng.randint(0, 2), rng.random())
-                                   for m in random_product_markings(rng, n)]),
-        (graph_order, lambda n: [rng.choice(graphs) for _ in range(n)]),
+        (V3_PLAIN, lambda n: random_product_markings(rng, n, states=(None,), markers=(None,)),
+         one_token_off),
+        (V3, lambda n: random_product_markings(rng, n), one_token_off),
+        (graph_order, lambda n: [rng.choice(graphs) for _ in range(n)],
+         lambda batch: [rng.choice(graphs) for _ in range(4)]),
     )
     added = removed = 0
     for trial in range(120):
-        order, draw = draws[trial % len(draws)]
-        counts = assert_live_antichain_matches_reference(order, draw, rng)
+        order, draw, near = draws[trial % len(draws)]
+        counts = assert_live_antichain_matches_reference(order, draw, near, rng)
         added, removed = added + counts[0], removed + counts[1]
     assert added > 300 and removed > 150
 
@@ -290,10 +279,9 @@ V6_PLAIN = VectorOrder(6)
 
 def test_token_trie_matches_quadratic_reference():
     """Minimization through the marking index, and the index's own
-    `covers` and `below`, agree with a plain `leq` scan, also after
-    removals whose slots later additions reuse.  Vectors recur under
-    different (state, marker) pairs, and queries sit one token off the
-    stored vectors."""
+    `covers`, agree with a plain `leq` scan, also after removals whose
+    slots later additions reuse.  Vectors recur under different (state,
+    marker) pairs, and queries sit one token off the stored vectors."""
     rng = rng_for("trie-reference")
     answers, removed = [], 0
     for trial in range(150):
@@ -320,18 +308,10 @@ def test_token_trie_matches_quadratic_reference():
         for m in later[:len(gone)]:
             index.add(m)
         removed += len(gone)
-        queries = list(sample)
-        for m in sample[:10]:
-            i = rng.randrange(6)
-            for delta in (-1, 1):
-                tokens = list(m.tokens)
-                tokens[i] = max(tokens[i] + delta, 0)
-                queries.append(replace(m, tokens=tuple(tokens)))
-        for q in queries:
+        for q in sample + one_token_off(sample[:10]):
             under = [t for t in stored if order.leq(t, q)]
             answers.append(index.covers(q))
             assert answers[-1] == bool(under)
-            assert sorted(map(order.key, index.below(q))) == sorted(map(order.key, under))
     assert 0.2 < sum(answers) / len(answers) < 0.8
     assert removed > 200
 
@@ -445,12 +425,54 @@ def test_intersection_random_against_grid():
 
 def graph_setup():
     from resilire.graphs import GraphClass
-    from resilire.rewriting import SubgraphOrder
     from conftest import enumerate_class_graphs
     klass = GraphClass(max_path=2)
     order = SubgraphOrder()
     universe = enumerate_class_graphs(["a", "b"], ["x"], 4, klass, max_edges=3)
     return klass, order, universe
+
+
+def assert_keys_name_classes(order, pairs):
+    """`key(a) == key(b)` exactly when each of a, b lies below the other;
+    returns how many pairs had equal keys and how many compared one way only."""
+    equal = one_way = 0
+    for a, b in pairs:
+        there, back = order.leq(a, b), order.leq(b, a)
+        assert (order.key(a) == order.key(b)) == (there and back), (a, b)
+        equal += there and back
+        one_way += there != back
+    return equal, one_way
+
+
+def test_vector_keys_name_order_classes():
+    rng = rng_for("vector-keys")
+    shapes = ((V3_PLAIN, (None,), (None,)), (VectorOrder(3, has_state=True), ("p", "q"), (None,)),
+              (V3, ("p", "q"), MARKERS))
+    equal = one_way = 0
+    for order, states, markers in shapes:
+        def draw():
+            return Marking(tuple(rng.randint(0, 2) for _ in range(3)),
+                           rng.choice(states), rng.choice(markers))
+        pairs = [(draw(), draw()) for _ in range(300)]
+        pairs += [(a, replace(a)) for a, _b in pairs[:50]]
+        counts = assert_keys_name_classes(order, pairs)
+        equal, one_way = equal + counts[0], one_way + counts[1]
+    assert equal > 150 and one_way > 150
+
+
+def test_subgraph_keys_name_order_classes():
+    """Random graphs, isomorphic copies under new ids, and subgraphs."""
+    rng = rng_for("subgraph-keys")
+    order = SubgraphOrder()
+    pairs = []
+    for _ in range(150):
+        g = random_graph(rng, ["a", "b"], ["x", "y"], 4, 5)
+        sub = random_subgraph(rng, g)
+        pairs += [(g, random_graph(rng, ["a", "b"], ["x", "y"], 4, 5)),
+                  (g, shuffled_copy(g, rng)), (shuffled_copy(sub, rng), g),
+                  (g, sub)]
+    equal, one_way = assert_keys_name_classes(order, pairs)
+    assert equal > 200 and one_way > 100
 
 
 def test_minimize_preserves_upward_closure_on_graphs():
