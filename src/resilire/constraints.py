@@ -20,7 +20,7 @@ from .graphs import EMPTY_GRAPH, Graph, GraphClass
 from .limits import DEFAULT_LIMITS, Limits
 from .order import Basis, covers, minimize
 from .petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
-from .rewriting import SubgraphOrder, overlaps
+from .rewriting import SubgraphOrder, glue, overlaps
 from . import control as ctl
 
 
@@ -118,7 +118,7 @@ class GraphDomain:
         return [h for h in (klass.admit(v, subgraph=True) for v in variants) if h is not None]
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
-        return [ov.u for ov in overlaps(p, q, self.limits)]
+        return [glue(p, q, *pairs) for pairs in overlaps(p, q, self.limits)]
 
     def tagged(self, state: Optional[str], marker: Optional[str]) -> Graph:
         """The pattern of the graphs in `state` with `marker` (None: any)."""

@@ -13,8 +13,10 @@ the one-step basis of the *fresh* elements of round k alone into round
 k's basis.  That basis is one `Antichain` for the whole saturation:
 each merge compares the candidates only with each other and with the
 live elements, and returns exactly the fresh elements of the next
-round.  Each basis element is stepped exactly once.  A round without
-fresh elements has the previous round's ideal: it is the fixed point.
+round.  Each basis element is stepped exactly once, in one step call
+per round for all the fresh elements, in which a graph step filters and
+copies each isomorphism class once.  A round without fresh elements has
+the previous round's ideal: it is the fixed point.
 Targets are looked up in the live antichain; a `Basis` is built only
 to be reported.  `backward_step` keeps the full one-step operator.
 
@@ -81,7 +83,7 @@ def backward_step(current: Basis, safe: Basis, backend) -> Basis:
     elements of each round and yields the same bases.
     """
     live = Antichain(backend.order, safe)
-    live.merge(c for b in current for c in backend.pre_basis(b))
+    live.merge(backend.pre_basis(current.elements))
     return live.basis()
 
 
@@ -90,18 +92,18 @@ def _saturation(seed: Basis, step, order, max_iters: int):
     `Antichain` of the saturation, holding round k's basis until the
     next round is asked for.
 
-    Round k+1 is the basis of round k's ideal together with the ideals
-    of `step(b)` for the fresh elements b of round k: those that the
-    merge into round k-1's antichain kept (all of round 0).  `stable`
-    marks the first round without fresh elements, which is the fixed
-    point; iteration stops after yielding it.  The steps' candidates
-    stream into the merge, the one place where repeats collapse.
+    Round k+1 is the basis of round k's ideal together with the ideal
+    of `step(fresh)`, one call for the fresh elements of round k: those
+    that the merge into round k-1's antichain kept (all of round 0).
+    `stable` marks the first round without fresh elements, which is the
+    fixed point; iteration stops after yielding it.  A step may drop
+    repeats within its call; the merge drops the rest.
     Raises SaturationExhausted when the guard trips first.
     """
     live, fresh = Antichain(order, seed), seed.elements
     yield 0, live, False
     for k in range(1, max_iters + 1):
-        fresh = live.merge(c for b in fresh for c in step(b))
+        fresh = live.merge(step(fresh))
         stable = not fresh
         yield k, live, stable
         if stable:

@@ -16,7 +16,9 @@ callers that need morphisms only up to host automorphisms.  A caller
 may prepare a host once for many embedding searches (`host_plan`).
 Candidates are filtered by class membership, an isomorphism invariant,
 before they are canonicalized (`GraphClass.admit`); a caller that knows
-a candidate's simple paths to be a member's skips the path walk.
+a candidate's simple paths to be a member's skips the path walk.  A
+caller that steps a batch of states passes the keys it has produced, so
+that repeats are keyed and dropped before the path walk and the copy.
 """
 
 from __future__ import annotations
@@ -495,11 +497,18 @@ class GraphClass:
                 if labels]
         return tuple(out)
 
-    def admit(self, g: Graph, subgraph: bool = False, paths: bool = True) -> Optional[Graph]:
+    def admit(self, g: Graph, subgraph: bool = False, paths: bool = True,
+              seen: Optional[set] = None) -> Optional[Graph]:
         """The canonical quotient of g if `contains(g, subgraph, paths)`
         holds for it, else None.  Membership is an isomorphism invariant,
-        so it is decided before canonicalizing."""
+        so it is decided before canonicalizing.  With `seen`, the keys of
+        earlier quotients within the count bounds, a repeat is refused on
+        its key, which is added: only a class's first gets the path walk."""
         g = quotient_isolated(g, self.quotient_labels)
+        if seen is not None:
+            if not self._counts_hold(g, subgraph) or g.key() in seen:
+                return None
+            seen.add(g.key())
         return g.canonical() if self.contains(g, subgraph, paths) else None
 
     def contains(self, g: Graph, subgraph: bool = False, paths: bool = True) -> bool:
@@ -508,11 +517,15 @@ class GraphClass:
         count maxima, and at most one control and one marker node.
         Without `paths` the path bound goes untested: the caller knows
         that each simple path of g is one of a graph that meets it."""
+        return self._counts_hold(g, subgraph) and (
+            not paths or self.max_path is None or path_length_within(g, self.max_path))
+
+    def _counts_hold(self, g: Graph, subgraph: bool) -> bool:
         for labels, lo, hi in self.bounds:
             n = sum(lab in labels for lab in g.nodes.values())
             if (hi is not None and n > hi) or (lo is not None and n < lo and not subgraph):
                 return False
-        return not paths or self.max_path is None or path_length_within(g, self.max_path)
+        return True
 
     def lifts(self, g: Graph) -> list:
         """The least graphs made of g and isolated nodes that meet every

@@ -13,6 +13,7 @@ malformed document is refused with JSON pointers to its faults.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -229,7 +230,12 @@ def _class_to_json(k: GraphClass) -> dict:
     return out
 
 
-def _parse_rules(section: dict, r: _Reader, quotient) -> Tuple[Rule, ...]:
+def _parse_rules(section: dict, r: _Reader, klass: GraphClass,
+                 exempt) -> Tuple[Rule, ...]:
+    """The rules, refusing one that creates more nodes of a label with a
+    `max` than it deletes (the backward step would count a member at the
+    maximum as its predecessor) unless the label is `exempt`."""
+    capped = {lab for lab, (_lo, hi) in klass.node_count if hi is not None} - exempt
     rules = []
     names = set()
     for i, rwhere, obj in r.each(section, "rules", "/gts", dict):
@@ -253,7 +259,12 @@ def _parse_rules(section: dict, r: _Reader, quotient) -> Tuple[Rule, ...]:
             maps.append(pairs)
         if left is None or right is None:
             continue
-        _refuse_isolated(left, quotient, rwhere + "/left", r, "rule %r matches" % name)
+        _refuse_isolated(left, klass.quotient_labels, rwhere + "/left", r,
+                         "rule %r matches" % name)
+        grown = Counter(right.nodes.values()) - Counter(left.nodes.values())
+        for lab in sorted(capped & grown.keys()):
+            r.add(rwhere, "rule %r creates more %r nodes than it deletes, and %r has a max"
+                  % (name, lab, lab))
         problems = rule_problems(left, right, *maps)
         for p in problems:
             r.add(mwhere, "rule %r: %s" % (name, p))
@@ -392,6 +403,8 @@ def from_dict(obj: dict) -> ModelDocument:
         if value is not None:
             limits[field] = value
 
+    control_labels = r.strings(obj, "control_labels", "")
+    marker_labels = r.strings(obj, "marker_labels", "", MARKERS)
     net = petri_start = None
     rules = base_class = gts_start = None
     labels_in_use = set()
@@ -416,7 +429,8 @@ def from_dict(obj: dict) -> ModelDocument:
     else:
         base_class = _parse_class(r.read(section, "class", "/gts", dict, {}),
                                   "/gts/class", r)
-        rules = _parse_rules(section, r, base_class.quotient_labels)
+        rules = _parse_rules(section, r, base_class,
+                             frozenset(control_labels + marker_labels))
         rule_names = {rule.name for rule in rules}
         gts_start = _parse_graph(r.read(section, "start", "/gts", dict, {}),
                                  "/gts/start", r)
@@ -451,8 +465,6 @@ def from_dict(obj: dict) -> ModelDocument:
         r.add("/gts", "marker labels %s are reserved in annotated models"
               % sorted(labels_in_use & set(MARKERS)))
 
-    control_labels = r.strings(obj, "control_labels", "")
-    marker_labels = r.strings(obj, "marker_labels", "", MARKERS)
     for key, labels in (("control_labels", control_labels),
                         ("marker_labels", marker_labels)):
         if labels and (kind == "petri" or a is not None or annotate):

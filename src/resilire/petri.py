@@ -7,7 +7,9 @@ list, optionally extended by a control-automaton state and an owner
 marker.  The extra components enter the order as equality constraints,
 which keeps it a well-quasi-order because both Q and the marker set are
 finite.  Whether they are present is fixed per model, and the order
-refuses a marking of another shape.
+refuses a marking of another shape.  The ideal steps take a saturation
+round's frontier and concatenate the steps of its markings: the merge
+drops repeated markings by key.
 """
 
 from __future__ import annotations
@@ -256,11 +258,11 @@ class PetriBackend:
     def post_step(self, m: Marking) -> List[Marking]:
         return list({fire(m, t) for t in self.net.transitions if enabled(m, t)})
 
-    def pre_basis(self, m: Marking) -> List[Marking]:
-        return [min_enabling_cover(m, t) for t in self.net.transitions]
+    def pre_basis(self, frontier) -> List[Marking]:
+        return [min_enabling_cover(m, t) for m in frontier for t in self.net.transitions]
 
-    def post_basis(self, m: Marking) -> List[Marking]:
-        return [least_successor(m, t) for t in self.net.transitions]
+    def post_basis(self, frontier) -> List[Marking]:
+        return [least_successor(m, t) for m in frontier for t in self.net.transitions]
 
 
 class ProductBackend:
@@ -288,15 +290,18 @@ class ProductBackend:
                 self._into.setdefault(edge.dst, []).append(
                     (edge.src, self._by_name[name]))
 
-    def _check_state(self, m: Marking):
+    def _state(self, m: Marking) -> str:
+        """m's automaton state; refuses m unless the product has it."""
         if m.state not in self.automaton.states:
             raise BackendMismatch("unknown automaton state %r" % m.state)
         if self.annotate and m.marker not in MARKERS:
             raise BackendMismatch("missing or unknown marker %r" % m.marker)
+        return m.state
 
     def _steps_from(self, m: Marking):
+        state = self._state(m)
         for edge in self.automaton.edges:
-            if edge.src != m.state:
+            if edge.src != state:
                 continue
             for name in edge.select:
                 yield edge, self._by_name[name]
@@ -305,19 +310,16 @@ class ProductBackend:
         return Marking(tokens, edge.dst, t.owner if self.annotate else None)
 
     def post_step(self, m: Marking) -> List[Marking]:
-        self._check_state(m)
         return list({self._target(fire(m, t).tokens, edge, t)
                      for edge, t in self._steps_from(m) if enabled(m, t)})
 
-    def post_basis(self, m: Marking) -> List[Marking]:
-        self._check_state(m)
+    def post_basis(self, frontier) -> List[Marking]:
         return [self._target(least_successor(m, t).tokens, edge, t)
-                for edge, t in self._steps_from(m)]
+                for m in frontier for edge, t in self._steps_from(m)]
 
-    def pre_basis(self, m: Marking) -> List[Marking]:
-        self._check_state(m)
+    def pre_basis(self, frontier) -> List[Marking]:
         markers = MARKERS if self.annotate else (None,)
         return [Marking(min_enabling_cover(m, t).tokens, src, mk)
-                for src, t in self._into.get(m.state, ())
+                for m in frontier for src, t in self._into.get(self._state(m), ())
                 if not self.annotate or m.marker == t.owner
                 for mk in markers]

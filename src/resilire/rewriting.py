@@ -14,21 +14,25 @@ symmetries of the host graph: swaps of twin nodes and of parallel
 edges.  Copies in one orbit give isomorphic results, so every step
 still yields each result up to isomorphism.  Both graph steps prune
 overlaps by the class's node-count maxima, and the backward one by the
-dangling condition, on the node correspondence, before any overlap
-graph is built.  Their results are ideal generators: they are filtered
+dangling condition, on the node correspondence, before its edges are
+paired.  Their results are ideal generators: they are filtered
 only by what subgraphs of class members inherit
-(`GraphClass.admit(g, subgraph=True)`), may repeat, and are made a
-basis by `minimize`.  The backward step first lifts its target to the
-class's node-count minima with isolated nodes.  The forward steps
-prepare each host once for all rules, and test the path bound only on
-results of rules that can lengthen a path (`Rule.keeps_paths`).
+(`GraphClass.admit(g, subgraph=True)`), come once per isomorphism class
+within one call, which steps a whole frontier, and are made a basis by
+`minimize`.  The backward step first lifts its target to the class's
+node-count minima with isolated nodes, and builds each result straight
+from the rule and the overlap's pairs, without the overlap graph.  The
+forward steps prepare each host once for all rules, and test the path
+bound only on results of rules that can lengthen a path
+(`Rule.keeps_paths`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
@@ -67,9 +71,27 @@ class Rule:
             for s, t, _l in map(right.edges.get, self.created_edges))
         self._inverse = None
 
+    @cached_property
+    def _backward_parts(self) -> tuple:
+        """What `inverse()` leaves and adds at an overlap of `right` with
+        ids "a:", as `apply_rule` names them: the preserved right-side
+        nodes and edges, copies of the deleted left-side nodes and edges,
+        and the ids of the created nodes, which go."""
+        placed = {lid: "a:" + rid for lid, rid in self.node_map.items()}
+        placed.update((lid, "new:n%d" % i) for i, lid in enumerate(self.deleted_nodes))
+        kept_nodes, kept_edges = set(self.node_map.values()), set(self.edge_map.values())
+        return ({"a:" + r: lab for r, lab in self.right.nodes.items() if r in kept_nodes},
+                {"a:" + e: ("a:" + s, "a:" + t, l)
+                 for e, (s, t, l) in self.right.edges.items() if e in kept_edges},
+                {placed[lid]: self.left.nodes[lid] for lid in self.deleted_nodes},
+                {"new:e%d" % i: (placed[s], placed[t], l)
+                 for i, (s, t, l) in enumerate(map(self.left.edges.get, self.deleted_edges))},
+                frozenset("a:" + r for r in self.created_nodes))
+
     def inverse(self) -> "Rule":
         """The rule read right to left: it deletes what this rule creates
-        and creates what this rule deletes.  Built once."""
+        and creates what this rule deletes.  Built once.  The backward
+        step builds its results at overlaps directly (`_predecessor`)."""
         if self._inverse is None:
             self._inverse = Rule(self.name, self.owner, self.right, self.left,
                                  {r: l for l, r in self.node_map.items()},
@@ -175,32 +197,20 @@ def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
 # ---------------------------------------------------------------------------
 
 
-class Overlap(NamedTuple):
-    """A jointly surjective pair of injective embeddings A >-> U <-< B,
-    kept as U and the embedding of A.
-
-    U's ids are "a:<id>" for items from A (merged items keep the A id)
-    and "b:<id>" for items only from B.  `match` embeds A into U as the
-    {"nodes", "edges"} maps `apply_rule` takes; all overlaps of one
-    enumeration share it.
-    """
-
-    u: Graph
-    match: dict
-
-
 def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
              windows: Sequence[Tuple[frozenset, int]] = (),
-             fresh: Sequence[str] = (), twins=None) -> List[Overlap]:
+             fresh: Sequence[str] = (), twins=None) -> List[Tuple[dict, dict]]:
     """Enumerate the ways of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
-    the empty correspondence), one per orbit of `b`'s twin swaps and
-    parallel-edge swaps: a node of `a` is paired with one node of each
-    twin class of `b`, and a subset of `a`'s edges with one image in
-    each group of parallel edges of `b`.  Every overlap is isomorphic,
-    by an isomorphism fixing the items of `a`, to a returned one.
+    the empty correspondence), each as its node and edge pairs: maps
+    from ids of `a` to the ids of `b` they are identified with, from
+    which `glue` builds the overlap.  One is given per orbit of `b`'s
+    twin swaps and parallel-edge swaps: a node of `a` is paired with one
+    node of each twin class of `b`, and a subset of `a`'s edges with one
+    image in each group of parallel edges of `b`.  Every overlap is
+    isomorphic, by an isomorphism fixing the items of `a`, to a given one.
 
-    Two prunings skip correspondences before any graph is built:
+    Two prunings skip correspondences before their edges are paired:
     `windows` holds (labels, least) pairs, and only correspondences
     pairing at least `least` nodes with a label in `labels` are kept;
     `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
@@ -209,13 +219,11 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     them every orbit is enumerated.  `twins` is `b`'s `twin_signatures`,
     computed unless given.
     """
-    out: List[Overlap] = []
+    out: List[Tuple[dict, dict]] = []
     node_cap = limits.overlap_nodes
     if node_cap is None:
         node_cap = len(a.nodes) + len(b.nodes)
     a_ids = sorted(a.nodes)
-    match = {"nodes": {aid: "a:" + aid for aid in a.nodes},
-             "edges": {aeid: "a:" + aeid for aeid in a.edges}}
     b_by_label = defaultdict(list)
     for bid, lab in sorted(b.nodes.items()):
         b_by_label[lab].append(bid)
@@ -259,11 +267,12 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
         if u_size > node_cap:
             raise GuardExceeded(
                 "overlap of %d nodes exceeds the %d-node cap" % (u_size, node_cap))
+        node_pairs = dict(node_pairs)
         for combo in itertools.product(*pools):
             edge_pairs: Dict[str, str] = {}
             for part in combo:
                 edge_pairs.update(part)
-            out.append(Overlap(_glue(a, b, node_pairs, edge_pairs), match))
+            out.append((node_pairs, edge_pairs))
             if len(out) > limits.overlap_count:
                 raise GuardExceeded(
                     "more than %d overlaps enumerated" % limits.overlap_count)
@@ -304,8 +313,11 @@ def _pair_windows(bounds, *graphs) -> list:
             for labels, _lo, hi in bounds if hi is not None]
 
 
-def _glue(a, b, node_pairs, edge_pairs) -> Graph:
-    """The union U of `a` and `b` identified along the pairs."""
+def glue(a: Graph, b: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
+    """The union U of `a` and `b` identified along the pairs, a jointly
+    surjective pair of injective embeddings A >-> U <-< B.  U's ids are
+    "a:<id>" for items from A (merged items keep the A id) and "b:<id>"
+    for items only from B."""
     nodes = {"a:" + aid: lab for aid, lab in a.nodes.items()}
     home = {bid: "a:" + aid for aid, bid in node_pairs.items()}
     for bid, lab in b.nodes.items():
@@ -326,12 +338,13 @@ def _glue(a, b, node_pairs, edge_pairs) -> Graph:
 
 
 def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
-                           limits: Limits = DEFAULT_LIMITS, lifts=None) -> List[Graph]:
+                           limits: Limits = DEFAULT_LIMITS, lifts=None,
+                           seen=None) -> List[Graph]:
     """Graphs G whose class members above them have a one-step
     successor above `target` in the class, among them the minimal
     ones: the inverse rule applied at each overlap of the rule's right
     side with a lift of the target (`GraphClass.lifts`) that meets the
-    dangling condition.
+    dangling condition, built directly from the overlap (`_predecessor`).
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
@@ -343,22 +356,41 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
     what subgraphs of members inherit.  Canonical, they generate the
     one-step predecessor ideal within the class; the caller's
     fixed-point loop supplies the reflexive part.  They come in
-    enumeration order and may repeat or dominate one another:
+    enumeration order, each key once and none whose key is in `seen`,
+    the keys already produced (updated); they may dominate one another:
     `minimize` makes them a basis.  `lifts` holds each lift of the target
     with its `twin_signatures`, computed unless given.
     """
     if lifts is None:
         lifts = _twinned_lifts(target, klass)
-    inverse = rule.inverse()
+    seen = set() if seen is None else seen
     bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
     out = []
     for lift, twins in lifts:
         windows = _pair_windows(bounds, rule.left, lift)
-        for ov in overlaps(rule.right, lift, limits, windows, rule.created_nodes, twins):
-            cand = klass.admit(apply_rule(inverse, ov.u, ov.match), subgraph=True)
+        for pairs in overlaps(rule.right, lift, limits, windows, rule.created_nodes, twins):
+            cand = klass.admit(_predecessor(rule, lift, *pairs), subgraph=True, seen=seen)
             if cand is not None:
                 out.append(cand)
     return out
+
+
+def _predecessor(rule: Rule, b: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
+    """`apply_rule(rule.inverse(), u, m)`, ids and all, for the overlap
+    u = `glue(rule.right, b, node_pairs, edge_pairs)` and m the match of
+    the right side to its "a:" items, built without u: the rule's
+    `_backward_parts` and the unpaired items of `b` off created nodes."""
+    kept_nodes, kept_edges, new_nodes, new_edges, doomed = rule._backward_parts
+    paired = {bid: "a:" + rid for rid, bid in node_pairs.items()}
+    nodes = {**kept_nodes, **{"b:" + v: lab for v, lab in b.nodes.items()
+                              if v not in paired}, **new_nodes}
+    edges, merged = dict(kept_edges), set(edge_pairs.values())
+    for e, (s, t, l) in b.edges.items():
+        s, t = paired.get(s, "b:" + s), paired.get(t, "b:" + t)
+        if e not in merged and s not in doomed and t not in doomed:
+            edges["b:" + e] = (s, t, l)
+    edges.update(new_edges)
+    return Graph(nodes, edges)
 
 
 def _twinned_lifts(target: Graph, klass: GraphClass) -> list:
@@ -418,17 +450,22 @@ class GraphBackend:
     def post_step(self, g: Graph) -> List[Graph]:
         return successors(g, self.rules, self.klass)
 
-    def pre_basis(self, g: Graph) -> List[Graph]:
-        """Generators of the one-step predecessors of g's upward closure,
-        over all rules, unordered and possibly repeated; `minimize`
-        makes them a basis."""
-        lifts = _twinned_lifts(g, self.klass)
-        return [cand for rule in self.rules
-                for cand in rule_predecessor_basis(rule, g, self.klass, self.limits, lifts)]
+    def pre_basis(self, frontier) -> List[Graph]:
+        """Generators of the one-step predecessors of the upward closures
+        of the `frontier` graphs, over all rules, each key once and
+        unordered; `minimize` makes them a basis."""
+        seen: set = set()
+        out = []
+        for g in frontier:
+            lifts = _twinned_lifts(g, self.klass)
+            for rule in self.rules:
+                out += rule_predecessor_basis(rule, g, self.klass, self.limits, lifts, seen)
+        return out
 
-    def post_basis(self, g: Graph) -> List[Graph]:
-        """Generators of the one-step successors of g's upward closure,
-        unordered and possibly repeated; `minimize` makes them a basis.
+    def post_basis(self, frontier) -> List[Graph]:
+        """Generators of the one-step successors of the upward closures
+        of the `frontier` graphs, each key once and unordered; `minimize`
+        makes them a basis.
 
         A host above g matches a rule's left side in an overlap of the
         two, and applying the rule there gives a successor below every
@@ -438,16 +475,19 @@ class GraphBackend:
         successors into the class.  An overlap that meets the path
         bound passes it on to the results of rules that `keeps_paths`.
         """
-        klass = self.klass
-        twins = twin_signatures(g)
-        out = []
-        for rule in self.rules:
-            windows = _pair_windows(klass.bounds, rule.left, g)
-            for ov in overlaps(rule.left, g, self.limits, windows, (), twins):
-                if not klass.contains(ov.u, subgraph=True):
-                    continue
-                h = klass.admit(apply_rule(rule, ov.u, ov.match), subgraph=True,
-                                paths=not rule.keeps_paths)
-                if h is not None:
-                    out.append(h)
+        klass, seen, out = self.klass, set(), []
+        for g in frontier:
+            twins = twin_signatures(g)
+            for rule in self.rules:
+                windows = _pair_windows(klass.bounds, rule.left, g)
+                match = {"nodes": {v: "a:" + v for v in rule.left.nodes},
+                         "edges": {e: "a:" + e for e in rule.left.edges}}
+                for pairs in overlaps(rule.left, g, self.limits, windows, (), twins):
+                    u = glue(rule.left, g, *pairs)
+                    if not klass.contains(u, subgraph=True):
+                        continue
+                    h = klass.admit(apply_rule(rule, u, match), subgraph=True,
+                                    paths=not rule.keeps_paths, seen=seen)
+                    if h is not None:
+                        out.append(h)
         return out

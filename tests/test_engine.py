@@ -13,7 +13,7 @@ from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
                              approx_bounds, backward_step, forward_states,
                              min_recovery, overapprox_bound, pre_star,
                              recovery_bound, underapprox_bound)
-from resilire.errors import GuardExceeded, SaturationExhausted
+from resilire.errors import GuardExceeded, ModelError, SaturationExhausted
 from resilire.limits import Limits
 from resilire.order import Basis, basis_subset, covers, minimize
 from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
@@ -88,7 +88,7 @@ def assert_frontier_rounds_match(seed, step, order, one_round):
 def reference_round(seed, current, step, order):
     """One full round minimized from scratch, without merging into
     `seed` as a known antichain."""
-    return minimize(list(seed) + [c for b in current for c in step(b)], order)
+    return minimize(list(seed) + step(current.elements), order)
 
 
 def assert_both_directions_match(backend, safe, start):
@@ -175,8 +175,7 @@ def test_first_backward_round_minimizes_published_generating_set(supply_built):
     """Minimizing the safety basis together with its one-step
     predecessors reproduces the published first-round bad slice."""
     candidates = list(supply_built.safe.elements)
-    for b in supply_built.safe.elements:
-        candidates.extend(supply_built.backend.pre_basis(b))
+    candidates.extend(supply_built.backend.pre_basis(supply_built.safe.elements))
     round1 = minimize(candidates, supply_built.backend.order)
     bad_side = sorted(s.tokens for s in round1.elements if s.state == "e")
     assert bad_side == [(0, 1, 1, 1), (0, 2, 0, 1), (0, 2, 1, 0)]
@@ -449,18 +448,22 @@ def gts_model(klass, left, right, node_map, start, safety, more_rules=()):
         "b_post": [{"graph": start}]})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_max_bounded_creation_gives_no_successor():
     """The rule would push b past its maximum, so the start has no
-    successor and never reaches safety; `check` answers found, k_min 1."""
-    doc = gts_model(
-        {"max_path": 2, "node_count": {"a": {"max": 2}, "b": {"max": 2}}},
-        gts_graph({"b": "b"}),
-        gts_graph({"b": "b", "b2": "b", "a": "a"}, [("b", "b2"), ("b2", "b")]),
-        [["b", "b"]],
-        gts_graph({"u": "b", "v": "b"}, [("u", "v")]),
-        gts_graph({"a": "a", "b": "b"}))
-    assert min_recovery(model.build(doc).instance()).kind == UNBOUNDED
+    successor and never reaches safety, yet the backward step would
+    answer found, k_min 1: the loader refuses the rule, naming each
+    label whose count it raises against a max."""
+    with pytest.raises(ModelError) as err:
+        gts_model(
+            {"max_path": 2, "node_count": {"a": {"max": 2}, "b": {"max": 2}}},
+            gts_graph({"b": "b"}),
+            gts_graph({"b": "b", "b2": "b", "a": "a"}, [("b", "b2"), ("b2", "b")]),
+            [["b", "b"]],
+            gts_graph({"u": "b", "v": "b"}, [("u", "v")]),
+            gts_graph({"a": "a", "b": "b"}))
+    assert err.value.issues == [
+        ("/gts/rules/0", "rule 'r0' creates more %r nodes than it deletes, and %r has a max"
+         % (lab, lab)) for lab in ("a", "b")]
 
 
 @pytest.mark.parametrize("klass, left, right, node_map, start, safety", [

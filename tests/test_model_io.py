@@ -407,6 +407,25 @@ def test_cli_graph_state_or_marker_the_model_lacks_exits_two(tmp_path, base,
     assert pointer + key + ":" in proc.stderr
 
 
+def test_rules_may_not_raise_a_count_past_its_max():
+    """A rule that creates more nodes of a capped label than it deletes
+    is refused at the rule; one that keeps the count is not, nor is a
+    composed document's control-node swap."""
+    doc = json.loads(open(fixture_path("pathgame.json")).read())
+    doc["gts"]["class"]["node_count"]["pt"] = {"max": 3}
+    with pytest.raises(ModelError) as err:
+        model.from_dict(doc)
+    assert err.value.issues == [("/gts/rules/0", "rule 'new_point' creates more 'pt' "
+                                                 "nodes than it deletes, and 'pt' has a max")]
+    del doc["gts"]["class"]["node_count"]["pt"]
+    doc["gts"]["class"]["node_count"]["L"] = {"max": 2}
+    assert model.from_dict(doc).rules
+    flat = model.to_dict(model.compose_document(model.load(
+        fixture_path("adverse_vs_error.json"))))
+    flat["gts"]["class"]["node_count"] = {q: {"max": 1} for q in flat["control_labels"]}
+    assert model.from_dict(flat).control_labels == tuple(flat["control_labels"])
+
+
 def test_quotient_labels_may_not_be_matched_isolated():
     doc = json.loads(open(fixture_path("pathgame.json")).read())
     doc["gts"]["rules"].append({

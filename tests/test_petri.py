@@ -124,7 +124,7 @@ def assert_post_basis_exact(backend, hosts, targets, starts):
     for m in starts:
         truth = minimize([s for n, out in steps.items() if backend.order.leq(m, n)
                           for s in out], backend.order)
-        basis = backend.post_basis(m)
+        basis = backend.post_basis([m])
         for target in targets:
             assert covers(truth, target) == any(backend.order.leq(b, target)
                                                 for b in basis)
@@ -142,8 +142,25 @@ def test_post_basis_exact_on_grid():
 def test_plain_backend_pre_basis_sound_small():
     backend = PetriBackend(supply_net())
     m = Marking((0, 1, 0, 0))
-    for p in backend.pre_basis(m):
+    for p in backend.pre_basis([m]):
         assert any(V4.leq(m, s) for s in backend.post_step(p))
+
+
+def test_ideal_steps_of_a_frontier_concatenate_the_per_marking_steps():
+    rng = rng_for("petri-frontier")
+    states = list(supply_automaton().states)
+
+    def tokens():
+        return tuple(rng.randint(0, 2) for _ in range(4))
+
+    for backend, frontier in (
+            (PetriBackend(supply_net()), [Marking(tokens()) for _ in range(6)]),
+            (ProductBackend(supply_net(), supply_automaton(), annotate=True),
+             [Marking(tokens(), rng.choice(states), rng.choice(MARKERS))
+              for _ in range(12)])):
+        for step in (backend.pre_basis, backend.post_basis):
+            assert step(frontier) == [s for m in frontier for s in step([m])]
+            assert step([]) == []
 
 
 def test_product_recovery_in_seventeen_steps():
@@ -179,10 +196,10 @@ def test_product_empty_select_has_no_steps():
 
 def test_product_first_backward_round_matches_published_row():
     backend = ProductBackend(supply_net(), supply_automaton())
-    preds = [p for p in backend.pre_basis(Marking((0, 1, 1, 1), "p"))
+    preds = [p for p in backend.pre_basis([Marking((0, 1, 1, 1), "p")])
              if p.state == "e"]
     assert [(p.tokens, p.state) for p in preds] == [((0, 1, 1, 1), "e")]
-    at_d = backend.pre_basis(Marking((0, 1, 1, 1), "d"))
+    at_d = backend.pre_basis([Marking((0, 1, 1, 1), "d")])
     assert sorted(p.tokens for p in at_d if p.state == "e") == \
         [(0, 2, 0, 1), (0, 2, 1, 0)]
 
@@ -199,7 +216,7 @@ def test_product_pre_basis_exact_on_grid():
     for _ in range(12):
         target = Marking(tuple(rng.randint(0, 2) for _ in range(4)),
                          rng.choice(states))
-        preds = backend.pre_basis(target)
+        preds = backend.pre_basis([target])
         for m in grid:
             truth = any(
                 nxt.state == target.state and

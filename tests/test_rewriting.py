@@ -2,16 +2,17 @@
 
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
-from resilire import graphs, model, rewriting
+from resilire import engine, graphs, model, rewriting
 from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding, graph_of,
                              single_node)
 from resilire.limits import Limits
 from resilire.order import basis_subset, covers, minimize
 from resilire.petri import Marking, enabled, fire, make_net
-from resilire.rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule,
+from resilire.rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule, glue,
                                 identity_rule, matches, overlaps,
                                 rule_predecessor_basis, successors)
 
@@ -138,6 +139,22 @@ def glued(a, b, vmap, emap):
     return Graph(nodes, edges)
 
 
+class Glued(NamedTuple):
+    """One overlap of a with b: the glued graph U and the embedding of a."""
+
+    u: Graph
+    match: dict
+
+
+def glue_each(a, b, pairings):
+    match = {"nodes": {v: "a:" + v for v in a.nodes}, "edges": {e: "a:" + e for e in a.edges}}
+    return [Glued(glue(a, b, *pairs), match) for pairs in pairings]
+
+
+def glued_overlaps(a, b, *args):
+    return glue_each(a, b, overlaps(a, b, *args))
+
+
 def pinned_class(u):
     """U's isomorphism class with the items of `a` held fixed: the key
     of U with each `a:` item's id folded into its label."""
@@ -150,7 +167,7 @@ def pinned_class(u):
 def assert_overlaps_meet_every_class(a, b):
     """`overlaps` returns a pinned class for every overlap, and no more
     overlaps than brute force finds; returns both counts."""
-    got, want = overlaps(a, b), brute_overlaps(a, b)
+    got, want = glued_overlaps(a, b), brute_overlaps(a, b)
     assert {pinned_class(ov.u) for ov in got} == {pinned_class(u) for u in want}, (a, b)
     assert len(got) <= len(want)
     return len(got), len(want)
@@ -166,7 +183,7 @@ def test_overlap_count_on_touching_edges():
     a = graph_of({"x": "n", "y": "n"}, [("x", "y", "x")])
     b = graph_of({"y": "n", "z": "n"}, [("y", "z", "x")])
     assert_overlaps_meet_every_class(a, b)
-    assert any(len(ov.u.nodes) == 4 for ov in overlaps(a, b))  # the disjoint union
+    assert any(len(ov.u.nodes) == 4 for ov in glued_overlaps(a, b))  # the disjoint union
 
 
 def test_overlap_count_random_against_brute_force():
@@ -453,7 +470,7 @@ def reference_predecessor_keys(rule, target, klass):
     the created items, (c) gluing of the deleted left part.  Sorted
     canonical keys of the graphs it yields that embed in class members."""
     results = {}
-    for ov in overlaps(rule.right, target):
+    for ov in glued_overlaps(rule.right, target):
         a_nodes, a_edges = ov.match["nodes"], ov.match["edges"]
         created_u_nodes = {a_nodes[rid] for rid in rule.created_nodes}
         created_u_edges = {a_edges[rid] for rid in rule.created_edges}
@@ -516,12 +533,14 @@ def overlap_ids(ovs):
 
 
 def record_overlaps(monkeypatch):
-    """Make the rewriting module's `overlaps` keep each result list."""
+    """Make the rewriting module's `overlaps` keep each result list,
+    glued."""
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append(overlaps(*args, **kwargs))
-        return calls[-1]
+    def recording(a, b, *args):
+        pairings = overlaps(a, b, *args)
+        calls.append(glue_each(a, b, pairings))
+        return pairings
 
     monkeypatch.setattr(rewriting, "overlaps", recording)
     return calls
@@ -550,7 +569,7 @@ def test_backward_step_enumerates_exactly_the_viable_overlaps(klass, monkeypatch
         target = random_graph(rng, ["a", "b"], ["x"], 3, 3, klass)
         calls.clear()
         rule_predecessor_basis(rule, target, klass)
-        every = overlaps(rule.right, target)
+        every = glued_overlaps(rule.right, target)
         viable = [ov for ov in every if meets_dangling(rule, ov)
                   and klass.admit(apply_rule(rule.inverse(), ov.u, ov.match),
                                   subgraph=True) is not None]
@@ -570,13 +589,109 @@ def test_post_basis_enumerates_exactly_the_overlaps_inside_the_class(monkeypatch
         rule = random_rule(rng, node_labels=("a", "b", "m"))
         g = random_graph(rng, ["a", "b", "m"], ["x"], 3, 3)
         calls.clear()
-        GraphBackend([rule], klass).post_basis(g)
-        every = overlaps(rule.left, g)
+        GraphBackend([rule], klass).post_basis([g])
+        every = glued_overlaps(rule.left, g)
         inside = [ov for ov in every if klass.contains(ov.u, subgraph=True)]
         assert overlap_ids(calls[0]) == overlap_ids(inside), (rule.left, g)
         total += len(every)
         kept += len(inside)
     assert 0 < kept < total
+
+
+def test_direct_predecessor_is_the_inverse_rule_at_the_glued_overlap():
+    """The backward step's predecessor, built from the pairs alone, is
+    the inverse rule applied at the glued overlap, ids and all: on every
+    overlap, those the dangling condition prunes among them."""
+    rng = rng_for("direct-predecessor")
+    seen = Counter()
+    for _ in range(150):
+        rule = random_rule(rng)
+        target = random_graph(rng, ["a", "b"], ["x"], 3, 3)
+        pairings = overlaps(rule.right, target)
+        for pairs, ov in zip(pairings, glue_each(rule.right, target, pairings)):
+            want = apply_rule(rule.inverse(), ov.u, ov.match)
+            got = rewriting._predecessor(rule, target, *pairs)
+            assert list(got.nodes.items()) == list(want.nodes.items()), (rule, target)
+            assert list(got.edges.items()) == list(want.edges.items()), (rule, target)
+            seen["dangling" if not meets_dangling(rule, ov) else "viable"] += 1
+        seen.update(kind for kind, items in (
+            ("deletes nodes", rule.deleted_nodes), ("deletes edges", rule.deleted_edges),
+            ("creates nodes", rule.created_nodes), ("creates edges", rule.created_edges))
+            if items)
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+def step_rounds(step, seed, order, rounds):
+    """The frontiers that the first `rounds` saturation rounds step."""
+    frontiers = []
+
+    def recording(frontier):
+        frontiers.append(list(frontier))
+        return step(frontier)
+
+    for k, _live, _stable in engine._saturation(seed, recording, order, rounds):
+        if k == rounds:
+            break
+    return frontiers
+
+
+def assert_batched_step(step, frontier, monkeypatch, walks_all=False):
+    """`step(frontier)` gives each key once and the union of the keys of
+    the per-state calls, and `GraphClass.admit` walks the paths of each
+    key at most once (with `walks_all`, of each key given too); returns
+    how many repeats the per-state calls gave."""
+    walked, admitting = [], []
+
+    def admit(self, *args, real=GraphClass.admit, **kwargs):
+        admitting.append(True)
+        try:
+            return real(self, *args, **kwargs)
+        finally:
+            admitting.pop()
+
+    def walk(g, bound, real=graphs.path_length_within):
+        if admitting:  # a candidate, not a forward overlap graph
+            walked.append(g.key())
+        return real(g, bound)
+
+    monkeypatch.setattr(GraphClass, "admit", admit)
+    monkeypatch.setattr(graphs, "path_length_within", walk)
+    keys = [h.key() for h in step(frontier)]
+    monkeypatch.undo()
+    assert len(keys) == len(set(keys))
+    assert len(walked) == len(set(walked))
+    assert not walks_all or set(keys) <= set(walked)
+    singles = [h.key() for g in frontier for h in step([g])]
+    assert set(keys) == set(singles)
+    return len(singles) - len(keys)
+
+
+def test_batched_steps_on_the_path_game_rounds(monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    backend, order = built.backend, built.backend.order
+    backward = step_rounds(backend.pre_basis, built.safe, order, 4)
+    forward = step_rounds(backend.post_basis, minimize([built.start], order), order, 4)
+    repeats = [assert_batched_step(backend.pre_basis, f, monkeypatch, walks_all=True)
+               for f in backward]
+    repeats += [assert_batched_step(backend.post_basis, f, monkeypatch) for f in forward]
+    assert sum(map(len, backward)) > 50 and sum(repeats) > 300, repeats
+
+
+@pytest.mark.parametrize("klass", [
+    GraphClass(max_path=3),
+    GraphClass(max_path=3, quotient_labels=frozenset({"b"}),
+               node_count=(("a", (1, 3)),)),
+], ids=["plain", "quotient-counts"])
+def test_batched_steps_on_random_frontiers(klass, monkeypatch):
+    rng = rng_for("batched-steps")
+    repeated = 0
+    for _ in range(40):
+        backend = GraphBackend([random_rule(rng), random_rule(rng)], klass)
+        frontier = [random_graph(rng, ["a", "b"], ["x"], 3, 3, klass) for _ in range(3)]
+        repeated += assert_batched_step(backend.pre_basis, frontier, monkeypatch,
+                                        walks_all=True) > 0
+        repeated += assert_batched_step(backend.post_basis, frontier, monkeypatch) > 0
+    assert repeated > 20, repeated
 
 
 def test_inverse_rule_swaps_deleted_and_created_items():
@@ -607,7 +722,7 @@ def test_post_basis_keeps_results_below_a_count_minimum():
     succ = klass.admit(graph_of({"x": "x", "a2": "a", "a3": "a"}, []))
     assert backend.post_step(g) == []
     assert backend.post_step(host) == [succ]
-    basis = backend.post_basis(g)
+    basis = backend.post_basis([g])
     assert any(backend.order.leq(b, succ) for b in basis)
 
 
@@ -624,7 +739,7 @@ def test_post_basis_covers_class_successors_on_universe():
         rule = random_rule(rng)
         backend = GraphBackend([rule], klass)
         g = random_graph(rng, ["a", "b"], ["x"], 3, 2, klass)
-        basis = backend.post_basis(g)
+        basis = backend.post_basis([g])
         for host in universe:
             if not order.leq(g, host):
                 continue
