@@ -132,10 +132,8 @@ def cmd_post(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    doc = model.load(args.model)
-    composed = model.compose_document(doc)
-    model.build(composed)  # refuse to emit a document that does not validate
-    text = model.dumps(composed)
+    with open(args.model, "r", encoding="utf-8") as fh:
+        text = model.compose(fh.read())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

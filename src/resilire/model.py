@@ -133,7 +133,6 @@ class ModelDocument:
     bad_spec: dict
     b_post: Optional[tuple]
     limits: Limits
-    notes: Optional[str] = None
     control_labels: Tuple[str, ...] = ()
     marker_labels: Tuple[str, ...] = ()
 
@@ -214,20 +213,6 @@ def _refuse_isolated(g: Graph, quotient, where: str, r: _Reader, what: str):
         if nid not in kept:
             r.add(where, "%s an isolated %r node, which the quotient erases "
                          "from every state" % (what, lab))
-
-
-def _class_to_json(k: GraphClass) -> dict:
-    out: dict = {}
-    if k.max_path is not None:
-        out["max_path"] = k.max_path
-    if k.node_count:
-        out["node_count"] = {
-            lab: {key: val for key, val in (("min", lo), ("max", hi)) if val is not None}
-            for lab, (lo, hi) in k.node_count
-        }
-    if k.quotient_labels:
-        out["quotient_isolated"] = sorted(k.quotient_labels)
-    return out
 
 
 def _parse_rules(section: dict, r: _Reader, klass: GraphClass,
@@ -348,22 +333,6 @@ def _with_tags(out: dict, state, marker) -> dict:
     return out
 
 
-def _marking_to_json(net: PetriNet, m) -> dict:
-    """A marking or marking pattern: its nonzero counts, state and marker."""
-    counts = {p: n for p, n in zip(net.places, m.tokens) if n}
-    return _with_tags({"marking": counts}, m.state, m.marker)
-
-
-def _constraint_to_json(c, net: Optional[PetriNet]) -> dict:
-    if isinstance(c, (cns.And, cns.Or)):
-        op = "and" if isinstance(c, cns.And) else "or"
-        return {"op": op, "args": [_constraint_to_json(p, net) for p in c.parts]}
-    out = (_marking_to_json(net, c.pattern) if net is not None
-           else {"graph": graph_to_json(c.pattern)})
-    out["op"] = "exists" if isinstance(c, cns.Exists) else "not_exists"
-    return out
-
-
 def _parse_b_post(obj: dict, r: _Reader, net: Optional[PetriNet],
                   states: Tuple[str, ...], markers: Tuple[str, ...]) -> Optional[tuple]:
     """The reachable basis; unlike a pattern, each state must name its
@@ -395,7 +364,7 @@ def from_dict(obj: dict) -> ModelDocument:
     if kind is None:
         r.raise_if_any()
     annotate = r.read(obj, "annotate", "", bool, False)
-    notes = r.read(obj, "notes", "", str, None)
+    r.read(obj, "notes", "", str, None)
     limits_obj = r.read(obj, "limits", "", dict, {})
     limits = {}
     for field in LIMIT_FIELDS:
@@ -508,17 +477,20 @@ def from_dict(obj: dict) -> ModelDocument:
         kind=kind, annotate=annotate, net=net, petri_start=petri_start,
         rules=rules, base_class=base_class, gts_start=gts_start,
         automaton=automaton, safety=safety, bad_spec=bad_spec, b_post=b_post,
-        limits=Limits(**limits), notes=notes,
+        limits=Limits(**limits),
         control_labels=control_labels, marker_labels=marker_labels,
     )
 
 
-def loads(text: str) -> ModelDocument:
+def _json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError([("/", "not valid JSON: %s" % exc)])
-    return from_dict(obj)
+
+
+def loads(text: str) -> ModelDocument:
+    return from_dict(_json(text))
 
 
 def load(path: str) -> ModelDocument:
@@ -553,7 +525,8 @@ class BuiltModel:
 
     def state_to_json(self, state) -> dict:
         if self.doc.kind == "petri":
-            return _marking_to_json(self.doc.net, state)
+            counts = {p: n for p, n in zip(self.doc.net.places, state.tokens) if n}
+            return _with_tags({"marking": counts}, state.state, state.marker)
         klass = self.backend.klass
         return _with_tags({"graph": graph_to_json(state)},
                           klass.control_of(state), klass.marker_of(state))
@@ -606,62 +579,8 @@ def build(doc: ModelDocument) -> BuiltModel:
 
 
 # ---------------------------------------------------------------------------
-# document serialization and composition
+# composition
 # ---------------------------------------------------------------------------
-
-
-def to_dict(doc: ModelDocument) -> dict:
-    out: dict = {"format": FORMAT, "kind": doc.kind, "annotate": doc.annotate}
-    if doc.notes:
-        out["notes"] = doc.notes
-    if doc.kind == "petri":
-        out["petri"] = {
-            "places": list(doc.net.places),
-            "transitions": [
-                {"name": t.name, "owner": t.owner,
-                 "pre": {p: w for p, w in zip(doc.net.places, t.pre) if w},
-                 "post": {p: w for p, w in zip(doc.net.places, t.post) if w}}
-                for t in doc.net.transitions
-            ],
-            "start": dict(doc.petri_start),
-        }
-    else:
-        out["gts"] = {
-            "class": _class_to_json(doc.base_class),
-            "rules": [_rule_to_json(r) for r in doc.rules],
-            "start": graph_to_json(doc.gts_start),
-        }
-    if doc.automaton is not None:
-        out["automaton"] = {
-            "states": list(doc.automaton.states),
-            "initial": doc.automaton.initial,
-            "edges": [{"from": e.src, "to": e.dst, "select": list(e.select)}
-                      for e in doc.automaton.edges],
-        }
-    if doc.control_labels:
-        out["control_labels"] = list(doc.control_labels)
-    if doc.marker_labels:
-        out["marker_labels"] = list(doc.marker_labels)
-    out["safety"] = _constraint_to_json(doc.safety, doc.net)
-    bad = dict(doc.bad_spec)
-    if bad.get("mode") == "custom":
-        bad["constraint"] = _constraint_to_json(bad["constraint"], doc.net)
-    out["bad"] = bad
-    if doc.b_post is not None:
-        if doc.kind == "petri":
-            out["b_post"] = [_marking_to_json(doc.net, s) for s in doc.b_post]
-        else:
-            out["b_post"] = [{"graph": graph_to_json(g)} for g in doc.b_post]
-    out["limits"] = {}
-    for field in LIMIT_FIELDS:
-        value = getattr(doc.limits, field)
-        if value is not None:  # overlap_nodes: None is the natural bound
-            out["limits"][field] = value
-    return out
-
-
-def dumps(doc: ModelDocument) -> str:
-    return json.dumps(to_dict(doc), sort_keys=True, indent=1) + "\n"
 
 
 def compose_document(doc: ModelDocument) -> ModelDocument:
@@ -685,3 +604,24 @@ def compose_document(doc: ModelDocument) -> ModelDocument:
         doc, rules=tuple(rules), automaton=None, annotate=False,
         gts_start=start, control_labels=tuple(doc.automaton.states),
         marker_labels=marker_labels)
+
+
+def compose(text: str) -> str:
+    """The graph model document `text` flattened, as JSON text: the
+    document as written, with the flattened rules and start, no
+    automaton, no annotation and the label lists.  Every other section
+    is copied: a flat document reads the `state` and `marker` of its
+    literals through the label lists.  Refuses a result that does not
+    load and build."""
+    obj = _json(text)
+    flat = compose_document(from_dict(obj))
+    out = dict(obj, annotate=False)
+    out.pop("automaton", None)
+    out["gts"] = dict(obj["gts"], rules=[_rule_to_json(r) for r in flat.rules],
+                      start=graph_to_json(flat.gts_start))
+    for key in ("control_labels", "marker_labels"):
+        if getattr(flat, key):
+            out[key] = list(getattr(flat, key))
+    flat_text = json.dumps(out, sort_keys=True, indent=1) + "\n"
+    build(loads(flat_text))
+    return flat_text

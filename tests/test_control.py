@@ -1,8 +1,10 @@
 """Automaton validation, rule enrichment, marking, and composition."""
 
+import json
+
 import pytest
 
-from resilire import model
+from resilire import cli, model
 from resilire.control import enrich_rules, make_automaton, mark_rules, with_control
 from resilire.engine import min_recovery
 from resilire.errors import ModelError
@@ -121,20 +123,67 @@ def test_flattened_document_equals_original():
     assert (v1.kind, v1.k_min) == (v2.kind, v2.k_min)
 
 
-@pytest.mark.parametrize("name", ["pathgame.json", "adverse_vs_error.json"])
+def annotated_triangle() -> dict:
+    """adverse_vs_error.json annotated, with an environment-marker bad
+    set and an overlap cap: every section compose copies is in use."""
+    obj = json.loads(open(fixture_path("adverse_vs_error.json")).read())
+    obj["annotate"] = True
+    obj["bad"]["env_marker"] = True
+    obj["limits"]["overlap_nodes"] = 9
+    for item in obj["b_post"]:
+        item["marker"] = SYSTEM
+    return obj
+
+
+def composable_documents():
+    docs = {name: json.loads(open(fixture_path(name)).read())
+            for name in ("pathgame.json", "adverse_vs_error.json")}
+    docs["annotated"] = annotated_triangle()
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(composable_documents()))
 def test_building_a_graph_model_equals_building_its_flattening(name):
-    doc = model.load(fixture_path(name))
-    direct, flat = model.build(doc), model.build(model.compose_document(doc))
-    assert direct.safe.elements == flat.safe.elements
-    assert direct.reachable.elements == flat.reachable.elements
-    assert direct.start.key() == flat.start.key()
-    assert [r.name for r in direct.backend.rules] == [r.name for r in flat.backend.rules]
-    assert direct.backend.klass == flat.backend.klass
+    obj = composable_documents()[name]
+    doc = model.from_dict(obj)
+    direct = model.build(doc)
+    # flattened in memory, and written out by compose and read back
+    for flat in (model.build(model.compose_document(doc)),
+                 model.build(model.loads(model.compose(json.dumps(obj))))):
+        assert direct.safe.elements == flat.safe.elements
+        assert direct.reachable.elements == flat.reachable.elements
+        assert direct.start.key() == flat.start.key()
+        assert [r.name for r in direct.backend.rules] == [r.name for r in flat.backend.rules]
+        assert direct.backend.klass == flat.backend.klass
+        assert direct.doc.limits == flat.doc.limits
 
 
-def test_flattened_document_round_trips():
-    doc = model.load(fixture_path("adverse_vs_error.json"))
-    flat = model.compose_document(doc)
-    text = model.dumps(flat)
-    again = model.loads(text)
-    assert model.dumps(again) == text
+# What flattening owns: the rest of a document is copied as written.
+COMPOSE_OWNS = {"automaton", "annotate", "control_labels", "marker_labels"}
+
+
+@pytest.mark.parametrize("name", sorted(composable_documents()))
+def test_compose_rewrites_only_what_flattening_changes(name):
+    obj = composable_documents()[name]
+    text = model.compose(json.dumps(obj))
+    out = json.loads(text)
+    assert {k: v for k, v in out.items() if k not in COMPOSE_OWNS | {"gts"}} == \
+        {k: v for k, v in obj.items() if k not in COMPOSE_OWNS | {"gts"}}
+    assert {k: v for k, v in out["gts"].items() if k not in ("rules", "start")} == \
+        {k: v for k, v in obj["gts"].items() if k not in ("rules", "start")}
+    assert "automaton" not in out and out["annotate"] is False
+    assert out["control_labels"] == obj["automaton"]["states"]
+    assert out.get("marker_labels") == (list(MARKERS) if obj["annotate"] else None)
+    assert model.compose(text) == text
+
+
+def test_composed_annotated_document_gives_the_original_approx_report(tmp_path, capsys):
+    original, flat = tmp_path / "original.json", tmp_path / "flat.json"
+    original.write_text(json.dumps(annotated_triangle()))
+    assert cli.main(["compose", str(original), "--out", str(flat)]) == 0
+    reports = []
+    for path in (original, flat):
+        capsys.readouterr()
+        assert cli.main(["approx", str(path), "--under", "6", "--over"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]

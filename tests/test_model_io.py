@@ -6,13 +6,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from resilire import cli, model
 from resilire.errors import ModelError
+from resilire.limits import Limits
 from resilire.petri import ProductBackend
 
 from conftest import fixture_path, pinned_reports
@@ -42,17 +42,15 @@ def test_fixtures_load_and_build(name):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_documents_serialize_stably(name):
-    doc = model.load(fixture_path(name))
-    text = model.dumps(doc)
-    assert model.dumps(model.loads(text)) == text
-    # overlap_nodes is written only when set: None is the natural bound
-    assert set(json.loads(text)["limits"]) == set(model.LIMIT_FIELDS) - {"overlap_nodes"}
-    capped = replace(doc, limits=replace(doc.limits, overlap_nodes=7))
-    capped_text = model.dumps(capped)
-    assert json.loads(capped_text)["limits"]["overlap_nodes"] == 7
-    assert model.loads(capped_text).limits == capped.limits
-    assert model.dumps(model.loads(capped_text)) == capped_text
+def test_documents_load_their_limits(name):
+    obj = json.loads(open(fixture_path(name)).read())
+    # overlap_nodes is None, the natural bound, unless the document sets it
+    assert model.from_dict(obj).limits == Limits(**obj["limits"])
+    assert model.from_dict(obj).limits.overlap_nodes is None
+    obj["limits"]["overlap_nodes"] = 7
+    assert model.from_dict(obj).limits == Limits(**obj["limits"])
+    obj["limits"] = {field: i + 2 for i, field in enumerate(model.LIMIT_FIELDS)}
+    assert model.from_dict(obj).limits == Limits(**obj["limits"])
 
 
 def test_unknown_place_is_located():
@@ -302,14 +300,23 @@ def test_cli_compose_then_check_matches(tmp_path):
     proc = run_cli("compose", fixture_path("adverse_vs_error.json"),
                    "--out", str(out))
     assert proc.returncode == 0
-    direct = run_cli("check", fixture_path("adverse_vs_error.json"))
-    flat = run_cli("check", str(out))
-    assert json.loads(direct.stdout) == json.loads(flat.stdout)
+    direct = run_cli("check", fixture_path("adverse_vs_error.json"), "--trace")
+    flat = run_cli("check", str(out), "--trace")
+    assert direct.returncode == flat.returncode == 0
+    assert direct.stdout == flat.stdout
 
 
 def test_cli_compose_rejects_petri():
     proc = run_cli("compose", fixture_path("supplychain.json"))
     assert proc.returncode == 2
+
+
+def test_cli_compose_rejects_invalid_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format": ')
+    proc = run_cli("compose", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "/: not valid JSON" in proc.stderr
 
 
 def plain_net_doc():
@@ -420,8 +427,7 @@ def test_rules_may_not_raise_a_count_past_its_max():
     del doc["gts"]["class"]["node_count"]["pt"]
     doc["gts"]["class"]["node_count"]["L"] = {"max": 2}
     assert model.from_dict(doc).rules
-    flat = model.to_dict(model.compose_document(model.load(
-        fixture_path("adverse_vs_error.json"))))
+    flat = json.loads(model.compose(open(fixture_path("adverse_vs_error.json")).read()))
     flat["gts"]["class"]["node_count"] = {q: {"max": 1} for q in flat["control_labels"]}
     assert model.from_dict(flat).control_labels == tuple(flat["control_labels"])
 
