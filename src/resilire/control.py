@@ -54,8 +54,9 @@ class ControlAutomaton:
 def make_automaton(states, initial, edges, rule_names=None) -> ControlAutomaton:
     states = tuple(states)
     issues = []
-    if len(set(states)) != len(states):
-        issues.append(("/automaton/states", "duplicate state names"))
+    for i, q in enumerate(states):
+        if q in states[:i]:
+            issues.append(("/automaton/states/%d" % i, "duplicate state name %r" % q))
     if initial not in states:
         issues.append(("/automaton/initial", "initial state %r not declared" % initial))
     built = []

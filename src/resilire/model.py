@@ -106,6 +106,14 @@ class _Reader:
     def strings(self, obj: dict, key: str, where: str, kind=str) -> Tuple:
         return tuple(item for _i, _w, item in self.each(obj, key, where, kind))
 
+    def once(self, seen: set, name, where: str, what: str):
+        """`name`, refused at `where` as a duplicate `what` if `seen`
+        holds it; it is added to `seen`."""
+        if name is not None and name in seen:
+            self.add(where, "duplicate %s %r" % (what, name))
+        seen.add(name)
+        return name
+
     def counts(self, obj: dict, key: str, where: str, places) -> Dict[str, int]:
         """obj[key] as a map from `places` to non-negative integers."""
         mapping = self.read(obj, key, where, dict, {})
@@ -143,20 +151,16 @@ class ModelDocument:
 
 
 def _parse_graph(obj: dict, where: str, r: _Reader) -> Optional[Graph]:
-    nodes = {}
+    nodes, ids = {}, set()
     for i, nwhere, n in r.each(obj, "nodes", where, dict):
-        nid = r.read(n, "id", nwhere, str, "n%d" % i)
-        if nid in nodes:
-            r.add(nwhere, "duplicate node id %r" % nid)
+        nid = r.once(ids, r.read(n, "id", nwhere, str, "n%d" % i), nwhere, "node id")
         label = r.read(n, "label", nwhere, str)
         if label is not None:
             nodes[nid] = label
-    edges = {}
+    edges, ids = {}, set()
     ok = True
     for i, ewhere, e in r.each(obj, "edges", where, dict):
-        eid = r.read(e, "id", ewhere, str, "e%d" % i)
-        if eid in edges:
-            r.add(ewhere, "duplicate edge id %r" % eid)
+        eid = r.once(ids, r.read(e, "id", ewhere, str, "e%d" % i), ewhere, "edge id")
         src, tgt, label = (r.read(e, k, ewhere, str) for k in ("src", "tgt", "label"))
         if src is None or tgt is None or label is None:
             ok = False
@@ -224,10 +228,8 @@ def _parse_rules(section: dict, r: _Reader, klass: GraphClass,
     rules = []
     names = set()
     for i, rwhere, obj in r.each(section, "rules", "/gts", dict):
-        name = r.read(obj, "name", rwhere, str, "rule%d" % i)
-        if name in names:
-            r.add(rwhere, "duplicate rule name %r" % name)
-        names.add(name)
+        name = r.once(names, r.read(obj, "name", rwhere, str, "rule%d" % i), rwhere,
+                      "rule name")
         owner = r.read(obj, "owner", rwhere, OWNERS, SYSTEM)
         left = _parse_graph(r.read(obj, "left", rwhere, dict, {}), rwhere + "/left", r)
         right = _parse_graph(r.read(obj, "right", rwhere, dict, {}), rwhere + "/right", r)
@@ -381,19 +383,17 @@ def from_dict(obj: dict) -> ModelDocument:
     if section is None:
         r.raise_if_any()
     if kind == "petri":
-        places = r.strings(section, "places", "/petri")
-        specs = [{"name": r.read(t, "name", w, str),
+        place_names, names = set(), set()
+        places = tuple(r.once(place_names, p, w, "place name")
+                       for _i, w, p in r.each(section, "places", "/petri", str))
+        specs = [{"name": r.once(names, r.read(t, "name", w, str), w, "transition name"),
                   "owner": r.read(t, "owner", w, OWNERS, SYSTEM),
                   "pre": r.counts(t, "pre", w, places),
                   "post": r.counts(t, "post", w, places)}
                  for _i, w, t in r.each(section, "transitions", "/petri", dict)]
         petri_start = r.counts(section, "start", "/petri", places)
         r.raise_if_any()
-        try:
-            net = make_net(places, specs)
-        except ValueError as exc:  # duplicate place or transition names
-            r.add("/petri", str(exc))
-            r.raise_if_any()
+        net = make_net(places, specs)
         rule_names = {t.name for t in net.transitions}
     else:
         base_class = _parse_class(r.read(section, "class", "/gts", dict, {}),

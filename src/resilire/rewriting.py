@@ -4,10 +4,13 @@ Rules are partial morphisms given by explicit id correspondences that
 are injective and label-preserving on their domain.  Forward
 application deletes the match images of unmapped left-hand items (plus
 any edges left dangling), then adds fresh copies of the created
-right-hand items.  Every step is one such application: the backward
-step applies the inverse rule at the overlaps of the right-hand side
-with a target graph that meet the dangling condition, which gives the
-minimal graphs reaching the target's upward closure in one step.
+right-hand items.  Every step is one such application, and one
+builder (`_apply`) makes them all, from a pairing of a rule's left side
+with a host: a total match (`apply_rule`), an overlap of the left side
+with a graph (the forward ideal step), or, for the inverse rule, an
+overlap of the right-hand side with a target graph that meets the
+dangling condition (the backward step), which gives the minimal graphs
+reaching the target's upward closure in one step.
 
 Matches and overlaps are enumerated once per orbit of two cheap
 symmetries of the host graph: swaps of twin nodes and of parallel
@@ -20,18 +23,15 @@ only by what subgraphs of class members inherit
 (`GraphClass.admit(g, subgraph=True)`), come once per isomorphism class
 within one call, which steps a whole frontier, and are made a basis by
 `minimize`.  The backward step first lifts its target to the class's
-node-count minima with isolated nodes, and builds each result straight
-from the rule and the overlap's pairs, without the overlap graph.  The
-forward steps prepare each host once for all rules, and test the path
-bound only on results of rules that can lengthen a path
-(`Rule.keeps_paths`).
+node-count minima with isolated nodes.  The forward steps prepare each
+host once for all rules, and test the path bound only on results of
+rules that can lengthen a path (`Rule.keeps_paths`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GuardExceeded
@@ -71,27 +71,11 @@ class Rule:
             for s, t, _l in map(right.edges.get, self.created_edges))
         self._inverse = None
 
-    @cached_property
-    def _backward_parts(self) -> tuple:
-        """What `inverse()` leaves and adds at an overlap of `right` with
-        ids "a:", as `apply_rule` names them: the preserved right-side
-        nodes and edges, copies of the deleted left-side nodes and edges,
-        and the ids of the created nodes, which go."""
-        placed = {lid: "a:" + rid for lid, rid in self.node_map.items()}
-        placed.update((lid, "new:n%d" % i) for i, lid in enumerate(self.deleted_nodes))
-        kept_nodes, kept_edges = set(self.node_map.values()), set(self.edge_map.values())
-        return ({"a:" + r: lab for r, lab in self.right.nodes.items() if r in kept_nodes},
-                {"a:" + e: ("a:" + s, "a:" + t, l)
-                 for e, (s, t, l) in self.right.edges.items() if e in kept_edges},
-                {placed[lid]: self.left.nodes[lid] for lid in self.deleted_nodes},
-                {"new:e%d" % i: (placed[s], placed[t], l)
-                 for i, (s, t, l) in enumerate(map(self.left.edges.get, self.deleted_edges))},
-                frozenset("a:" + r for r in self.created_nodes))
-
     def inverse(self) -> "Rule":
         """The rule read right to left: it deletes what this rule creates
         and creates what this rule deletes.  Built once.  The backward
-        step builds its results at overlaps directly (`_predecessor`)."""
+        step applies it at pairings of `right` with a target, through
+        the builder that serves every step (`_apply`)."""
         if self._inverse is None:
             self._inverse = Rule(self.name, self.owner, self.right, self.left,
                                  {r: l for l, r in self.node_map.items()},
@@ -153,43 +137,57 @@ def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
     vmap, emap = match["nodes"], match["edges"]
     if vmap.keys() != rule.left.nodes.keys() or emap.keys() != rule.left.edges.keys():
         raise ValueError("match must be total on the left-hand side")
-    doomed_nodes = {vmap[v] for v in rule.deleted_nodes}
-    doomed_edges = {emap[e] for e in rule.deleted_edges}
-    nodes = {v: l for v, l in g.nodes.items() if v not in doomed_nodes}
-    edges = {
-        e: d
-        for e, d in g.edges.items()
-        if e not in doomed_edges and d[0] not in doomed_nodes and d[1] not in doomed_nodes
-    }
-    # Glue in fresh copies of created items along the preserved part.
-    placed: Dict[str, str] = {}
-    for lid, rid in rule.node_map.items():
-        placed[rid] = vmap[lid]
-    for i, rid in enumerate(rule.created_nodes):
-        nid = "new:n%d" % i
+    return _apply(rule, g, vmap, emap)
+
+
+def _apply(rule: Rule, g: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
+    """The rule applied at a partial pairing of its left side with g,
+    given as maps from left ids to the ids of g they are identified
+    with: up to isomorphism, the rule at the left side's items of
+    `glue(rule.left, g, node_pairs, edge_pairs)`.  g's items keep their
+    ids; the right side's items that no pair places (created items, and
+    copies of unpaired preserved ones) get "new:n<i>" / "new:e<i>" ids
+    that g lacks.  Deletion wins and dangling edges go."""
+    doomed = {node_pairs[v] for v in rule.deleted_nodes if v in node_pairs}
+    doomed_edges = {edge_pairs[e] for e in rule.deleted_edges if e in edge_pairs}
+    nodes = {v: l for v, l in g.nodes.items() if v not in doomed}
+    edges = {e: d for e, d in g.edges.items()
+             if e not in doomed_edges and d[0] not in doomed and d[1] not in doomed}
+    placed = {rid: node_pairs[lid] for lid, rid in rule.node_map.items() if lid in node_pairs}
+    unplaced = [rid for lid, rid in rule.node_map.items() if lid not in node_pairs]
+    k = 0
+    for rid in rule.created_nodes + unplaced:
+        while "new:n%d" % k in g.nodes:
+            k += 1
+        placed[rid] = nid = "new:n%d" % k
         nodes[nid] = rule.right.nodes[rid]
-        placed[rid] = nid
-    for i, rid in enumerate(rule.created_edges):
-        rs, rt, rl = rule.right.edges[rid]
-        edges["new:e%d" % i] = (placed[rs], placed[rt], rl)
+        k += 1
+    unplaced = [rid for lid, rid in rule.edge_map.items() if lid not in edge_pairs]
+    k = 0
+    for rid in rule.created_edges + unplaced:
+        while "new:e%d" % k in g.edges:
+            k += 1
+        s, t, l = rule.right.edges[rid]
+        edges["new:e%d" % k] = (placed[s], placed[t], l)
+        k += 1
     return Graph(nodes, edges)
 
 
 def successors(g: Graph, rules, klass: GraphClass) -> List[Graph]:
-    """All one-step SPO successors inside the class, canonical,
-    deduplicated by key and unordered; `minimize` orders them.
+    """All one-step SPO successors inside the class, canonical, each
+    key once and unordered; `minimize` orders them.
 
     g must be a member of the class: then a result of a rule that
     `keeps_paths` meets the path bound, and only the other rules' results
     are walked for it.  g's twins and host plan serve every rule."""
-    seen = {}
+    seen, out = set(), []
     twins, plan = twin_signatures(g), host_plan(g)
     for rule in rules:
         for m in matches(rule, g, twins, plan):
-            h = klass.admit(apply_rule(rule, g, m), paths=not rule.keeps_paths)
+            h = klass.admit(apply_rule(rule, g, m), paths=not rule.keeps_paths, seen=seen)
             if h is not None:
-                seen.setdefault(h.key(), h)
-    return list(seen.values())
+                out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
     successor above `target` in the class, among them the minimal
     ones: the inverse rule applied at each overlap of the rule's right
     side with a lift of the target (`GraphClass.lifts`) that meets the
-    dangling condition, built directly from the overlap (`_predecessor`).
+    dangling condition, built from the pairs alone (`_apply`).
 
     The condition drops an overlap in which a target-only edge touches
     a node the rule creates: no host can supply an edge on a fresh
@@ -366,31 +364,14 @@ def rule_predecessor_basis(rule: Rule, target: Graph, klass: GraphClass,
     seen = set() if seen is None else seen
     bounds = [b for b in klass.bounds if not b[0] & klass.quotient_labels]
     out = []
+    inverse = rule.inverse()
     for lift, twins in lifts:
         windows = _pair_windows(bounds, rule.left, lift)
         for pairs in overlaps(rule.right, lift, limits, windows, rule.created_nodes, twins):
-            cand = klass.admit(_predecessor(rule, lift, *pairs), subgraph=True, seen=seen)
+            cand = klass.admit(_apply(inverse, lift, *pairs), subgraph=True, seen=seen)
             if cand is not None:
                 out.append(cand)
     return out
-
-
-def _predecessor(rule: Rule, b: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
-    """`apply_rule(rule.inverse(), u, m)`, ids and all, for the overlap
-    u = `glue(rule.right, b, node_pairs, edge_pairs)` and m the match of
-    the right side to its "a:" items, built without u: the rule's
-    `_backward_parts` and the unpaired items of `b` off created nodes."""
-    kept_nodes, kept_edges, new_nodes, new_edges, doomed = rule._backward_parts
-    paired = {bid: "a:" + rid for rid, bid in node_pairs.items()}
-    nodes = {**kept_nodes, **{"b:" + v: lab for v, lab in b.nodes.items()
-                              if v not in paired}, **new_nodes}
-    edges, merged = dict(kept_edges), set(edge_pairs.values())
-    for e, (s, t, l) in b.edges.items():
-        s, t = paired.get(s, "b:" + s), paired.get(t, "b:" + t)
-        if e not in merged and s not in doomed and t not in doomed:
-            edges["b:" + e] = (s, t, l)
-    edges.update(new_edges)
-    return Graph(nodes, edges)
 
 
 def _twinned_lifts(target: Graph, klass: GraphClass) -> list:
@@ -480,13 +461,10 @@ class GraphBackend:
             twins = twin_signatures(g)
             for rule in self.rules:
                 windows = _pair_windows(klass.bounds, rule.left, g)
-                match = {"nodes": {v: "a:" + v for v in rule.left.nodes},
-                         "edges": {e: "a:" + e for e in rule.left.edges}}
                 for pairs in overlaps(rule.left, g, self.limits, windows, (), twins):
-                    u = glue(rule.left, g, *pairs)
-                    if not klass.contains(u, subgraph=True):
+                    if not klass.contains(glue(rule.left, g, *pairs), subgraph=True):
                         continue
-                    h = klass.admit(apply_rule(rule, u, match), subgraph=True,
+                    h = klass.admit(_apply(rule, g, *pairs), subgraph=True,
                                     paths=not rule.keeps_paths, seen=seen)
                     if h is not None:
                         out.append(h)

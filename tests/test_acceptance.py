@@ -30,6 +30,7 @@ from resilire.rewriting import (SubgraphOrder, apply_rule, rule_predecessor_basi
 from resilire.control import make_automaton
 
 import conftest
+import petri_graphs
 from conftest import (enumerate_class_graphs, explore, fixture_path,
                       pinned_reports, random_graph, recovery_oracle, rng_for,
                       satisfies)
@@ -216,6 +217,40 @@ def test_acceptance_4_oracle_equivalence(harvested_models):
     announce("ACCEPTANCE 4 PASS: %d random joint nets match the explicit "
              "oracle exactly (%d bounded up to k=%d, %d unbounded)"
              % (bounded + unbounded, bounded, deepest, unbounded))
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["discrete", "star"])
+def test_acceptance_4_graph_backend_agrees_with_petri_backend(harvested_models, star):
+    """Acceptance 4's models, encoded as graph models (`petri_graphs`),
+    get the Petri backend's verdict, k and iterations, and each round's
+    basis decodes to the Petri round's basis, element for element."""
+    found = 0
+    for backend, _start, safe, bad, states in harvested_models:
+        places, qs = backend.net.places, frozenset(backend.automaton.states)
+        graph = petri_graphs.graph_backend(backend, star)
+
+        def decode(g):
+            return petri_graphs.decode(g, places, qs, star)
+
+        def encode(markings):
+            return minimize([petri_graphs.encode(m, places, star) for m in markings],
+                            graph.order)
+
+        reachable = minimize(states, backend.order)
+        want = min_recovery(ResilienceInstance(
+            backend=backend, reachable=reachable, bad=bad, safe=safe), keep_trace=True)
+        got = min_recovery(ResilienceInstance(
+            backend=graph, reachable=encode(reachable.elements),
+            bad=BadSet(lambda g: bad.contains(decode(g))), safe=encode(safe.elements)),
+            keep_trace=True)
+        assert (got.kind, got.k_min, got.iterations) == (want.kind, want.k_min,
+                                                        want.iterations)
+        for g_round, m_round in zip(got.trace, want.trace, strict=True):
+            decoded = {decode(g) for g in g_round.elements}
+            assert len(decoded) == len(g_round.elements)
+            assert decoded == set(m_round.elements)
+        found += want.kind == FOUND
+    assert 0 < found < len(harvested_models)
 
 
 # -- 5: backward steps are exact ----------------------------------------------

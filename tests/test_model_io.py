@@ -414,6 +414,41 @@ def test_cli_graph_state_or_marker_the_model_lacks_exits_two(tmp_path, base,
     assert pointer + key + ":" in proc.stderr
 
 
+def _append_copy(items):
+    items.append(copy.deepcopy(items[-1]))
+
+
+def _rename(items):
+    items[1]["name"] = items[0]["name"]
+
+
+@pytest.mark.parametrize("base, path, edit, pointer, message", [
+    (base_doc, ("petri", "places"), _append_copy, "/petri/places/2",
+     "duplicate place name 'reserve'"),
+    (base_doc, ("petri", "transitions"), _rename, "/petri/transitions/1",
+     "duplicate transition name 'restock'"),
+    (base_doc, ("automaton", "states"), _append_copy, "/automaton/states/2",
+     "duplicate state name 'q1'"),
+    (graph_doc, ("gts", "rules", 0, "left", "nodes"), _append_copy,
+     "/gts/rules/0/left/nodes/3", "duplicate node id 'c'"),
+    (graph_doc, ("gts", "rules", 0, "left", "edges"), _append_copy,
+     "/gts/rules/0/left/edges/2", "duplicate edge id 'e3'"),
+    (graph_doc, ("gts", "rules"), _append_copy, "/gts/rules/4",
+     "duplicate rule name 'break_cycle'"),
+])
+def test_each_duplicate_name_is_refused_at_its_own_pointer(base, path, edit, pointer,
+                                                           message):
+    doc = base()
+    items = doc
+    for step in path:
+        items = items[step]
+    edit(items)
+    with pytest.raises(ModelError) as err:
+        model.from_dict(doc)
+    # later sections may fail for want of the refused one
+    assert err.value.issues[0] == (pointer, message)
+
+
 def test_rules_may_not_raise_a_count_past_its_max():
     """A rule that creates more nodes of a capped label than it deletes
     is refused at the rule; one that keeps the count is not, nor is a

@@ -599,26 +599,73 @@ def test_post_basis_enumerates_exactly_the_overlaps_inside_the_class(monkeypatch
 
 
 def test_direct_predecessor_is_the_inverse_rule_at_the_glued_overlap():
-    """The backward step's predecessor, built from the pairs alone, is
-    the inverse rule applied at the glued overlap, ids and all: on every
-    overlap, those the dangling condition prunes among them."""
+    """Both ideal steps build each result from the pairs alone, and it is
+    the rule applied at the glued overlap, up to isomorphism: the inverse
+    rule at an overlap of the right side with the target (backward), on
+    every overlap, those the dangling condition prunes among them, and
+    the rule at an overlap of the left side with the host (forward)."""
     rng = rng_for("direct-predecessor")
     seen = Counter()
     for _ in range(150):
         rule = random_rule(rng)
         target = random_graph(rng, ["a", "b"], ["x"], 3, 3)
-        pairings = overlaps(rule.right, target)
-        for pairs, ov in zip(pairings, glue_each(rule.right, target, pairings)):
-            want = apply_rule(rule.inverse(), ov.u, ov.match)
-            got = rewriting._predecessor(rule, target, *pairs)
-            assert list(got.nodes.items()) == list(want.nodes.items()), (rule, target)
-            assert list(got.edges.items()) == list(want.edges.items()), (rule, target)
-            seen["dangling" if not meets_dangling(rule, ov) else "viable"] += 1
+        for step, side in ((rule.inverse(), rule.right), (rule, rule.left)):
+            pairings = overlaps(side, target)
+            for pairs, ov in zip(pairings, glue_each(side, target, pairings)):
+                want = apply_rule(step, ov.u, ov.match)
+                assert rewriting._apply(step, target, *pairs).key() == want.key(), (step, target)
+                seen["forward" if step is rule
+                     else "viable" if meets_dangling(rule, ov) else "dangling"] += 1
         seen.update(kind for kind, items in (
             ("deletes nodes", rule.deleted_nodes), ("deletes edges", rule.deleted_edges),
             ("creates nodes", rule.created_nodes), ("creates edges", rule.created_edges))
             if items)
-    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+def reference_apply(rule, g, match):
+    """SPO application at a total match, written out: g's survivors in
+    g's order, then the created nodes and edges in id order, named
+    "new:n<i>" and "new:e<i>"."""
+    vmap, emap = match["nodes"], match["edges"]
+    doomed = {vmap[v] for v in rule.deleted_nodes}
+    doomed_edges = {emap[e] for e in rule.deleted_edges}
+    nodes = {v: l for v, l in g.nodes.items() if v not in doomed}
+    edges = {e: (s, t, l) for e, (s, t, l) in g.edges.items()
+             if e not in doomed_edges and s not in doomed and t not in doomed}
+    placed = {rid: vmap[lid] for lid, rid in rule.node_map.items()}
+    for i, rid in enumerate(rule.created_nodes):
+        placed[rid] = "new:n%d" % i
+        nodes[placed[rid]] = rule.right.nodes[rid]
+    for i, rid in enumerate(rule.created_edges):
+        s, t, l = rule.right.edges[rid]
+        edges["new:e%d" % i] = (placed[s], placed[t], l)
+    return Graph(nodes, edges)
+
+
+def test_apply_rule_names_items_as_written_out_at_total_matches():
+    rng = rng_for("total-matches")
+    applied = 0
+    for _ in range(150):
+        rule = random_rule(rng)
+        g = random_graph(rng, ["a", "b"], ["x"], 4, 5)
+        for m in embeddings(rule.left, g):
+            got, want = apply_rule(rule, g, m), reference_apply(rule, g, m)
+            assert list(got.nodes.items()) == list(want.nodes.items()), (rule, g)
+            assert list(got.edges.items()) == list(want.edges.items()), (rule, g)
+            applied += 1
+    assert applied >= 100
+
+
+def test_created_items_get_ids_the_host_lacks():
+    grow = Rule("grow", "sys", Graph({"x": "a"}, {}),
+                Graph({"x": "a", "y": "b"}, {"e": ("x", "y", "r")}), {"x": "x"})
+    host = Graph({"h": "a", "new:n0": "c"},
+                 {"k": ("h", "new:n0", "s"), "new:e0": ("new:n0", "h", "s")})
+    result = apply_rule(grow, host, next(matches(grow, host)))
+    assert result.nodes == {"h": "a", "new:n0": "c", "new:n1": "b"}
+    assert result.edges == {"k": ("h", "new:n0", "s"), "new:e0": ("new:n0", "h", "s"),
+                            "new:e1": ("h", "new:n1", "r")}
 
 
 def step_rounds(step, seed, order, rounds):
