@@ -11,12 +11,12 @@ Rounds are frontier-only.  An element of round k's basis that was
 already in round k-1's has its predecessors in I_k, so round k+1 merges
 the one-step basis of the *fresh* elements of round k alone into round
 k's basis.  That basis is one `Antichain` for the whole saturation:
-each merge compares the candidates only with each other and with the
-live elements, and returns exactly the fresh elements of the next
-round.  Each basis element is stepped exactly once, in one step call
-per round for all the fresh elements, in which a graph step filters and
-copies each isomorphism class once.  A round without fresh elements has
-the previous round's ideal: it is the fixed point.
+each merge asks its index whether a candidate is covered and, for each
+one kept, which elements it evicts, and returns exactly the fresh
+elements of the next round.  Each basis element is stepped exactly
+once, in one step call per round for all the fresh elements, in which
+a graph step filters and copies each isomorphism class once.  A round
+without fresh elements has the previous round's ideal: the fixed point.
 Targets are looked up in the live antichain; a `Basis` is built only
 to be reported.  `backward_step` keeps the full one-step operator.
 

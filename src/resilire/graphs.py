@@ -63,11 +63,11 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def label_counts(self) -> Tuple[Counter, Counter]:
+    def label_counts(self) -> Counter:
         """Node labels and (source, edge, target) label triples, counted once."""
         if self._counts is None:
             n, e = self.nodes, self.edges.values()
-            self._counts = Counter(n.values()), Counter((n[s], l, n[t]) for s, t, l in e)
+            self._counts = Counter(n.values()) + Counter((n[s], l, n[t]) for s, t, l in e)
         return self._counts
 
     # -- identity up to isomorphism -------------------------------------
@@ -403,9 +403,8 @@ def counts_fit(pattern: Graph, host: Graph) -> bool:
     every label, and edges of every `label_counts` triple, as the pattern."""
     if len(pattern.nodes) > len(host.nodes) or len(pattern.edges) > len(host.edges):
         return False
-    (pn, pe), (hn, he) = pattern.label_counts(), host.label_counts()
-    return (all(hn[l] >= c for l, c in pn.items())
-            and all(he[l] >= c for l, c in pe.items()))
+    have = host.label_counts()
+    return all(have[f] >= c for f, c in pattern.label_counts().items())
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,18 @@ that every computation over bases is reproducible byte for byte.
 Downward-closed sets have no useful finite basis and are handled
 elsewhere as membership predicates.
 
-An `Antichain` is a basis kept live across merges: each merge compares
-the new candidates with each other and with the live elements through
-one antichain index (`Wqo.antichain_index`) that lives as long as the
-antichain, so a saturation never rebuilds its previous basis.  The one
-question asked of an index, a basis or an antichain is `covers`: is
-this state in the ideal?  The default index scans with the order's
-`any_below`; an order may answer from a structure of its own instead
-(markings: one bitmask per coordinate and token count).
+An `Antichain` is a basis kept live across merges in one antichain
+index (`Wqo.antichain_index`) that lives as long as the antichain, so a
+saturation never rebuilds its previous basis.  An index answers
+`covers`, is a state in the ideal, and `above`, which of its states lie
+above a state: a merge asks `covers` of each candidate and evicts what
+`above` gives for each one it keeps.  The default index scans with the
+order; markings and graphs answer from `FeatureMasks` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -40,9 +38,9 @@ class Wqo:
       element ``t`` has ``leq(t, s)``.  An order may prepare ``s`` once
       for all of them;
     * ``antichain_index()`` -- optional: a fresh, empty index with
-      ``add(s)``, ``remove(s)`` for a state added before, and
-      ``covers(s)``, whether an added state lies below ``s``.  The
-      default scans the added states with ``any_below``.
+      ``add(s)``, ``remove(s)`` for a state added before, ``covers(s)``,
+      whether an added state lies below ``s``, and ``above(s)``, a list
+      of the added ``t`` with ``leq(s, t)``.  The default scans them.
     """
 
     def leq(self, a, b) -> bool:
@@ -63,7 +61,7 @@ class Wqo:
 
 class _ScanIndex:
     """The default antichain index: the added states, by identity, in
-    the order they came, scanned with the order's `any_below`."""
+    the order they came, scanned with the order's `any_below` and `leq`."""
 
     def __init__(self, order: Wqo):
         self._order = order
@@ -77,6 +75,77 @@ class _ScanIndex:
 
     def covers(self, s) -> bool:
         return self._order.any_below(self._items.values(), s)
+
+    def above(self, s) -> list:
+        return [t for t in self._items.values() if self._order.leq(s, t)]
+
+
+class FeatureMasks:
+    """Bitmasks for an order in which `t` lies below `s` only if `s` has
+    at least `t`'s count, `counts[f]`, of every feature f; f needs a row
+    (`rows[f] = []`) before a held element counts it.  Each held element
+    has the lowest free slot, and `rows[f][v]` has bit j set when slot j
+    holds at most v of f, its complement when it holds more.  A count
+    past a row's end bounds nothing below and leaves nothing above."""
+
+    __slots__ = ("rows", "slots", "held", "occupied")
+
+    def __init__(self, features: Iterable = ()):
+        self.rows: dict = {f: [] for f in features}
+        self.slots: dict = {}
+        self.held: dict = {}
+        self.occupied = 0
+
+    def hold(self, element, counts) -> None:
+        bit = ~self.occupied & (self.occupied + 1)
+        self.slots[id(element)] = j = bit.bit_length() - 1
+        self.held[j] = element
+        clear = ~bit
+        for f, row in self.rows.items():
+            v = counts[f]
+            if v >= len(row):
+                # every held slot holds at most v of f
+                row.extend([self.occupied] * (v + 1 - len(row)))
+            for u in range(v):
+                row[u] &= clear
+            for u in range(v, len(row)):
+                row[u] |= bit
+        self.occupied |= bit
+
+    def remove(self, element) -> None:
+        """Free the slot: queries start from `occupied`, and reuse resets its bits."""
+        j = self.slots.pop(id(element))
+        del self.held[j]
+        self.occupied &= ~(1 << j)
+
+    def at_most(self, counts) -> int:
+        """The bits of the held slots with at most `counts`."""
+        mask = self.occupied
+        for f, row in self.rows.items():
+            v = counts[f]
+            if v < len(row):
+                mask &= row[v]
+                if not mask:
+                    return 0
+        return mask
+
+    def at_least(self, counts) -> int:
+        """The bits of the held slots with at least `counts`."""
+        mask = self.occupied
+        for f, row in self.rows.items():
+            v = counts[f]
+            if v:
+                mask &= ~row[v - 1] if v <= len(row) else 0
+                if not mask:
+                    return 0
+        return mask
+
+    def elements(self, mask: int) -> Iterator:
+        """The held elements of the slots whose bits `mask` has."""
+        while mask:
+            low = mask & -mask
+            yield self.held[low.bit_length() - 1]
+            mask ^= low
 
 
 @dataclass(frozen=True)
@@ -100,19 +169,16 @@ class Antichain:
     """The minimal elements of a growing ideal, starting from `base`,
     which must be an antichain, as every `Basis` is.
 
-    The elements are kept with their sizes and keys, sorted by (size,
-    key), and in one antichain index for the antichain's whole life:
-    two of them are never compared with each other, and none is keyed
-    or indexed again.  `covers` asks that index.
+    The elements are kept by key and in one antichain index for the
+    antichain's whole life: two of them are never compared with each
+    other, and none is keyed or indexed again.  `covers` asks the index.
     """
 
     def __init__(self, order: Wqo, base: Iterable = ()):
         self.order = order
         self._index = order.antichain_index()
-        self._sweep = sorted(((order.size(b), order.key(b), b) for b in base),
-                             key=_size_key)
-        self._keys = {k for _n, k, _b in self._sweep}
-        for _n, _k, b in self._sweep:
+        self._elements = {order.key(b): b for b in base}
+        for b in self._elements.values():
             self._index.add(b)
 
     def merge(self, candidates: Iterable) -> list:
@@ -120,53 +186,35 @@ class Antichain:
         candidates that became elements, sorted by key.
 
         A candidate under a key already present is dropped uncompared;
-        of repeats, the first stays.  The rest and the elements are
-        swept together in (size, key) order, so everything below a state
-        comes before it: keys name order classes, so a state below
-        another of equal size has its key.  A candidate is kept unless a
-        kept candidate or an element lies below it.  An element that a
-        kept candidate lies below is removed when the sweep reaches it,
-        before any later candidate is compared with it.
+        of repeats, the first stays.  The rest go in (size, key) order:
+        a state below another of equal size has its key, so each comes
+        after the candidates below it.  One that an element lies below
+        is dropped; any other evicts the elements above it, none of them
+        candidates, and becomes an element.
         """
-        order, keys = self.order, self._keys
+        order, elements, index = self.order, self._elements, self._index
         new: dict = {}
         for c in candidates:
             k = order.key(c)
-            if k not in keys:
+            if k not in elements:
                 new.setdefault(k, c)
-        entries = self._sweep + [(order.size(c), k, c) for k, c in new.items()]
-        entries.sort(key=_size_key)
-        fresh = order.antichain_index()
-        sweep, kept = [], []
-        for entry in entries:
-            _n, k, s = entry
-            if k not in new:
-                if kept and fresh.covers(s):
-                    keys.remove(k)
-                    self._index.remove(s)
-                    continue
-            elif fresh.covers(s) or self._index.covers(s):
+        for _n, k, c in sorted((order.size(c), k, c) for k, c in new.items()):
+            if index.covers(c):
                 continue
-            else:
-                fresh.add(s)
-                kept.append(entry)
-            sweep.append(entry)
-        self._sweep = sweep
-        for _n, k, c in kept:
-            keys.add(k)
-            self._index.add(c)
-        return [c for _n, _k, c in sorted(kept, key=_key)]
+            for t in index.above(c):
+                index.remove(t)
+                del elements[order.key(t)]
+            index.add(c)
+            elements[k] = c
+        return [c for k, c in sorted(new.items()) if elements.get(k) is c]
 
     def covers(self, s) -> bool:
         """Membership of `s` in the antichain's ideal."""
         return self._index.covers(s)
 
     def basis(self) -> Basis:
-        return Basis(self.order, tuple(b for _n, _k, b in sorted(self._sweep, key=_key)))
-
-
-# Sort keys of the (size, key, state) entries of an `Antichain`.
-_size_key, _key = itemgetter(0, 1), itemgetter(1)
+        elements = self._elements
+        return Basis(self.order, tuple(elements[k] for k in sorted(elements)))
 
 
 def minimize(states: Iterable, order: Wqo) -> Basis:

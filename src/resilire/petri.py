@@ -19,7 +19,7 @@ from operator import le
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BackendMismatch
-from .order import Wqo
+from .order import FeatureMasks, Wqo
 
 SYSTEM = "sys"
 ENVIRONMENT = "env"
@@ -126,8 +126,8 @@ class VectorOrder(Wqo):
     `has_marker` say whether its markings carry a control state and an
     owner marker; every method refuses a marking of another shape.
     Markings that differ in state or marker are never comparable, so its
-    antichain index keeps one group of token bitmasks per (state, marker)
-    pair.  Its key is the marking itself, so keys name order classes.
+    antichain index keeps one `FeatureMasks` per (state, marker) pair.
+    Its key is the marking itself, so keys name order classes.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -164,22 +164,16 @@ class VectorOrder(Wqo):
 
 
 class _TokenMasks:
-    """Antichain index of `VectorOrder`: markings grouped by (state,
-    marker, dimension), since only markings of one group compare.
-
-    A group gives each added marking a slot, reused after a removal,
-    and keeps for coordinate i and token count v one int, `rows[i][v]`,
-    with bit j set when slot j holds at most v tokens in coordinate i.
-    A marking lies below m when the AND of `rows[i][m[i]]` over all i
-    has its slot's bit.  A marking's shape is checked only when no
-    group fits it, and a group exists only after a checked `add`.
-    """
+    """Antichain index of `VectorOrder`: `FeatureMasks` over the
+    coordinates per (state, marker, dimension) group, the markings that
+    compare.  A marking's shape is checked only when no group fits it,
+    and a group exists only after a checked `add`."""
 
     def __init__(self, order: VectorOrder):
         self._order = order
         self._groups: dict = {}
 
-    def _group(self, m: Marking) -> Optional["_Group"]:
+    def _group(self, m: Marking) -> Optional[FeatureMasks]:
         group = (self._groups.get((m.state, m.marker, len(m.tokens)))
                  if isinstance(m, Marking) else None)
         if group is None:
@@ -187,65 +181,20 @@ class _TokenMasks:
         return group
 
     def add(self, m: Marking) -> None:
-        group = self._group(m)
-        if group is None:
-            group = self._groups[m.state, m.marker, len(m.tokens)] = _Group(len(m.tokens))
-        group.add(m)
+        group = self._group(m) or self._groups.setdefault(
+            (m.state, m.marker, len(m.tokens)), FeatureMasks(range(len(m.tokens))))
+        group.hold(m, m.tokens)
 
     def remove(self, m: Marking) -> None:
         self._groups[m.state, m.marker, len(m.tokens)].remove(m)
 
     def covers(self, m: Marking) -> bool:
         group = self._group(m)
-        return group is not None and group.mask(m.tokens) != 0
+        return group is not None and group.at_most(m.tokens) != 0
 
-
-class _Group:
-    """One group of `_TokenMasks`: `slots` maps the tokens of each held
-    marking to its slot, `free` lists the slots given up and not
-    reused yet, and `occupied` has the bits of the held slots."""
-
-    __slots__ = ("rows", "slots", "free", "occupied")
-
-    def __init__(self, dimension: int):
-        self.rows: List[List[int]] = [[] for _ in range(dimension)]
-        self.slots: Dict[Tuple[int, ...], int] = {}
-        self.free: List[int] = []
-        self.occupied = 0
-
-    def add(self, m: Marking) -> None:
-        if m.tokens in self.slots:
-            return
-        j = self.free.pop() if self.free else len(self.slots)
-        self.slots[m.tokens] = j
-        bit = 1 << j
-        for row, v in zip(self.rows, m.tokens):
-            if v >= len(row):
-                # every held slot has at most len(row) - 1 tokens here
-                row.extend([self.occupied] * (v + 1 - len(row)))
-            for u in range(v, len(row)):
-                row[u] |= bit
-        self.occupied |= bit
-
-    def remove(self, m: Marking) -> None:
-        j = self.slots.pop(m.tokens)
-        self.free.append(j)
-        keep = ~(1 << j)
-        for row, v in zip(self.rows, m.tokens):
-            for u in range(v, len(row)):
-                row[u] &= keep
-        self.occupied &= keep
-
-    def mask(self, tokens: Tuple[int, ...]) -> int:
-        """The bits of the held slots with at most `tokens`, coordinate
-        by coordinate; a count past a row's end bounds nothing."""
-        mask = self.occupied
-        for row, v in zip(self.rows, tokens):
-            if v < len(row):
-                mask &= row[v]
-                if not mask:
-                    return 0
-        return mask
+    def above(self, m: Marking) -> List[Marking]:
+        group = self._group(m)
+        return [] if group is None else list(group.elements(group.at_least(m.tokens)))
 
 
 class PetriBackend:

@@ -38,7 +38,7 @@ from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
                      exists_embedding, host_plan, twin_signatures)
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Wqo
+from .order import FeatureMasks, Wqo
 
 
 class Rule:
@@ -391,8 +391,9 @@ class SubgraphOrder(Wqo):
     (each state carries exactly one of them, and embeddings preserve
     labels).  Keys are canonical forms, and finite graphs that embed in
     each other are isomorphic, so keys name order classes.  A
-    label-count test refuses most pairs without a search.
-    `any_below` prepares the host once for all the elements it tests.
+    label-count test refuses most pairs without a search, and the
+    antichain index masks by the same counts.  `any_below` prepares the
+    host once for all the elements it tests.
     """
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -405,15 +406,43 @@ class SubgraphOrder(Wqo):
         return len(a.nodes) + len(a.edges)
 
     def any_below(self, elements, s: Graph) -> bool:
-        """Whether an element embeds into `s`; its `host_plan` is built
-        once, when the first element passes the label-count test."""
-        plan = None
-        for t in elements:
-            if counts_fit(t, s):
-                plan = plan or host_plan(s)
-                if next(embeddings(t, s, nodes_only=True, plan=plan), None) is not None:
-                    return True
-        return False
+        return _embeds_any((t for t in elements if counts_fit(t, s)), s)
+
+    def antichain_index(self) -> "_LabelMasks":
+        return _LabelMasks()
+
+
+def _embeds_any(patterns, host: Graph) -> bool:
+    """Whether a pattern embeds into `host`, prepared once for all (`host_plan`)."""
+    plan = None
+    for t in patterns:
+        plan = plan or host_plan(host)
+        if next(embeddings(t, host, nodes_only=True, plan=plan), None) is not None:
+            return True
+    return False
+
+
+class _LabelMasks(FeatureMasks):
+    """Antichain index of `SubgraphOrder`: `FeatureMasks` over `label_counts`,
+    confirming by embedding search the graphs that pass `counts_fit`."""
+
+    __slots__ = ()
+
+    def _counts(self, g: Graph):
+        counts = g.label_counts()
+        for f in counts.keys() - self.rows.keys():
+            self.rows[f] = []
+        return counts
+
+    def add(self, g: Graph) -> None:
+        self.hold(g, self._counts(g))
+
+    def covers(self, s: Graph) -> bool:
+        return _embeds_any(self.elements(self.at_most(s.label_counts())), s)
+
+    def above(self, s: Graph) -> List[Graph]:
+        return [t for t in self.elements(self.at_least(self._counts(s)))
+                if exists_embedding(s, t)]
 
 
 class GraphBackend:

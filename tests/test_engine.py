@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from resilire import engine, model
+from resilire import engine, model, petri
 from resilire.constraints import BadSet
 from resilire.control import make_automaton
 from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
@@ -15,7 +15,7 @@ from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
                              recovery_bound, underapprox_bound)
 from resilire.errors import GuardExceeded, ModelError, SaturationExhausted
 from resilire.limits import Limits
-from resilire.order import Basis, basis_subset, covers, minimize
+from resilire.order import Antichain, Basis, basis_subset, covers, minimize
 from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
                             PetriBackend, ProductBackend, VectorOrder, enabled, fire,
                             make_net)
@@ -390,6 +390,30 @@ def test_saturation_covers_targets_without_comparing_markings(supply_built, monk
     rounds = engine._backward(instance.safe, instance.backend, instance.max_iters)
     assert engine._cover([targets], rounds) == ([6], 6, None)
     assert targets and calls == []
+
+
+def test_saturation_indexes_each_kept_marking_once(monkeypatch):
+    """One `check` of the (3, 3) supply chain adds each marking to an
+    antichain index once: the saturation's index, the only one, gets
+    exactly the keys ever kept, the safe basis's and every merge's
+    fresh elements."""
+    instance = model.build(model.load(fixture_path("supply_n3c3.json"))).instance()
+    order, kept, adds = instance.backend.order, list(instance.safe), {}
+    add, merge = petri._TokenMasks.add, Antichain.merge
+
+    def recording_merge(live, candidates):
+        fresh = merge(live, candidates)
+        kept.extend(fresh)
+        return fresh
+
+    monkeypatch.setattr(petri._TokenMasks, "add", lambda index, m: (
+        adds.setdefault(id(index), []).append(m) or add(index, m)))
+    monkeypatch.setattr(Antichain, "merge", recording_merge)
+    verdict = min_recovery(instance)
+    assert (verdict.kind, verdict.k_min) == (FOUND, 74)
+    [saturation] = adds.values()
+    assert sorted(map(order.key, saturation)) == sorted(map(order.key, kept))
+    assert len(set(map(order.key, kept))) == len(kept) > 1000
 
 
 def test_approx_bounds_guard_trip_raises():

@@ -519,33 +519,58 @@ def test_leq_prefilter_never_refuses_an_embedding():
 
 
 class ScanSubgraphOrder(SubgraphOrder):
-    """The subgraph order with the default `any_below`: a `leq` per element."""
+    """The subgraph order on the default antichain index: a `leq` per element."""
 
-    def any_below(self, elements, s):
-        return Wqo.any_below(self, elements, s)
+    def antichain_index(self):
+        return Wqo.antichain_index(self)
 
 
-def test_subgraph_index_covers_as_the_scan_does():
+def test_subgraph_index_covers_as_the_scan_does(monkeypatch):
+    """The index's `covers` and `above` answer as a `leq` scan, and
+    search only the graphs that pass `counts_fit`: also after removals
+    whose slots graphs with a label new to the index reuse, and for
+    queries with labels and triples that no held graph has."""
     rng = rng_for("subgraph-index")
     order = SubgraphOrder()
-    outcomes, refused = set(), 0
+    searched, search = [], rewriting.exists_embedding
+    monkeypatch.setattr(rewriting, "exists_embedding",
+                        lambda p, h: searched.append(id(h)) or search(p, h))
+    outcomes, tops, refused, unseen = set(), [], 0, 0
     for _ in range(150):
         added = [random_graph(rng, ["a", "b"], ["x", "y"], 4, 4) for _ in range(rng.randint(0, 6))]
         index = order.antichain_index()
         for t in added:
             index.add(t)
-        for query in range(4):
+        for query in range(6):
             if query == 2:
                 for t in added[::2]:
                     index.remove(t)
-                added = added[1::2]
-            host = random_graph(rng, ["a", "b"], ["x", "y"], 6, 8)
-            s = random_subgraph(rng, host) if rng.random() < 0.3 else host
+                fresh = [random_graph(rng, ["a", "c"], ["x", "z"], 4, 4)
+                         for _ in added[::2]]
+                for t in fresh:
+                    index.add(t)
+                added = added[1::2] + fresh
+            wide = query % 2
+            host = random_graph(rng, ["a", "b", "c", "d"][:4 if wide else 2],
+                                ["x", "y", "z"][:3 if wide else 2], 6, 8)
+            pick = rng.random()
+            s = (random_subgraph(rng, rng.choice(added)) if added and pick < 0.4
+                 else random_subgraph(rng, host) if pick < 0.6 else host)
             under = [t for t in added if order.leq(t, s)]
             assert index.covers(s) == bool(under), (added, s)
+            fit = {id(t) for t in added if counts_fit(t, s)}
+            assert {id(t) for t in index.elements(index.at_most(s.label_counts()))} == fit
+            over = {id(t) for t in added if order.leq(s, t)}
+            searched.clear()
+            assert {id(t) for t in index.above(s)} == over, (added, s)
+            assert sorted(searched) == sorted(id(t) for t in added if counts_fit(s, t))
             outcomes.add(bool(under))
+            tops.append(len(over))
             refused += sum(not counts_fit(t, s) for t in added)
-    assert outcomes == {True, False} and refused > 100
+            held = set().union(*(t.label_counts() for t in added))
+            unseen += bool(set(s.label_counts()) - held)
+    assert outcomes == {True, False} and refused > 100 and unseen > 100
+    assert 0.2 < sum(map(bool, tops)) / len(tops) < 0.8 and max(tops) >= 2
 
 
 def test_covers_prepares_the_host_once_per_call(monkeypatch):

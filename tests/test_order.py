@@ -277,13 +277,21 @@ V6 = VectorOrder(6, has_state=True, has_marker=True)
 V6_PLAIN = VectorOrder(6)
 
 
+def past_the_rows(markings):
+    """Each marking with one coordinate three tokens up: past the end of
+    every row when the stored vectors hold at most 4 tokens there."""
+    return [replace(m, tokens=m.tokens[:i] + (v + 3,) + m.tokens[i + 1:])
+            for m in markings for i, v in enumerate(m.tokens) if v >= 2]
+
+
 def test_token_trie_matches_quadratic_reference():
     """Minimization through the marking index, and the index's own
-    `covers`, agree with a plain `leq` scan, also after removals whose
-    slots later additions reuse.  Vectors recur under different (state,
-    marker) pairs, and queries sit one token off the stored vectors."""
+    `covers` and `above`, agree with a plain `leq` scan, also after
+    removals whose slots later additions reuse.  Vectors recur under
+    different (state, marker) pairs, and queries sit one token off the
+    stored vectors or past the end of a row."""
     rng = rng_for("trie-reference")
-    answers, removed = [], 0
+    answers, removed, tops = [], 0, []
     for trial in range(150):
         plain = trial % 5 == 0
         order = V6_PLAIN if plain else V6
@@ -308,12 +316,16 @@ def test_token_trie_matches_quadratic_reference():
         for m in later[:len(gone)]:
             index.add(m)
         removed += len(gone)
-        for q in sample + one_token_off(sample[:10]):
+        for q in sample + one_token_off(sample[:10]) + past_the_rows(sample[:4]):
             under = [t for t in stored if order.leq(t, q)]
             answers.append(index.covers(q))
             assert answers[-1] == bool(under)
+            over = {order.key(t) for t in stored if order.leq(q, t)}
+            assert {order.key(t) for t in index.above(q)} == over
+            tops.append(len(over))
     assert 0.2 < sum(answers) / len(answers) < 0.8
     assert removed > 200
+    assert 0.2 < sum(map(bool, tops)) / len(tops) < 0.8 and max(tops) >= 3
 
 
 def test_token_trie_refuses_markings_of_another_shape():
@@ -325,11 +337,11 @@ def test_token_trie_refuses_markings_of_another_shape():
         empty, index = order.antichain_index(), order.antichain_index()
         index.add(good)
         for target in (empty, index):
-            with pytest.raises(BackendMismatch):
-                target.covers(odd)
-            with pytest.raises(BackendMismatch):
-                target.add(odd)
+            for ask in (target.covers, target.above, target.add):
+                with pytest.raises(BackendMismatch):
+                    ask(odd)
         assert index.covers(good) and not empty.covers(good)
+        assert index.above(good) == [good] and empty.above(good) == []
 
 
 def test_vector_leq_refuses_mismatched_markings():
