@@ -45,7 +45,7 @@ class Graph:
     strings, unique per graph; two graphs are equal when isomorphic.
     """
 
-    __slots__ = ("nodes", "edges", "_key", "_hash", "_counts", "_match")
+    __slots__ = ("nodes", "edges", "_key", "_counts", "_match")
 
     def __init__(self, nodes: Dict[str, str], edges: Dict[str, Tuple[str, str, str]]):
         for eid, (src, tgt, _lab) in edges.items():
@@ -54,7 +54,6 @@ class Graph:
         self.nodes = dict(nodes)
         self.edges = dict(edges)
         self._key = None
-        self._hash = None
         self._counts = None
         self._match = None
 
@@ -81,9 +80,7 @@ class Graph:
         return isinstance(other, Graph) and self.key() == other.key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         ns = ",".join("%s:%s" % (i, l) for i, l in sorted(self.nodes.items()))
@@ -530,15 +527,17 @@ class GraphClass:
         """The least graphs made of g and isolated nodes that meet every
         count minimum; each member above a normal g lies above one.
         Normalization erases isolated nodes with a quotient label, so
-        none is added: a minimum only they could meet has no lift."""
+        none is added: a minimum only they could meet has no lift.  Added
+        nodes take the first ids "+<i>", i from the node count up, not taken."""
         out = [g]
         for labels, lo, _hi in self.bounds:
             grown = []
             for h in out:
                 short = (lo or 0) - sum(lab in labels for lab in h.nodes.values())
+                free = [v for v in map("+%d".__mod__, range(len(h), 2 * len(h) + short))
+                        if v not in h.nodes]
                 grown += [h] if short <= 0 else [
-                    Graph({**h.nodes, **{"+%d" % (len(h.nodes) + i): lab
-                                         for i, lab in enumerate(extra)}}, h.edges)
+                    Graph({**h.nodes, **dict(zip(free, extra))}, h.edges)
                     for extra in itertools.combinations_with_replacement(
                         sorted(labels - self.quotient_labels), short)]
             out = grown

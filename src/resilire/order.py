@@ -29,11 +29,9 @@ class Wqo:
     * ``leq(a, b)`` -- reflexive, transitive, decidable;
     * ``key(a)``    -- total canonical encoding that names the
       order-equivalence class: ``key(a) == key(b)`` exactly when
-      ``leq(a, b) and leq(b, a)``;
-    * ``size(a)``   -- cheap monotone proxy: ``leq(a, b)`` implies
-      ``size(a) <= size(b)``, with equality only when the states are
-      order-equivalent.  Minimization sorts on it so that potential
-      dominators are always seen before the states they dominate;
+      ``leq(a, b) and leq(b, a)``, and ``key(a) < key(b)`` when only
+      ``leq(a, b)`` holds.  A merge in any order keeps the minimal
+      elements; in key order it adds no candidate that a later one evicts;
     * ``any_below(elements, s)`` -- optional: whether some given
       element ``t`` has ``leq(t, s)``.  An order may prepare ``s`` once
       for all of them;
@@ -47,9 +45,6 @@ class Wqo:
         raise NotImplementedError
 
     def key(self, a):
-        raise NotImplementedError
-
-    def size(self, a) -> int:
         raise NotImplementedError
 
     def any_below(self, elements: Iterable, s) -> bool:
@@ -186,11 +181,10 @@ class Antichain:
         candidates that became elements, sorted by key.
 
         A candidate under a key already present is dropped uncompared;
-        of repeats, the first stays.  The rest go in (size, key) order:
-        a state below another of equal size has its key, so each comes
-        after the candidates below it.  One that an element lies below
-        is dropped; any other evicts the elements above it, none of them
-        candidates, and becomes an element.
+        of repeats, the first stays.  The rest go in key order, so each
+        comes after the candidates below it.  One that an element lies
+        below is dropped; any other evicts the elements above it, none
+        of them candidates, and becomes an element.
         """
         order, elements, index = self.order, self._elements, self._index
         new: dict = {}
@@ -198,7 +192,8 @@ class Antichain:
             k = order.key(c)
             if k not in elements:
                 new.setdefault(k, c)
-        for _n, k, c in sorted((order.size(c), k, c) for k, c in new.items()):
+        ordered = sorted(new.items())
+        for k, c in ordered:
             if index.covers(c):
                 continue
             for t in index.above(c):
@@ -206,7 +201,7 @@ class Antichain:
                 del elements[order.key(t)]
             index.add(c)
             elements[k] = c
-        return [c for k, c in sorted(new.items()) if elements.get(k) is c]
+        return [c for k, c in ordered if elements.get(k) is c]
 
     def covers(self, s) -> bool:
         """Membership of `s` in the antichain's ideal."""
@@ -221,8 +216,8 @@ def minimize(states: Iterable, order: Wqo) -> Basis:
     """Reduce a finite generating set to the basis of its upward closure.
 
     Deterministic: duplicates (by canonical key) collapse to their first
-    occurrence, elements are examined in (size, key) order, and the
-    result is sorted by key: one `Antichain.merge` into an empty antichain.
+    occurrence, elements are examined and the result sorted in key
+    order: one `Antichain.merge` into an empty antichain.
     """
     live = Antichain(order)
     live.merge(states)

@@ -127,7 +127,8 @@ class VectorOrder(Wqo):
     owner marker; every method refuses a marking of another shape.
     Markings that differ in state or marker are never comparable, so its
     antichain index keeps one `FeatureMasks` per (state, marker) pair.
-    Its key is the marking itself, so keys name order classes.
+    Its key is the marking itself: it names order classes, and the
+    tuple order of keys extends the componentwise order.
     """
 
     def __init__(self, dimension: int, has_state: bool = False,
@@ -155,9 +156,6 @@ class VectorOrder(Wqo):
     def key(self, a: Marking):
         self._check(a)
         return (a.state or "", a.marker or "", a.tokens)
-
-    def size(self, a: Marking) -> int:
-        return sum(a.tokens)
 
     def antichain_index(self) -> "_TokenMasks":
         return _TokenMasks(self)

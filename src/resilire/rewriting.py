@@ -390,10 +390,11 @@ class SubgraphOrder(Wqo):
     control/marker nodes compare equal exactly when their labels agree
     (each state carries exactly one of them, and embeddings preserve
     labels).  Keys are canonical forms, and finite graphs that embed in
-    each other are isomorphic, so keys name order classes.  A
-    label-count test refuses most pairs without a search, and the
-    antichain index masks by the same counts.  `any_below` prepares the
-    host once for all the elements it tests.
+    each other are isomorphic, so keys name order classes; a key starts
+    with the node and edge counts, which a strict embedding raises, so
+    key order extends the order.  A label-count test refuses most pairs
+    without a search, and the antichain index masks by the same counts.
+    `any_below` prepares the host once for all the elements it tests.
     """
 
     def leq(self, a: Graph, b: Graph) -> bool:
@@ -401,9 +402,6 @@ class SubgraphOrder(Wqo):
 
     def key(self, a: Graph):
         return a.key()
-
-    def size(self, a: Graph) -> int:
-        return len(a.nodes) + len(a.edges)
 
     def any_below(self, elements, s: Graph) -> bool:
         return _embeds_any((t for t in elements if counts_fit(t, s)), s)

@@ -651,3 +651,14 @@ def test_lifts_add_the_least_isolated_nodes_for_each_minimum():
     assert GraphClass(node_count=(("b", (1, None)),)).lifts(g) == [g]
     assert GraphClass(node_count=(("t", (1, None)),),
                       quotient_labels=frozenset({"t"})).lifts(g) == []
+
+
+def test_lifts_add_nodes_under_ids_the_graph_lacks():
+    """Added nodes are named "+<i>" from i = len(g) on, skipping ids that g
+    already has: an added node never replaces one of g's."""
+    klass = GraphClass(node_count=(("a", (2, None)),))
+    assert [h.nodes for h in klass.lifts(Graph({"x": "a"}, {}))] == [{"x": "a", "+1": "a"}]
+    assert [h.nodes for h in klass.lifts(Graph({"+1": "a"}, {}))] == [{"+1": "a", "+2": "a"}]
+    g = Graph({"+2": "b", "y": "a"}, {"e": ("+2", "y", "x")})
+    assert [(h.nodes, h.edges) for h in klass.lifts(g)] == [
+        ({"+2": "b", "y": "a", "+3": "a"}, g.edges)]

@@ -9,6 +9,7 @@ from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
                                   ideal_basis_of)
 from resilire.errors import BackendMismatch
 from resilire.order import Antichain, Basis, Wqo, basis_subset, covers, minimize
+from resilire.graphs import Graph
 from resilire.petri import MARKERS, Marking, VectorOrder
 from resilire.rewriting import SubgraphOrder
 
@@ -117,18 +118,16 @@ def test_basis_subset_round5_fails_round6_holds():
     assert basis_subset(targets, b6)
 
 
-# The quadratic minimize/covers: every candidate against every kept
-# element, every state against the basis.
+# The quadratic minimize/covers: the first state under each key that no
+# state under another key lies below, in no processing order; every
+# state against the basis.
 def reference_minimize(states, order):
     by_key = {}
     for s in states:
         by_key.setdefault(order.key(s), s)
-    kept = []
-    for _, s in sorted(by_key.items(), key=lambda kv: (order.size(kv[1]), kv[0])):
-        if not any(order.leq(t, s) for t in kept):
-            kept.append(s)
-    kept.sort(key=order.key)
-    return Basis(order, tuple(kept))
+    return Basis(order, tuple(
+        s for k, s in sorted(by_key.items())
+        if not any(order.leq(t, s) for j, t in by_key.items() if j != k)))
 
 
 def reference_covers(basis, state):
@@ -174,9 +173,6 @@ class RecordingOrder(Wqo):
 
     def key(self, a):
         return V3.key(a)
-
-    def size(self, a):
-        return V3.size(a)
 
 
 def test_blocked_minimize_and_covers_match_reference():
@@ -445,18 +441,24 @@ def graph_setup():
 
 
 def assert_keys_name_classes(order, pairs):
-    """`key(a) == key(b)` exactly when each of a, b lies below the other;
-    returns how many pairs had equal keys and how many compared one way only."""
+    """`key(a) == key(b)` exactly when each of a, b lies below the other,
+    and `key(a) < key(b)` when only a lies below b: the order in which
+    `Antichain.merge` goes.  Returns how many pairs had equal keys and
+    how many compared one way only."""
     equal = one_way = 0
     for a, b in pairs:
         there, back = order.leq(a, b), order.leq(b, a)
         assert (order.key(a) == order.key(b)) == (there and back), (a, b)
+        if there != back:
+            assert (order.key(a) < order.key(b)) == there, (a, b)
         equal += there and back
         one_way += there != back
     return equal, one_way
 
 
 def test_vector_keys_name_order_classes():
+    """Markings of every shape, whose vectors recur under other
+    (state, marker) pairs."""
     rng = rng_for("vector-keys")
     shapes = ((V3_PLAIN, (None,), (None,)), (VectorOrder(3, has_state=True), ("p", "q"), (None,)),
               (V3, ("p", "q"), MARKERS))
@@ -472,19 +474,32 @@ def test_vector_keys_name_order_classes():
     assert equal > 150 and one_way > 150
 
 
+def random_multigraph(rng):
+    """A graph whose edges may be loops and may run in parallel."""
+    nodes = {"v%d" % i: rng.choice("ab") for i in range(rng.randint(1, 4))}
+    ends = sorted(nodes)
+    edges = {"f%d" % j: (rng.choice(ends), rng.choice(ends), rng.choice("xy"))
+             for j in range(rng.randint(0, 6))}
+    if edges:
+        edges["f"] = rng.choice(list(edges.values()))
+    return Graph(nodes, edges)
+
+
 def test_subgraph_keys_name_order_classes():
-    """Random graphs, isomorphic copies under new ids, and subgraphs."""
+    """Random graphs, with loops and parallel edges or without,
+    isomorphic copies under new ids, and subgraphs."""
     rng = rng_for("subgraph-keys")
     order = SubgraphOrder()
     pairs = []
-    for _ in range(150):
-        g = random_graph(rng, ["a", "b"], ["x", "y"], 4, 5)
+    for i in range(300):
+        g = random_multigraph(rng) if i % 2 else random_graph(rng, ["a", "b"], ["x", "y"], 4, 5)
         sub = random_subgraph(rng, g)
         pairs += [(g, random_graph(rng, ["a", "b"], ["x", "y"], 4, 5)),
                   (g, shuffled_copy(g, rng)), (shuffled_copy(sub, rng), g),
                   (g, sub)]
     equal, one_way = assert_keys_name_classes(order, pairs)
-    assert equal > 200 and one_way > 100
+    assert equal > 400 and one_way > 200
+    assert sum(s == t for g, _h in pairs for s, t, _l in g.edges.values()) > 100
 
 
 def test_minimize_preserves_upward_closure_on_graphs():
