@@ -12,7 +12,7 @@ Run:  python demos/adverse_vs_error.py
 from dataclasses import replace
 from pathlib import Path
 
-from resilire import engine, model
+from resilire import engine, model, negate
 
 HERE = Path(__file__).resolve().parent.parent
 
@@ -29,7 +29,7 @@ def main():
         print("   bad = after an environment move : %s"
               % verdict_line(model.build(doc)))
         print("   bad = outside the safety ideal  : %s"
-              % verdict_line(model.build(replace(doc, bad_spec={"mode": "error"}))))
+              % verdict_line(model.build(replace(doc, bad=negate(doc.safety)))))
         print()
     print("The gap: right after an environment move a repair is always")
     print("available, but one wrong system move afterwards reaches a state")

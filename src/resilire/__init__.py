@@ -11,8 +11,8 @@ control automaton.
 
 from .control import (AutomatonEdge, ControlAutomaton, enrich_rules, mark_rules,
                       with_control)
-from .constraints import (And, BadSet, Exists, NotExists, Or, anti_ideal_of,
-                          ideal_basis_of, negate)
+from .constraints import (And, BadSet, Exists, NotExists, Or, ideal_basis_of,
+                          negate)
 from .engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                      Verdict, approx_bounds, backward_step, forward_states,
                      min_recovery, overapprox_bound, pre_star, recovery_bound,

@@ -69,12 +69,9 @@ def cmd_check(args) -> int:
     if verdict.kind == engine.EXHAUSTED:
         report["reason"] = verdict.reason
     if args.k is not None:
-        if verdict.kind == engine.EXHAUSTED:
-            report["explicit"] = None
-        else:
-            report["explicit"] = (verdict.kind == engine.FOUND
-                                  and verdict.k_min <= args.k)
-            report["k"] = args.k
+        report["k"] = args.k
+        report["explicit"] = (None if verdict.kind == engine.EXHAUSTED
+                              else verdict.kind == engine.FOUND and verdict.k_min <= args.k)
     if args.trace and verdict.trace is not None:
         report["trace"] = _trace_json(built, verdict.trace)
     _emit(report)
@@ -86,10 +83,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    built = _load(args.model)
-    report = {"guarantee": "k_under <= k_min <= k_over"}
     if args.under is None and not args.over:
         raise ResilError("nothing to do: pass --under DEPTH and/or --over")
+    built = _load(args.model)
+    report = {"guarantee": "k_under <= k_min <= k_over"}
     k_under, k_over = engine.approx_bounds(
         built.start, built.bad, built.safe, built.backend, depth=args.under,
         over=args.over, limits=built.doc.limits)

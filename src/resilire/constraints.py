@@ -1,13 +1,12 @@
-"""Safety conditions and bad-state predicates.
+"""Constraints, their translation to ideal bases, and bad-state predicates.
 
 Safety conditions are positive constraints (existential patterns closed
 under and/or); they denote upward-closed sets and are translated into
-ideal bases.  Bad conditions are downward-closed, and each is read as
-the complement of an ideal: of the unobserved control states and
-markers ("adverse" mode), of the safety ideal ("error" mode), or of the
-negation of a negative constraint ("custom" mode).  A graph pattern is
-a `Graph` that may lack a control node; a marking pattern is a
-`Marking` whose state and marker may be None, matching any.
+ideal bases.  A bad set is a negative constraint, whatever mode its
+document wrote (the loader rewrites each into one), and denotes a
+downward-closed set: the complement of the ideal of its negation.  A
+graph pattern is a `Graph` that may lack a control node; a marking
+pattern is a `Marking` whose state and marker may be None, matching any.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ModelError
-from .graphs import EMPTY_GRAPH, Graph, GraphClass
+from .graphs import Graph, GraphClass
 from .limits import DEFAULT_LIMITS, Limits
-from .order import Basis, covers, minimize
-from .petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
+from .order import Basis, minimize
+from .petri import MARKERS, Marking, VectorOrder
 from .rewriting import SubgraphOrder, glue, overlaps
 from . import control as ctl
 
@@ -93,10 +92,6 @@ class MarkingDomain:
         toks = tuple(max(a, b) for a, b in zip(p.tokens, q.tokens))
         return [Marking(toks, state, marker)]
 
-    def tagged(self, state: Optional[str], marker: Optional[str]) -> Marking:
-        """The pattern of the markings in `state` with `marker` (None: any)."""
-        return Marking((0,) * self.order.dimension, state, marker)
-
 
 class GraphDomain:
     """Completion of graph patterns over the joint graph class."""
@@ -119,10 +114,6 @@ class GraphDomain:
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
         return [glue(p, q, *pairs) for pairs in overlaps(p, q, self.limits)]
-
-    def tagged(self, state: Optional[str], marker: Optional[str]) -> Graph:
-        """The pattern of the graphs in `state` with `marker` (None: any)."""
-        return ctl.with_control(EMPTY_GRAPH, state, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -173,41 +164,3 @@ class BadSet:
 
     def contains(self, state) -> bool:
         return self._fn(state)
-
-
-def anti_ideal_of(spec: dict, domain, safe_basis: Optional[Basis] = None) -> BadSet:
-    """Build the bad-set predicate from its model-file spec.
-
-    Every mode is the complement of an ideal `good`.  'error' takes the
-    safety ideal; 'adverse' observes the control `states` and/or the
-    environment marker (`env_marker`, in an annotated model), so `good`
-    is every unobserved state with any other marker; 'custom' takes a
-    negative constraint, and `good` is the ideal of its negation.
-    """
-    mode = spec.get("mode")
-    if mode == "error":
-        if safe_basis is None:
-            raise ModelError([("/bad", "error mode needs the safety basis")])
-        good = safe_basis
-    elif mode == "adverse":
-        observed = frozenset(spec.get("states") or ())
-        env_marker = bool(spec.get("env_marker", False))
-        if not observed and not env_marker:
-            raise ModelError([("/bad",
-                               "adverse mode needs 'states' and/or 'env_marker'")])
-        parts = []
-        if observed:
-            parts.append(Or(tuple(Exists(domain.tagged(q, None))
-                                  for q in domain.states if q not in observed)))
-        if env_marker:
-            parts.append(Or(tuple(Exists(domain.tagged(None, mk))
-                                  for mk in MARKERS if mk != ENVIRONMENT)))
-        good = ideal_basis_of(And(tuple(parts)), domain, "/bad")
-    elif mode == "custom":
-        c = spec.get("constraint")
-        if c is None:
-            raise ModelError([("/bad", "custom mode needs a negative constraint")])
-        good = ideal_basis_of(negate(c), domain, "/bad/constraint")
-    else:
-        raise ModelError([("/bad", "unknown bad-set mode %r" % mode)])
-    return BadSet(lambda s: not covers(good, s))

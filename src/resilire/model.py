@@ -21,9 +21,9 @@ from . import constraints as cns
 from . import control as ctl
 from .engine import ResilienceInstance
 from .errors import ModelError
-from .graphs import Graph, GraphClass, quotient_isolated
+from .graphs import EMPTY_GRAPH, Graph, GraphClass, quotient_isolated
 from .limits import Limits
-from .order import Basis, minimize
+from .order import Basis, covers, minimize
 from .petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, PetriNet,
                     ProductBackend, START_MARKER, SYSTEM, make_net)
 from .rewriting import GraphBackend, Rule, rule_problems
@@ -138,7 +138,7 @@ class ModelDocument:
     gts_start: Optional[Graph]
     automaton: Optional[ctl.ControlAutomaton]
     safety: object
-    bad_spec: dict
+    bad: object
     b_post: Optional[tuple]
     limits: Limits
     control_labels: Tuple[str, ...] = ()
@@ -335,6 +335,25 @@ def _with_tags(out: dict, state, marker) -> dict:
     return out
 
 
+def _adverse(net: Optional[PetriNet], states: Tuple[str, ...], observed,
+             env_marker: bool):
+    """The negative constraint an adverse bad set stands for: in no
+    unobserved control state (if some are `observed`), or with no marker
+    but the environment's (with `env_marker`).  Observing every state
+    leaves an empty `and`, which every state satisfies."""
+    def none_of(tags):
+        return cns.And(tuple(cns.NotExists(
+            ctl.with_control(EMPTY_GRAPH, q, mk) if net is None
+            else Marking(net.weights({}), q, mk)) for q, mk in tags))
+
+    parts = []
+    if observed:
+        parts.append(none_of((q, None) for q in states if q not in observed))
+    if env_marker:
+        parts.append(none_of((None, mk) for mk in MARKERS if mk != ENVIRONMENT))
+    return cns.Or(tuple(parts))
+
+
 def _parse_b_post(obj: dict, r: _Reader, net: Optional[PetriNet],
                   states: Tuple[str, ...], markers: Tuple[str, ...]) -> Optional[tuple]:
     """The reachable basis; unlike a pattern, each state must name its
@@ -448,27 +467,29 @@ def from_dict(obj: dict) -> ModelDocument:
         safety = _parse_constraint(safety, "/safety", r, net, states, markers, quotient,
                                    "exists")
 
-    bad_spec = r.read(obj, "bad", "", dict)
-    if bad_spec is not None:
-        bad_spec = dict(bad_spec)
-        mode = r.read(bad_spec, "mode", "/bad", ("adverse", "error", "custom"))
+    bad = None
+    spec = r.read(obj, "bad", "", dict)
+    if spec is not None:
+        mode = r.read(spec, "mode", "/bad", ("adverse", "error", "custom"))
         if mode == "adverse":
-            observed = set(r.strings(bad_spec, "states", "/bad"))
+            observed = set(r.strings(spec, "states", "/bad"))
             if observed and not states:
                 r.add("/bad/states", "no control automaton to observe")
             elif observed - set(states):
                 r.add("/bad/states", "unknown states %s" % sorted(observed - set(states)))
-            env_marker = r.read(bad_spec, "env_marker", "/bad", bool, False)
+            env_marker = r.read(spec, "env_marker", "/bad", bool, False)
             if env_marker and not markers:
                 r.add("/bad/env_marker", "needs an annotated model")
             if not observed and not env_marker:
                 r.add("/bad", "adverse mode needs 'states' and/or 'env_marker'")
+            bad = _adverse(net, states, observed, env_marker)
+        elif mode == "error":
+            bad = None if safety is None else cns.negate(safety)
         elif mode == "custom":
-            c = r.read(bad_spec, "constraint", "/bad", dict)
+            c = r.read(spec, "constraint", "/bad", dict)
             if c is not None:
-                c = _parse_constraint(c, "/bad/constraint", r, net, states, markers,
-                                      quotient, "not_exists")
-            bad_spec["constraint"] = c
+                bad = _parse_constraint(c, "/bad/constraint", r, net, states, markers,
+                                        quotient, "not_exists")
 
     b_post = _parse_b_post(obj, r, net, states, markers)
 
@@ -476,7 +497,7 @@ def from_dict(obj: dict) -> ModelDocument:
     return ModelDocument(
         kind=kind, annotate=annotate, net=net, petri_start=petri_start,
         rules=rules, base_class=base_class, gts_start=gts_start,
-        automaton=automaton, safety=safety, bad_spec=bad_spec, b_post=b_post,
+        automaton=automaton, safety=safety, bad=bad, b_post=b_post,
         limits=Limits(**limits),
         control_labels=control_labels, marker_labels=marker_labels,
     )
@@ -563,7 +584,8 @@ def build(doc: ModelDocument) -> BuiltModel:
                                "start graph lies outside the state class")])
 
     safe = cns.ideal_basis_of(doc.safety, domain)
-    bad = cns.anti_ideal_of(doc.bad_spec, domain, safe)
+    good = cns.ideal_basis_of(cns.negate(doc.bad), domain, "/bad/constraint")
+    bad = cns.BadSet(lambda s: not covers(good, s))
     reachable = None
     if doc.b_post is not None:
         states = list(doc.b_post)

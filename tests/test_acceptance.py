@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from resilire import model
-from resilire.constraints import BadSet, Exists, Or, ideal_basis_of
+from resilire.constraints import BadSet, Exists, Or, ideal_basis_of, negate
 from resilire.engine import (FOUND, INFINITY, UNBOUNDED, ResilienceInstance,
                              backward_step, min_recovery, overapprox_bound,
                              pre_star, underapprox_bound)
@@ -110,7 +110,7 @@ def test_acceptance_3_adverse_vs_error():
     doc = model.load(fixture_path("adverse_vs_error.json"))
     adverse = min_recovery(model.build(doc).instance())
     error = min_recovery(
-        model.build(replace(doc, bad_spec={"mode": "error"})).instance())
+        model.build(replace(doc, bad=negate(doc.safety))).instance())
     assert (adverse.kind, adverse.k_min) == (FOUND, 1)
     assert error.kind == UNBOUNDED
 
@@ -119,7 +119,7 @@ def test_acceptance_3_adverse_vs_error():
     states = explore(pb.backend, pb.start, 10_000)
     assert states is not None
     oracle_adverse = recovery_oracle(pb.backend, states, pb.safe, pb.bad)
-    eb = model.build(replace(pdoc, bad_spec={"mode": "error"}))
+    eb = model.build(replace(pdoc, bad=negate(pdoc.safety)))
     oracle_error = recovery_oracle(eb.backend, states, eb.safe, eb.bad)
     assert oracle_adverse == 1 and oracle_error is None
     va = min_recovery(pb.instance())
@@ -388,7 +388,7 @@ def test_acceptance_6_approximation_sandwich(supply_built, harvested_models):
     doc = model.load(fixture_path("adverse_vs_error.json"))
     graph_bounds = []
     for built in (model.build(doc),
-                  model.build(replace(doc, bad_spec={"mode": "error"}))):
+                  model.build(replace(doc, bad=negate(doc.safety)))):
         verdict = min_recovery(built.instance())
         k_min = verdict.k_min if verdict.kind == FOUND else INFINITY
         k_under = underapprox_bound(built.start, 6, built.bad, built.safe,

@@ -7,14 +7,13 @@ from dataclasses import replace
 import pytest
 
 from resilire import model
-from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain,
-                                  NotExists, Or, anti_ideal_of, ideal_basis_of,
-                                  negate)
+from resilire.constraints import (And, BadSet, Exists, GraphDomain, MarkingDomain,
+                                  NotExists, Or, ideal_basis_of, negate)
 from resilire.control import with_control
 from resilire.engine import forward_states
 from resilire.errors import ModelError
 from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
-from resilire.order import covers, minimize
+from resilire.order import covers
 from resilire.petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
 from resilire.rewriting import SubgraphOrder
 
@@ -109,6 +108,13 @@ def test_ideal_basis_completes_over_control_states():
     assert [klass.control_of(g) for g in pinned.elements] == ["q1"]
 
 
+def bad_set(c, dom):
+    """The bad set of the negative constraint `c`, read as `model.build`
+    reads every `bad` section: the complement of its negation's ideal."""
+    good = ideal_basis_of(negate(c), dom, "/bad/constraint")
+    return BadSet(lambda s: not covers(good, s))
+
+
 def test_ideal_basis_rejects_out_of_class_pattern():
     dom = plain_graph_domain(max_path=0)
     outside = Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")]))
@@ -123,7 +129,7 @@ def test_ideal_basis_rejects_out_of_class_pattern():
         # a custom bad set is read through the ideal of its negation, so a
         # `not_exists` leaf that no class member contains is refused too
         with pytest.raises(ModelError, match="outside the state class") as err:
-            anti_ideal_of({"mode": "custom", "constraint": negate(c)}, dom)
+            bad_set(negate(c), dom)
         assert [loc for loc, _msg in err.value.issues] == ["/bad/constraint" + leaf]
 
 
@@ -203,10 +209,14 @@ def test_adverse_bad_set_observes_states_and_environment_marker(name, spec):
 def test_error_mode_is_complement_of_safety():
     order = VectorOrder(4, has_state=True)
     dom = MarkingDomain(order, states=("q0",))
-    safe = minimize([Marking((0, 1, 1, 1), "q0")], order)
-    bad = anti_ideal_of({"mode": "error"}, dom, safe)
+    bad = bad_set(negate(Exists(Marking((0, 1, 1, 1), "q0"))), dom)
     assert bad.contains(Marking((0, 0, 1, 1), "q0"))
     assert not bad.contains(Marking((0, 1, 1, 1), "q0"))
+    # the loader reads error mode as the negation of `safety`
+    doc = json.loads(open(fixture_path("adverse_vs_error_petri.json")).read())
+    doc["bad"] = {"mode": "error"}
+    loaded = model.from_dict(doc)
+    assert loaded.bad == negate(loaded.safety)
 
 
 def test_bad_sets_are_downward_closed_sampled():
@@ -214,7 +224,7 @@ def test_bad_sets_are_downward_closed_sampled():
     built = model.build(model.load(fixture_path("adverse_vs_error_petri.json")))
     states = ["q0", "q1"]
     for bad in (built.bad,
-                anti_ideal_of({"mode": "error"}, built.domain, built.safe)):
+                bad_set(negate(built.doc.safety), built.domain)):
         for _ in range(200):
             big = Marking((rng.randint(0, 3), rng.randint(0, 3)), rng.choice(states))
             small = Marking(tuple(rng.randint(0, x) for x in big.tokens), big.state)
@@ -225,10 +235,8 @@ def test_bad_sets_are_downward_closed_sampled():
 def test_custom_mode_requires_negative():
     dom = MarkingDomain(VectorOrder(1))
     with pytest.raises(ModelError):
-        anti_ideal_of({"mode": "custom",
-                       "constraint": Exists(Marking((1,)))}, dom)
-    bad = anti_ideal_of({"mode": "custom",
-                         "constraint": NotExists(Marking((2,)))}, dom)
+        bad_set(Exists(Marking((1,))), dom)
+    bad = bad_set(NotExists(Marking((2,))), dom)
     assert bad.contains(Marking((1,)))
     assert not bad.contains(Marking((2,)))
 
@@ -312,7 +320,7 @@ def test_custom_bad_set_agrees_with_leaf_by_leaf_reading(case):
     for _ in range(25):
         c = random_negative(rng, leaf)
         try:
-            bad = anti_ideal_of({"mode": "custom", "constraint": c}, dom)
+            bad = bad_set(c, dom)
         except ModelError as err:
             # only a leaf that no class member contains is refused, at
             # its own pointer

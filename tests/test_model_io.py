@@ -160,6 +160,13 @@ def test_cli_check_explicit_flag():
     assert report["explicit"] is False
     proc = run_cli("check", fixture_path("supplychain.json"), "--k", "6")
     assert json.loads(proc.stdout)["explicit"] is True
+    # an exhausted run answers neither way, and still echoes k
+    proc = run_cli("check", fixture_path("supplychain.json"), "--k", "3",
+                   env={"RESIL_MAX_ITERS": "1"})
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "verdict": "exhausted", "iterations": 1,
+        "reason": "no fixed point within 1 rounds", "k": 3, "explicit": None}
 
 
 def test_cli_check_unbounded_exit_one(tmp_path):
@@ -260,6 +267,12 @@ def test_cli_approx_report():
     report = json.loads(proc.stdout)
     assert report["k_under"] == 6 and report["k_over"] >= 6
     assert "k_under <= k_min <= k_over" == report["guarantee"]
+
+
+def test_cli_approx_with_nothing_to_do_is_refused_before_loading(tmp_path):
+    proc = run_cli("approx", str(tmp_path / "absent.json"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: nothing to do: pass --under DEPTH and/or --over\n"
 
 
 def test_cli_approx_over_on_graph_model():
@@ -555,8 +568,11 @@ def custom_copy(name):
     return doc
 
 
-@pytest.mark.parametrize("name", ["supplychain.json", "adverse_vs_error.json",
-                                  "adverse_vs_error_petri.json"])
+ADVERSE_FIXTURES = ["supplychain.json", "adverse_vs_error.json",
+                    "adverse_vs_error_petri.json", "pathgame.json", "supply_n3c3.json"]
+
+
+@pytest.mark.parametrize("name", ADVERSE_FIXTURES)
 def test_custom_copy_of_an_adverse_fixture_keeps_its_report(tmp_path, name):
     path = tmp_path / name
     path.write_text(json.dumps(custom_copy(name)))
@@ -565,6 +581,46 @@ def test_custom_copy_of_an_adverse_fixture_keeps_its_report(tmp_path, name):
     pinned = {tuple(args): sha for args, sha in pinned_reports()}
     assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
             == pinned[("check", name, "--trace")])
+
+
+def negated(c):
+    """The written constraint `c` negated, as it would be written."""
+    flip = {"exists": "not_exists", "not_exists": "exists", "and": "or", "or": "and"}
+    out = dict(c, op=flip[c["op"]])
+    if "args" in c:
+        out["args"] = [negated(a) for a in c["args"]]
+    return out
+
+
+def run_with_bad(tmp_path, doc, bad, command, *args):
+    """`resil COMMAND` on `doc` with the bad set `bad`, then `args`."""
+    path = tmp_path / ("%s.json" % bad["mode"])
+    path.write_text(json.dumps(dict(doc, bad=bad)))
+    return run_cli(command, str(path), *args)
+
+
+@pytest.mark.parametrize("name", ADVERSE_FIXTURES)
+def test_error_mode_reports_as_the_written_negation_of_safety(tmp_path, name):
+    doc = json.loads(open(fixture_path(name)).read())
+    error, custom = (run_with_bad(tmp_path, doc, bad, "check", "--trace")
+                     for bad in ({"mode": "error"},
+                                 {"mode": "custom", "constraint": negated(doc["safety"])}))
+    assert error.returncode in (0, 1)
+    assert (error.returncode, error.stdout) == (custom.returncode, custom.stdout)
+
+
+@pytest.mark.parametrize("name", ["adverse_vs_error.json", "adverse_vs_error_petri.json"])
+def test_env_marker_reports_as_its_written_custom_form(tmp_path, name):
+    doc = json.loads(open(fixture_path(name)).read())
+    doc["annotate"] = True
+    doc.pop("b_post")
+    others = {"op": "and", "args": [{"op": "not_exists", "marker": m}
+                                    for m in ("top", "sys")]}
+    adverse, custom = (run_with_bad(tmp_path, doc, bad, "approx", "--under", "6", "--over")
+                       for bad in ({"mode": "adverse", "env_marker": True},
+                                   {"mode": "custom", "constraint": others}))
+    assert adverse.returncode == 0
+    assert (adverse.returncode, adverse.stdout) == (custom.returncode, custom.stdout)
 
 
 def test_adverse_mode_needs_an_automaton(tmp_path):
