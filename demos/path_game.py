@@ -6,7 +6,7 @@ with an environment that deletes one edge per turn.  Backward
 saturation answers how many steps the system needs from the worst
 post-environment state: thirteen.
 
-Takes about five seconds.  Run:  python demos/path_game.py
+Takes about two seconds.  Run:  python demos/path_game.py
 """
 
 import time

@@ -2,9 +2,10 @@
 
 Subcommands: check, approx, prestar, post, compose.  All results go to
 stdout as JSON (sorted keys, so reports are byte-stable); diagnostics go
-to stderr.  Exit codes for `check`: 0 when a bound was found, 1 when
-none exists, 2 on exhaustion or any error, unreadable files and
-uncaught exceptions included.
+to stderr.  Exit codes: 0 on a result (from `check`, a found bound), 1
+when `check` finds that none exists, 2 on any error, unreadable files
+and uncaught exceptions included, and 3 when a `limits` guard tripped
+first (from `check`, an `exhausted` verdict).
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import traceback
 from dataclasses import replace
 
 from . import engine, model
-from .errors import ResilError
+from .errors import GuardExceeded, ResilError, SaturationExhausted
 from .order import minimize
 
 EXIT_FOUND = 0
 EXIT_UNBOUNDED = 1
 EXIT_ERROR = 2
+EXIT_EXHAUSTED = 3
 
 
 def _emit(obj) -> None:
@@ -79,7 +81,7 @@ def cmd_check(args) -> int:
         return EXIT_FOUND
     if verdict.kind == engine.UNBOUNDED:
         return EXIT_UNBOUNDED
-    return EXIT_ERROR
+    return EXIT_EXHAUSTED
 
 
 def cmd_approx(args) -> int:
@@ -185,7 +187,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ResilError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return EXIT_ERROR
+        tripped = isinstance(exc, (SaturationExhausted, GuardExceeded))
+        return EXIT_EXHAUSTED if tripped else EXIT_ERROR
     except Exception as exc:  # a fault of the checker: never an answer's exit code
         traceback.print_exc(file=sys.stderr)
         sys.stderr.write("error: internal %s: %s\n" % (type(exc).__name__, exc))

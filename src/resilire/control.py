@@ -17,24 +17,12 @@ relations agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ModelError
-from .graphs import Graph
+from .graphs import with_control
 from .petri import MARKERS
 from .rewriting import Rule
-
-CONTROL_NODE = "ctl"
-MARKER_NODE = "mrk"
-
-
-def _fresh_id(nodes: dict, base: str) -> str:
-    if base not in nodes:
-        return base
-    i = 0
-    while "%s%d" % (base, i) in nodes:
-        i += 1
-    return "%s%d" % (base, i)
 
 
 @dataclass(frozen=True)
@@ -75,17 +63,6 @@ def make_automaton(states, initial, edges, rule_names=None) -> ControlAutomaton:
     if issues:
         raise ModelError(issues)
     return ControlAutomaton(states, initial, tuple(built))
-
-
-def with_control(g: Graph, state: Optional[str] = None,
-                 marker: Optional[str] = None) -> Graph:
-    """Disjointly add the control node and the marker node, each if given."""
-    nodes = dict(g.nodes)
-    if state is not None:
-        nodes[_fresh_id(nodes, CONTROL_NODE)] = state
-    if marker is not None:
-        nodes[_fresh_id(nodes, MARKER_NODE)] = marker
-    return Graph(nodes, g.edges)
 
 
 def enrich_rules(rules: List[Rule], automaton: ControlAutomaton) -> List[Rule]:

@@ -19,6 +19,7 @@ before they are canonicalized (`GraphClass.admit`); a caller that knows
 a candidate's simple paths to be a member's skips the path walk.  A
 caller that steps a batch of states passes the keys it has produced, so
 that repeats are keyed and dropped before the path walk and the copy.
+A state's control state and owner marker are one node each (`with_control`).
 """
 
 from __future__ import annotations
@@ -116,6 +117,30 @@ def graph_of(node_labels, edge_triples) -> Graph:
 
 def single_node(label: str) -> Graph:
     return Graph({"n0": label}, {})
+
+
+CONTROL_NODE = "ctl"
+MARKER_NODE = "mrk"
+
+
+def _fresh_id(nodes: dict, base: str) -> str:
+    if base not in nodes:
+        return base
+    i = 0
+    while "%s%d" % (base, i) in nodes:
+        i += 1
+    return "%s%d" % (base, i)
+
+
+def with_control(g: Graph, state: Optional[str] = None,
+                 marker: Optional[str] = None) -> Graph:
+    """Disjointly add the control node and the marker node, each if given."""
+    nodes = dict(g.nodes)
+    if state is not None:
+        nodes[_fresh_id(nodes, CONTROL_NODE)] = state
+    if marker is not None:
+        nodes[_fresh_id(nodes, MARKER_NODE)] = marker
+    return Graph(nodes, g.edges)
 
 
 # ---------------------------------------------------------------------------

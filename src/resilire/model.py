@@ -528,7 +528,6 @@ def load(path: str) -> ModelDocument:
 class BuiltModel:
     doc: ModelDocument
     backend: object
-    domain: object
     safe: Basis
     bad: cns.BadSet
     reachable: Optional[Basis]
@@ -562,9 +561,6 @@ def build(doc: ModelDocument) -> BuiltModel:
             backend = ProductBackend(doc.net, doc.automaton, doc.annotate)
         else:
             backend = PetriBackend(doc.net)
-        domain = cns.MarkingDomain(
-            backend.order, doc.automaton.states if doc.automaton else None,
-            doc.annotate)
         start = Marking(
             doc.net.weights(doc.petri_start),
             doc.automaton.initial if doc.automaton else None,
@@ -577,14 +573,13 @@ def build(doc: ModelDocument) -> BuiltModel:
                         control_labels=frozenset(flat.control_labels),
                         marker_labels=frozenset(flat.marker_labels))
         backend = GraphBackend(list(flat.rules), klass, doc.limits)
-        domain = cns.GraphDomain(klass, backend.order, doc.limits)
         start = klass.admit(flat.gts_start)
         if start is None:
             raise ModelError([("/gts/start",
                                "start graph lies outside the state class")])
 
-    safe = cns.ideal_basis_of(doc.safety, domain)
-    good = cns.ideal_basis_of(cns.negate(doc.bad), domain, "/bad/constraint")
+    safe = cns.ideal_basis_of(doc.safety, backend)
+    good = cns.ideal_basis_of(cns.negate(doc.bad), backend, "/bad/constraint")
     bad = cns.BadSet(lambda s: not covers(good, s))
     reachable = None
     if doc.b_post is not None:
@@ -597,7 +592,7 @@ def build(doc: ModelDocument) -> BuiltModel:
                     ("/b_post/%d" % i, "state lies outside the state class")
                     for i in outside])
         reachable = minimize(states, backend.order)
-    return BuiltModel(doc, backend, domain, safe, bad, reachable, start)
+    return BuiltModel(doc, backend, safe, bad, reachable, start)
 
 
 # ---------------------------------------------------------------------------

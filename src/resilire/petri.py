@@ -119,6 +119,17 @@ def least_successor(m: Marking, t: Transition) -> Marking:
     return Marking(toks, m.state, m.marker)
 
 
+def meet(p: Marking, q: Marking) -> List[Marking]:
+    """The least marking above both, the componentwise max, where a None
+    state or marker matches any; none when their states or markers clash."""
+    if any(None not in (a, b) and a != b
+           for a, b in ((p.state, q.state), (p.marker, q.marker))):
+        return []
+    return [Marking(tuple(map(max, p.tokens, q.tokens)),
+                    q.state if p.state is None else p.state,
+                    q.marker if p.marker is None else p.marker)]
+
+
 class VectorOrder(Wqo):
     """Componentwise order on markings with equality on state/marker.
 
@@ -202,6 +213,11 @@ class PetriBackend:
         self.net = net
         self.order = VectorOrder(len(net.places))
 
+    meet = staticmethod(meet)
+
+    def complete(self, pattern: Marking) -> List[Marking]:
+        return [pattern]
+
     def post_step(self, m: Marking) -> List[Marking]:
         return list({fire(m, t) for t in self.net.transitions if enabled(m, t)})
 
@@ -236,6 +252,17 @@ class ProductBackend:
                     raise KeyError("automaton selects unknown transition %r" % name)
                 self._into.setdefault(edge.dst, []).append(
                     (edge.src, self._by_name[name]))
+
+    meet = staticmethod(meet)
+
+    def complete(self, pattern: Marking) -> List[Marking]:
+        """`pattern` in each automaton state and, when annotated, with
+        each marker, where it leaves them open."""
+        states = ([pattern.state] if pattern.state is not None
+                  else sorted(self.automaton.states))
+        markers = ([pattern.marker] if pattern.marker is not None
+                   else sorted(MARKERS) if self.annotate else [None])
+        return [Marking(pattern.tokens, q, mk) for q in states for mk in markers]
 
     def _state(self, m: Marking) -> str:
         """m's automaton state; refuses m unless the product has it."""

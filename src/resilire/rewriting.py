@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GuardExceeded
 from .graphs import (EMPTY_GRAPH, Graph, GraphClass, counts_fit, embeddings,
-                     exists_embedding, host_plan, twin_signatures)
+                     exists_embedding, host_plan, twin_signatures, with_control)
 from .limits import DEFAULT_LIMITS, Limits
 from .order import FeatureMasks, Wqo
 
@@ -457,6 +457,21 @@ class GraphBackend:
 
     def post_step(self, g: Graph) -> List[Graph]:
         return successors(g, self.rules, self.klass)
+
+    def complete(self, pattern: Graph) -> List[Graph]:
+        """The class's normal forms of `pattern` with a control node and
+        a marker node added, each of every label when it has none."""
+        klass = self.klass
+        states = [None] if klass.control_of(pattern) is not None else (
+            sorted(klass.control_labels) or [None])
+        markers = [None] if klass.marker_of(pattern) is not None else (
+            sorted(klass.marker_labels) or [None])
+        variants = [with_control(pattern, q, mk) for q in states for mk in markers]
+        return [h for h in (klass.admit(v, subgraph=True) for v in variants) if h is not None]
+
+    def meet(self, p: Graph, q: Graph) -> List[Graph]:
+        """Generators of up(p) & up(q): the gluings of their overlaps."""
+        return [glue(p, q, *pairs) for pairs in overlaps(p, q, self.limits)]
 
     def pre_basis(self, frontier) -> List[Graph]:
         """Generators of the one-step predecessors of the upward closures

@@ -25,8 +25,8 @@ from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding,
                              host_plan, quotient_isolated)
 from resilire.order import basis_subset, covers, minimize
 from resilire.petri import Marking, ProductBackend, make_net
-from resilire.rewriting import (SubgraphOrder, apply_rule, rule_predecessor_basis,
-                                successors)
+from resilire.rewriting import (GraphBackend, SubgraphOrder, apply_rule,
+                                rule_predecessor_basis, successors)
 from resilire.control import make_automaton
 
 import conftest
@@ -462,15 +462,14 @@ def test_acceptance_7_invariant_suites(supply_built):
         current = nxt
 
     # constraint/basis agreement on an exhaustive 5-node universe
-    from resilire.constraints import GraphDomain
     from resilire.graphs import graph_of, single_node
     klass = GraphClass(max_path=2)
-    dom = GraphDomain(klass, SubgraphOrder())
+    backend = GraphBackend([], klass)
     constraint = Or((
         Exists(graph_of({"u": "a", "v": "b"}, [("u", "v", "x")])),
         Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x"), ("v", "u", "x")])),
     ))
-    basis = ideal_basis_of(constraint, dom)
+    basis = ideal_basis_of(constraint, backend)
     univ5 = enumerate_class_graphs(["a", "b"], ["x"], 5, klass, max_edges=5)
     for g in univ5:
         assert covers(basis, g) == satisfies(g, constraint)

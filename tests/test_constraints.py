@@ -7,16 +7,18 @@ from dataclasses import replace
 import pytest
 
 from resilire import model
-from resilire.constraints import (And, BadSet, Exists, GraphDomain, MarkingDomain,
-                                  NotExists, Or, ideal_basis_of, negate)
-from resilire.control import with_control
+from resilire.constraints import (And, BadSet, Exists, NotExists, Or, ideal_basis_of,
+                                  negate)
+from resilire.control import make_automaton, with_control
 from resilire.engine import forward_states
 from resilire.errors import ModelError
 from resilire.graphs import GraphClass, graph_of, quotient_isolated, single_node
 from resilire.order import covers
-from resilire.petri import ENVIRONMENT, MARKERS, Marking, VectorOrder
-from resilire.rewriting import SubgraphOrder
+from resilire.petri import (ENVIRONMENT, MARKERS, Marking, PetriBackend, ProductBackend,
+                            make_net)
+from resilire.rewriting import GraphBackend
 
+import petri_graphs
 from conftest import (enumerate_class_graphs, fixture_path, random_graph, rng_for,
                       satisfies)
 
@@ -62,19 +64,25 @@ def test_inheritance_along_embeddings():
             assert satisfies(g, neg)
 
 
-def plain_graph_domain(max_path=3):
-    klass = GraphClass(max_path=max_path)
-    return GraphDomain(klass, SubgraphOrder())
+def plain_graph_backend(max_path=3):
+    return GraphBackend([], GraphClass(max_path=max_path))
+
+
+def product_backend(places, states, annotate=False):
+    """A `ProductBackend` over `places` places p0, p1, ... and the
+    automaton `states`, with no transitions."""
+    net = make_net(["p%d" % i for i in range(places)], [])
+    return ProductBackend(net, make_automaton(states, states[0], []), annotate)
 
 
 def test_ideal_basis_single_pattern():
-    dom = plain_graph_domain()
+    dom = plain_graph_backend()
     basis = ideal_basis_of(Exists(single_node("a")), dom)
     assert [g.key() for g in basis.elements] == [single_node("a").key()]
 
 
 def test_ideal_basis_absorbs_dominated_disjunct():
-    dom = plain_graph_domain()
+    dom = plain_graph_backend()
     small = single_node("a")
     big = graph_of({"u": "a", "v": "b"}, [("u", "v", "x")])
     basis = ideal_basis_of(Or((Exists(small), Exists(big))), dom)
@@ -82,7 +90,7 @@ def test_ideal_basis_absorbs_dominated_disjunct():
 
 
 def test_ideal_basis_of_conjunction_is_overlap():
-    dom = plain_graph_domain()
+    dom = plain_graph_backend()
     basis = ideal_basis_of(And((Exists(single_node("a")),
                                 Exists(single_node("b")))), dom)
     assert len(basis) == 1
@@ -90,7 +98,7 @@ def test_ideal_basis_of_conjunction_is_overlap():
 
 
 def test_ideal_basis_agrees_with_satisfaction_exhaustively():
-    dom = plain_graph_domain(max_path=2)
+    dom = plain_graph_backend(max_path=2)
     c = Or((And((Exists(single_node("a")), Exists(single_node("b")))),
             Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")]))))
     basis = ideal_basis_of(c, dom)
@@ -101,7 +109,7 @@ def test_ideal_basis_agrees_with_satisfaction_exhaustively():
 
 def test_ideal_basis_completes_over_control_states():
     klass = GraphClass(max_path=2, control_labels=frozenset(["q0", "q1"]))
-    dom = GraphDomain(klass, SubgraphOrder())
+    dom = GraphBackend([], klass)
     basis = ideal_basis_of(Exists(single_node("a")), dom)
     assert sorted(klass.control_of(g) for g in basis.elements) == ["q0", "q1"]
     pinned = ideal_basis_of(Exists(with_control(single_node("a"), "q1")), dom)
@@ -116,7 +124,7 @@ def bad_set(c, dom):
 
 
 def test_ideal_basis_rejects_out_of_class_pattern():
-    dom = plain_graph_domain(max_path=0)
+    dom = plain_graph_backend(max_path=0)
     outside = Exists(graph_of({"u": "a", "v": "a"}, [("u", "v", "x")]))
     inside = Exists(single_node("a"))
     # each constraint with the pointer of its outside leaf
@@ -134,7 +142,7 @@ def test_ideal_basis_rejects_out_of_class_pattern():
 
 
 def test_ideal_basis_rejects_negative():
-    dom = plain_graph_domain()
+    dom = plain_graph_backend()
     a, b = single_node("a"), single_node("b")
     # each constraint with the pointer of its negative leaf
     for c, leaf in ((NotExists(a), ""), (Or((Exists(a), NotExists(b))), "/args/1"),
@@ -146,7 +154,7 @@ def test_ideal_basis_rejects_negative():
 
 
 def test_vector_domain_completion_and_meet():
-    dom = MarkingDomain(VectorOrder(2, has_state=True), states=("q0", "q1"))
+    dom = product_backend(2, ("q0", "q1"))
     basis = ideal_basis_of(Exists(Marking((1, 0))), dom)
     assert [(m.tokens, m.state) for m in basis.elements] == \
         [((1, 0), "q0"), ((1, 0), "q1")]
@@ -158,6 +166,75 @@ def test_vector_domain_completion_and_meet():
         And((Exists(Marking((1, 0), "q0")), Exists(Marking((0, 1), "q1")))),
         dom)
     assert len(empty) == 0
+
+
+def random_positive(rng, leaf, depth=2):
+    """A random and/or tree of `exists` leaves drawn by `leaf(rng)`."""
+    if depth == 0 or rng.random() < 0.4:
+        return Exists(leaf(rng))
+    parts = tuple(random_positive(rng, leaf, depth - 1)
+                  for _ in range(rng.randint(1, 3)))
+    return And(parts) if rng.random() < 0.5 else Or(parts)
+
+
+def on_leaves(c, f):
+    """`c` with each leaf's pattern replaced by its image under `f`."""
+    if isinstance(c, Exists):
+        return Exists(f(c.pattern))
+    return type(c)(tuple(on_leaves(p, f) for p in c.parts))
+
+
+def test_constraint_bases_agree_across_backends():
+    """A positive constraint over markings and its image in the discrete
+    token-graph encoding (`petri_graphs`) get bases that decode one to
+    one onto each other, through both backends' `complete` and `meet`.
+    The star encoding is left out: its class admits a token node joined
+    to two hubs, which no marking encodes, and a meet of two star graphs
+    glues exactly that graph."""
+    states = ("q0", "q1")
+    petri = product_backend(2, states)
+    places = petri.net.places
+    graph = petri_graphs.graph_backend(petri, star=False)
+    rng = rng_for("cross-backend-constraints")
+
+    def leaf(rng):
+        return Marking((rng.randint(0, 2), rng.randint(0, 2)),
+                       rng.choice((None,) + states))
+    for _ in range(200):
+        c = random_positive(rng, leaf)
+        want = ideal_basis_of(c, petri)
+        got = ideal_basis_of(
+            on_leaves(c, lambda m: petri_graphs.encode(m, places, False)), graph)
+        decoded = {petri_graphs.decode(g, places, frozenset(states), False)
+                   for g in got.elements}
+        assert len(decoded) == len(got.elements), c
+        assert decoded == set(want.elements), c
+
+
+def test_and_safety_meets_through_build():
+    """A conjunction in `safety` is met by the built backend: markings
+    take the componentwise max where the states agree, graphs the
+    gluings of their overlaps."""
+    doc = json.loads(open(fixture_path("supplychain.json")).read())
+    doc["safety"] = {"op": "and", "args": [doc["safety"], {"op": "or", "args": [
+        {"op": "exists", "marking": {"store1": 2}},
+        {"op": "exists", "state": "e", "marking": {"store2": 2}}]}]}
+    built = model.build(model.from_dict(doc))
+    want = [{"marking": {"warehouse": 1, "store1": 2, "store2": 1}, "state": q}
+            for q in doc["automaton"]["states"]]
+    want.append({"marking": {"warehouse": 1, "store1": 1, "store2": 2}, "state": "e"})
+    assert len(built.safe) == 9
+    assert sorted(map(json.dumps, built.basis_to_json(built.safe))) == \
+        sorted(json.dumps(w) for w in want)
+
+    # a one-node pattern below the triangle leaves the basis as it is
+    doc = json.loads(open(fixture_path("adverse_vs_error.json")).read())
+    plain = model.build(model.from_dict(doc))
+    doc["safety"] = {"op": "and", "args": [doc["safety"], {
+        "op": "exists", "graph": {"nodes": [{"id": "n", "label": "v"}], "edges": []}}]}
+    built = model.build(model.from_dict(doc))
+    assert [g.key() for g in built.safe.elements] == \
+        [g.key() for g in plain.safe.elements]
 
 
 def test_adverse_bad_set_on_path_game():
@@ -207,8 +284,7 @@ def test_adverse_bad_set_observes_states_and_environment_marker(name, spec):
 
 
 def test_error_mode_is_complement_of_safety():
-    order = VectorOrder(4, has_state=True)
-    dom = MarkingDomain(order, states=("q0",))
+    dom = product_backend(4, ("q0",))
     bad = bad_set(negate(Exists(Marking((0, 1, 1, 1), "q0"))), dom)
     assert bad.contains(Marking((0, 0, 1, 1), "q0"))
     assert not bad.contains(Marking((0, 1, 1, 1), "q0"))
@@ -224,7 +300,7 @@ def test_bad_sets_are_downward_closed_sampled():
     built = model.build(model.load(fixture_path("adverse_vs_error_petri.json")))
     states = ["q0", "q1"]
     for bad in (built.bad,
-                bad_set(negate(built.doc.safety), built.domain)):
+                bad_set(negate(built.doc.safety), built.backend)):
         for _ in range(200):
             big = Marking((rng.randint(0, 3), rng.randint(0, 3)), rng.choice(states))
             small = Marking(tuple(rng.randint(0, x) for x in big.tokens), big.state)
@@ -233,7 +309,7 @@ def test_bad_sets_are_downward_closed_sampled():
 
 
 def test_custom_mode_requires_negative():
-    dom = MarkingDomain(VectorOrder(1))
+    dom = PetriBackend(make_net(["p0"], []))
     with pytest.raises(ModelError):
         bad_set(Exists(Marking((1,))), dom)
     bad = bad_set(NotExists(Marking((2,))), dom)
@@ -265,11 +341,11 @@ def random_negative(rng, leaf, depth=2):
 
 
 def graph_case(klass):
-    """(domain, universe, leaf) for a graph class over labels a, b: the
+    """(backend, universe, leaf) for a graph class over labels a, b: the
     universe is every normal class graph up to three nodes, and a leaf
     is a small random pattern free of isolated quotient-label nodes,
     with a control node when the class has control labels."""
-    dom = GraphDomain(klass, SubgraphOrder())
+    dom = GraphBackend([], klass)
     bare = replace(klass, control_labels=frozenset())
     normal = [g for g in enumerate_class_graphs(["a", "b"], ["x"], 3,
                                                 bare, max_edges=3)
@@ -288,8 +364,7 @@ def marking_case():
     """A Petri product over two places, two control states and every
     marker, with wildcard state and marker in half the leaves."""
     states = ("q0", "q1")
-    dom = MarkingDomain(VectorOrder(2, has_state=True, has_marker=True),
-                        states=states, annotate=True)
+    dom = product_backend(2, states, annotate=True)
     universe = [Marking((x, y), q, mk) for x in range(4) for y in range(4)
                 for q in states for mk in MARKERS]
 

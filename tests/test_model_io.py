@@ -163,7 +163,7 @@ def test_cli_check_explicit_flag():
     # an exhausted run answers neither way, and still echoes k
     proc = run_cli("check", fixture_path("supplychain.json"), "--k", "3",
                    env={"RESIL_MAX_ITERS": "1"})
-    assert proc.returncode == 2
+    assert proc.returncode == 3
     assert json.loads(proc.stdout) == {
         "verdict": "exhausted", "iterations": 1,
         "reason": "no fixed point within 1 rounds", "k": 3, "explicit": None}
@@ -192,14 +192,14 @@ def test_cli_check_missing_basis_exit_two(tmp_path):
 def test_cli_env_var_overrides_iterations():
     proc = run_cli("check", fixture_path("supplychain.json"),
                    env={"RESIL_MAX_ITERS": "3"})
-    assert proc.returncode == 2
+    assert proc.returncode == 3
     assert json.loads(proc.stdout)["verdict"] == "exhausted"
 
 
 def test_cli_exhausted_report_names_the_guard():
     proc = run_cli("check", fixture_path("supplychain.json"),
                    env={"RESIL_MAX_ITERS": "1"})
-    assert proc.returncode == 2
+    assert proc.returncode == 3
     assert json.loads(proc.stdout) == {
         "verdict": "exhausted", "iterations": 1,
         "reason": "no fixed point within 1 rounds"}
@@ -255,10 +255,19 @@ def test_cli_overlap_guard_trip_is_exhausted(tmp_path):
     path = tmp_path / "guarded.json"
     path.write_text(json.dumps(doc))
     proc = run_cli("check", str(path))
-    assert proc.returncode == 2
+    assert proc.returncode == 3
     report = json.loads(proc.stdout)
     assert report["verdict"] == "exhausted"
     assert report["reason"] == "more than 1 overlaps enumerated"
+
+
+def test_cli_guard_trip_outside_check_exits_three():
+    """A guard that stops a command without a verdict is inconclusive,
+    not a refusal: exit 3, and the guard named on stderr."""
+    proc = run_cli("prestar", fixture_path("supplychain.json"),
+                   env={"RESIL_MAX_ITERS": "1"})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: no fixed point within 1 rounds\n"
 
 
 def test_cli_approx_report():
@@ -696,9 +705,13 @@ def test_single_field_mutants_are_refused_or_answered(tmp_path, monkeypatch,
                 pytest.fail("%s raised %r" % (mutant, exc))
             path.write_text(json.dumps(doc))
             try:
-                assert cli.main(["check", str(path)]) in (0, 1, 2), mutant
+                code = cli.main(["check", str(path)])
             except Exception as exc:
                 pytest.fail("check on %s raised %r" % (mutant, exc))
+            # exit 3 only with the report of an `exhausted` verdict
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2) or (
+                code == 3 and json.loads(out)["verdict"] == "exhausted"), mutant
     capsys.readouterr()
 
 

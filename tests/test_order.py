@@ -5,13 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from resilire.constraints import (And, Exists, GraphDomain, MarkingDomain, Or,
-                                  ideal_basis_of)
+from resilire.constraints import And, Exists, Or, ideal_basis_of
 from resilire.errors import BackendMismatch
 from resilire.order import Antichain, Basis, Wqo, basis_subset, covers, minimize
 from resilire.graphs import Graph
-from resilire.petri import MARKERS, Marking, VectorOrder
-from resilire.rewriting import SubgraphOrder
+from resilire.petri import MARKERS, Marking, PetriBackend, VectorOrder, make_net
+from resilire.rewriting import GraphBackend, SubgraphOrder
 
 from conftest import random_graph, rng_for
 from test_graphs import random_subgraph, shuffled_copy
@@ -384,19 +383,19 @@ def test_blocked_order_refuses_markings_of_another_shape():
             minimize(list(basis) + [odd], basis.order)
 
 
-def meet(b1, b2, domain):
-    """Basis of up(b1) & up(b2) through the domain's meet, which the
+def meet(b1, b2, backend):
+    """Basis of up(b1) & up(b2) through the backend's meet, which the
     library applies to conjunctions of safety patterns."""
     def either(basis):
         return Or(tuple(Exists(s) for s in basis.elements))
-    return ideal_basis_of(And((either(b1), either(b2))), domain)
+    return ideal_basis_of(And((either(b1), either(b2))), backend)
 
 
-V2_DOMAIN = MarkingDomain(V2)
+V2_BACKEND = PetriBackend(make_net(["p0", "p1"], []))
 
 
 def vector_meet(b1, b2):
-    return meet(b1, b2, V2_DOMAIN)
+    return meet(b1, b2, V2_BACKEND)
 
 
 def test_intersection_componentwise_max():
@@ -518,12 +517,12 @@ def test_minimize_preserves_upward_closure_on_graphs():
 def test_graph_intersection_against_universe():
     rng = rng_for("graph-intersect")
     klass, order, universe = graph_setup()
-    domain = GraphDomain(klass, order)
+    backend = GraphBackend([], klass)
     small = [g for g in universe if len(g.nodes) <= 2]
     for _ in range(12):
         b1 = minimize([rng.choice(small) for _ in range(2)], order)
         b2 = minimize([rng.choice(small) for _ in range(2)], order)
-        both = meet(b1, b2, domain)
+        both = meet(b1, b2, backend)
         truth = up_set(b1.elements, order, universe) & \
             up_set(b2.elements, order, universe)
         assert up_set(both.elements, order, universe) == truth
