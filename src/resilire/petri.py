@@ -244,14 +244,15 @@ class ProductBackend:
         self.annotate = annotate
         self.order = VectorOrder(len(net.places), has_state=True,
                                  has_marker=annotate)
-        self._by_name = {t.name: t for t in net.transitions}
+        by_name = {t.name: t for t in net.transitions}
+        self._out: Dict[str, List[Tuple[str, Transition]]] = {}
         self._into: Dict[str, List[Tuple[str, Transition]]] = {}
         for edge in automaton.edges:
             for name in edge.select:
-                if name not in self._by_name:
+                if name not in by_name:
                     raise KeyError("automaton selects unknown transition %r" % name)
-                self._into.setdefault(edge.dst, []).append(
-                    (edge.src, self._by_name[name]))
+                self._out.setdefault(edge.src, []).append((edge.dst, by_name[name]))
+                self._into.setdefault(edge.dst, []).append((edge.src, by_name[name]))
 
     meet = staticmethod(meet)
 
@@ -272,24 +273,16 @@ class ProductBackend:
             raise BackendMismatch("missing or unknown marker %r" % m.marker)
         return m.state
 
-    def _steps_from(self, m: Marking):
-        state = self._state(m)
-        for edge in self.automaton.edges:
-            if edge.src != state:
-                continue
-            for name in edge.select:
-                yield edge, self._by_name[name]
-
-    def _target(self, tokens, edge, t: Transition) -> Marking:
-        return Marking(tokens, edge.dst, t.owner if self.annotate else None)
+    def _target(self, tokens, dst: str, t: Transition) -> Marking:
+        return Marking(tokens, dst, t.owner if self.annotate else None)
 
     def post_step(self, m: Marking) -> List[Marking]:
-        return list({self._target(fire(m, t).tokens, edge, t)
-                     for edge, t in self._steps_from(m) if enabled(m, t)})
+        return list({self._target(fire(m, t).tokens, dst, t)
+                     for dst, t in self._out.get(self._state(m), ()) if enabled(m, t)})
 
     def post_basis(self, frontier) -> List[Marking]:
-        return [self._target(least_successor(m, t).tokens, edge, t)
-                for m in frontier for edge, t in self._steps_from(m)]
+        return [self._target(least_successor(m, t).tokens, dst, t)
+                for m in frontier for dst, t in self._out.get(self._state(m), ())]
 
     def pre_basis(self, frontier) -> List[Marking]:
         markers = MARKERS if self.annotate else (None,)

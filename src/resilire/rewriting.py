@@ -4,13 +4,16 @@ Rules are partial morphisms given by explicit id correspondences that
 are injective and label-preserving on their domain.  Forward
 application deletes the match images of unmapped left-hand items (plus
 any edges left dangling), then adds fresh copies of the created
-right-hand items.  Every step is one such application, and one
-builder (`_apply`) makes them all, from a pairing of a rule's left side
-with a host: a total match (`apply_rule`), an overlap of the left side
-with a graph (the forward ideal step), or, for the inverse rule, an
-overlap of the right-hand side with a target graph that meets the
-dangling condition (the backward step), which gives the minimal graphs
-reaching the target's upward closure in one step.
+right-hand items.  Every graph made from a pairing of a rule's left
+side with a host is one such application, and one builder (`_apply`)
+makes them all: at a total match (`apply_rule`), at an overlap of the
+left side with a graph (the forward ideal step), for the inverse rule
+at an overlap of the right-hand side with a target graph that meets
+the dangling condition (the backward step), which gives the minimal
+graphs reaching the target's upward closure in one step, and for the
+rule that keeps a graph (`identity_rule`) at an overlap of it with
+another: their gluing, a generator of the meet of the two upward
+closures, which the forward step also tests against the class.
 
 Matches and overlaps are enumerated once per orbit of two cheap
 symmetries of the host graph: swaps of twin nodes and of parallel
@@ -116,8 +119,9 @@ def rule_problems(left: Graph, right: Graph, nm: dict, em: dict) -> List[str]:
     return problems
 
 
-def identity_rule(name: str, owner: str) -> Rule:
-    return Rule(name, owner, EMPTY_GRAPH, EMPTY_GRAPH, {})
+def identity_rule(name: str, owner: str, g: Graph = EMPTY_GRAPH) -> Rule:
+    """The rule that keeps `g`; at a pairing it glues g to the host."""
+    return Rule(name, owner, g, g, {v: v for v in g.nodes}, {e: e for e in g.edges})
 
 
 def matches(rule: Rule, g: Graph, twins=None, plan=None) -> Iterator[dict]:
@@ -143,11 +147,14 @@ def apply_rule(rule: Rule, g: Graph, match: dict) -> Graph:
 def _apply(rule: Rule, g: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
     """The rule applied at a partial pairing of its left side with g,
     given as maps from left ids to the ids of g they are identified
-    with: up to isomorphism, the rule at the left side's items of
-    `glue(rule.left, g, node_pairs, edge_pairs)`.  g's items keep their
-    ids; the right side's items that no pair places (created items, and
-    copies of unpaired preserved ones) get "new:n<i>" / "new:e<i>" ids
-    that g lacks.  Deletion wins and dangling edges go."""
+    with: up to isomorphism, the rule at the left side's items of the
+    gluing of the left side and g along the pairs, which is what the
+    rule that keeps the left side (`identity_rule`) gives here.  g's
+    items keep their ids; the right side's items that no pair places
+    (created items, and copies of unpaired preserved ones) get
+    "new:n<i>" / "new:e<i>" ids that g lacks.  Deletion wins and
+    dangling edges go.  This is the one builder of every graph made
+    from an `overlaps` pairing."""
     doomed = {node_pairs[v] for v in rule.deleted_nodes if v in node_pairs}
     doomed_edges = {edge_pairs[e] for e in rule.deleted_edges if e in edge_pairs}
     nodes = {v: l for v, l in g.nodes.items() if v not in doomed}
@@ -201,12 +208,14 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     """Enumerate the ways of gluing `a` and `b` along a partial
     injective label-preserving correspondence (the disjoint union is
     the empty correspondence), each as its node and edge pairs: maps
-    from ids of `a` to the ids of `b` they are identified with, from
-    which `glue` builds the overlap.  One is given per orbit of `b`'s
-    twin swaps and parallel-edge swaps: a node of `a` is paired with one
-    node of each twin class of `b`, and a subset of `a`'s edges with one
-    image in each group of parallel edges of `b`.  Every overlap is
-    isomorphic, by an isomorphism fixing the items of `a`, to a given one.
+    from ids of `a` to the ids of `b` they are identified with, at
+    which `_apply` applies a rule whose left side is `a`; the rule that
+    keeps `a` (`identity_rule`) builds the overlap U itself.  One is
+    given per orbit of `b`'s twin swaps and parallel-edge swaps: a node
+    of `a` is paired with one node of each twin class of `b`, and a
+    subset of `a`'s edges with one image in each group of parallel
+    edges of `b`.  Every overlap is isomorphic, by an isomorphism fixing
+    the items of `a`, to a given one.
 
     Two prunings skip correspondences before their edges are paired:
     `windows` holds (labels, least) pairs, and only correspondences
@@ -309,25 +318,6 @@ def _pair_windows(bounds, *graphs) -> list:
     iff at least base - hi pairs are in S."""
     return [(labels, sum(lab in labels for g in graphs for lab in g.nodes.values()) - hi)
             for labels, _lo, hi in bounds if hi is not None]
-
-
-def glue(a: Graph, b: Graph, node_pairs: dict, edge_pairs: dict) -> Graph:
-    """The union U of `a` and `b` identified along the pairs, a jointly
-    surjective pair of injective embeddings A >-> U <-< B.  U's ids are
-    "a:<id>" for items from A (merged items keep the A id) and "b:<id>"
-    for items only from B."""
-    nodes = {"a:" + aid: lab for aid, lab in a.nodes.items()}
-    home = {bid: "a:" + aid for aid, bid in node_pairs.items()}
-    for bid, lab in b.nodes.items():
-        if bid not in home:
-            home[bid] = "b:" + bid
-            nodes["b:" + bid] = lab
-    edges = {"a:" + aeid: ("a:" + s, "a:" + t, l) for aeid, (s, t, l) in a.edges.items()}
-    merged_edges = set(edge_pairs.values())
-    for beid, (s, t, l) in b.edges.items():
-        if beid not in merged_edges:
-            edges["b:" + beid] = (home[s], home[t], l)
-    return Graph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +460,10 @@ class GraphBackend:
         return [h for h in (klass.admit(v, subgraph=True) for v in variants) if h is not None]
 
     def meet(self, p: Graph, q: Graph) -> List[Graph]:
-        """Generators of up(p) & up(q): the gluings of their overlaps."""
-        return [glue(p, q, *pairs) for pairs in overlaps(p, q, self.limits)]
+        """Generators of up(p) & up(q): the rule that keeps p applied at
+        each overlap of p with q."""
+        keep = identity_rule("meet", "sys", p)
+        return [_apply(keep, q, *pairs) for pairs in overlaps(p, q, self.limits)]
 
     def pre_basis(self, frontier) -> List[Graph]:
         """Generators of the one-step predecessors of the upward closures
@@ -499,12 +491,13 @@ class GraphBackend:
         bound passes it on to the results of rules that `keeps_paths`.
         """
         klass, seen, out = self.klass, set(), []
+        keeps = [identity_rule(r.name, r.owner, r.left) for r in self.rules]
         for g in frontier:
             twins = twin_signatures(g)
-            for rule in self.rules:
+            for rule, keep in zip(self.rules, keeps):
                 windows = _pair_windows(klass.bounds, rule.left, g)
                 for pairs in overlaps(rule.left, g, self.limits, windows, (), twins):
-                    if not klass.contains(glue(rule.left, g, *pairs), subgraph=True):
+                    if not klass.contains(_apply(keep, g, *pairs), subgraph=True):
                         continue
                     h = klass.admit(_apply(rule, g, *pairs), subgraph=True,
                                     paths=not rule.keeps_paths, seen=seen)

@@ -237,6 +237,27 @@ def test_and_safety_meets_through_build():
         [g.key() for g in plain.safe.elements]
 
 
+def test_and_safety_meet_skips_the_ids_of_the_pattern():
+    """The meet names the items it adds with ids the other pattern lacks,
+    so patterns written with "new:n<i>" / "new:e<i>" ids give the basis
+    they give under any other ids."""
+    text = open(fixture_path("pathgame.json")).read()
+
+    def safe_keys(n0, n1, n2, e0, e1):
+        d = json.loads(text)
+        d["safety"] = {"op": "and", "args": [d["safety"], {"op": "exists", "graph": {
+            "nodes": [{"id": n0, "label": "L"}, {"id": n1, "label": "pt"},
+                      {"id": n2, "label": "pt"}],
+            "edges": [{"id": e0, "src": n0, "tgt": n1, "label": "a"},
+                      {"id": e1, "src": n0, "tgt": n2, "label": "a"}]}}]}
+        return [g.key() for g in model.build(model.from_dict(d)).safe.elements]
+
+    want = safe_keys("u", "w", "z", "f", "g")
+    assert len(want) == 6
+    assert safe_keys("new:n0", "new:n1", "new:n2", "new:e0", "new:e1") == want
+    assert safe_keys("new:n1", "new:n0", "u", "new:e1", "new:e0") == want
+
+
 def test_adverse_bad_set_on_path_game():
     built = model.build(model.load(fixture_path("pathgame.json")))
     quotient = built.backend.klass.quotient_labels

@@ -12,7 +12,7 @@ from resilire.graphs import (Graph, GraphClass, embeddings, exists_embedding, gr
 from resilire.limits import Limits
 from resilire.order import basis_subset, covers, minimize
 from resilire.petri import Marking, enabled, fire, make_net
-from resilire.rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule, glue,
+from resilire.rewriting import (GraphBackend, Rule, SubgraphOrder, apply_rule,
                                 identity_rule, matches, overlaps,
                                 rule_predecessor_basis, successors)
 
@@ -148,7 +148,7 @@ class Glued(NamedTuple):
 
 def glue_each(a, b, pairings):
     match = {"nodes": {v: "a:" + v for v in a.nodes}, "edges": {e: "a:" + e for e in a.edges}}
-    return [Glued(glue(a, b, *pairs), match) for pairs in pairings]
+    return [Glued(glued(a, b, *pairs), match) for pairs in pairings]
 
 
 def glued_overlaps(a, b, *args):
@@ -599,28 +599,32 @@ def test_post_basis_enumerates_exactly_the_overlaps_inside_the_class(monkeypatch
 
 
 def test_direct_predecessor_is_the_inverse_rule_at_the_glued_overlap():
-    """Both ideal steps build each result from the pairs alone, and it is
-    the rule applied at the glued overlap, up to isomorphism: the inverse
-    rule at an overlap of the right side with the target (backward), on
-    every overlap, those the dangling condition prunes among them, and
-    the rule at an overlap of the left side with the host (forward)."""
+    """Every graph built from an overlap pairing comes from the pairs
+    alone, and it is the rule applied at the glued overlap, up to
+    isomorphism: the inverse rule at an overlap of the right side with
+    the target (backward), on every overlap, those the dangling
+    condition prunes among them, the rule at an overlap of the left side
+    with the host (forward), and the rule that keeps the left side,
+    which gives the glued overlap itself (the meet and the forward
+    step's class test)."""
     rng = rng_for("direct-predecessor")
     seen = Counter()
     for _ in range(150):
         rule = random_rule(rng)
         target = random_graph(rng, ["a", "b"], ["x"], 3, 3)
-        for step, side in ((rule.inverse(), rule.right), (rule, rule.left)):
+        keep = identity_rule(rule.name, rule.owner, rule.left)
+        for step, side in ((rule.inverse(), rule.right), (rule, rule.left), (keep, rule.left)):
             pairings = overlaps(side, target)
             for pairs, ov in zip(pairings, glue_each(side, target, pairings)):
-                want = apply_rule(step, ov.u, ov.match)
+                want = ov.u if step is keep else apply_rule(step, ov.u, ov.match)
                 assert rewriting._apply(step, target, *pairs).key() == want.key(), (step, target)
-                seen["forward" if step is rule
+                seen["forward" if step is rule else "keep" if step is keep
                      else "viable" if meets_dangling(rule, ov) else "dangling"] += 1
         seen.update(kind for kind, items in (
             ("deletes nodes", rule.deleted_nodes), ("deletes edges", rule.deleted_edges),
             ("creates nodes", rule.created_nodes), ("creates edges", rule.created_edges))
             if items)
-    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+    assert min(seen.values()) >= 20 and len(seen) == 8, seen
 
 
 def reference_apply(rule, g, match):
