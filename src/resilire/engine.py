@@ -17,25 +17,33 @@ elements of the next round.  Each basis element is stepped exactly
 once, in one step call per round for all the fresh elements, in which
 a graph step filters and copies each isomorphism class once.  A round
 without fresh elements has the previous round's ideal: the fixed point.
-Targets are looked up in the live antichain; a `Basis` is built only
-to be reported.  `backward_step` keeps the full one-step operator.
+`backward_step` keeps the full one-step operator.
+
+One backward saturation serves all queries on a backend and safety
+basis: its ledger records each round's births and evictions, and grows
+only when a query walks past its last round.  A query at that round
+asks the live antichain, one behind it a rank index: a state's rank,
+the first round whose ideal holds it, is the birth round of the first
+element kept below it.  A model keeps all it kept until it is dropped.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
 of safety, or 'unbounded' when saturation settles first.  When no basis
 of the reachable states is supplied the same bound is approximated from
 below by bounded forward exploration and from above by forward ideal
-saturation: the same round loop, driven by each backend's one-step
-successor basis of an upward closure (`post_basis`), saturates the
-start's upward closure forwards.  Both bounds are then read off one
-backward saturation.
+saturation: the same round loop, on a ledger of its own and driven by
+each backend's one-step successor basis of an upward closure
+(`post_basis`), saturates the start's upward closure forwards.  Both
+bounds are then read off the shared backward saturation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import GuardExceeded, SaturationExhausted
 from .limits import DEFAULT_LIMITS, Limits
@@ -46,6 +54,8 @@ INFINITY = math.inf
 FOUND = "found"
 UNBOUNDED = "unbounded"
 EXHAUSTED = "exhausted"
+
+_LEDGERS = weakref.WeakKeyDictionary()  # backend -> {safe basis keys: ledger}
 
 
 @dataclass(frozen=True)
@@ -87,32 +97,64 @@ def backward_step(current: Basis, safe: Basis, backend) -> Basis:
     return live.basis()
 
 
-def _saturation(seed: Basis, step, order, max_iters: int):
-    """Yield (k, live, stable) starting at k=0, where `live` is the one
-    `Antichain` of the saturation, holding round k's basis until the
-    next round is asked for.
+class _Ledger:
+    """The rounds of one saturation so far: each round's fresh elements
+    (`births`; round 0's are the seed basis), the elements its merge
+    evicted (`evictions`) and the `live` antichain of the last round."""
 
-    Round k+1 is the basis of round k's ideal together with the ideal
-    of `step(fresh)`, one call for the fresh elements of round k: those
-    that the merge into round k-1's antichain kept (all of round 0).
-    `stable` marks the first round without fresh elements, which is the
-    fixed point; iteration stops after yielding it.  A step may drop
-    repeats within its call; the merge drops the rest.
-    Raises SaturationExhausted when the guard trips first.
-    """
-    live, fresh = Antichain(order, seed), seed.elements
-    yield 0, live, False
-    for k in range(1, max_iters + 1):
-        fresh = live.merge(step(fresh))
-        stable = not fresh
-        yield k, live, stable
+    def __init__(self, seed: Basis):
+        self.live = Antichain(seed.order, seed)
+        self.births, self.evictions = [seed.elements], [[]]
+        self._ranks, self._ranked = None, 0
+
+    def extend(self, step) -> None:
+        """Merge `step` of the last births into a new round; a trip adds none."""
+        self.births.append(self.live.merge(step(self.births[-1])))
+        self.evictions.append(self.live.evicted)
+
+    def rank(self, s):
+        """The first round so far whose ideal holds `s`, else INFINITY: the
+        birth round of the first element kept below `s` in a rank index."""
+        index, round_of = self._ranks = self._ranks or (
+            self.live.order.antichain_index(), {})
+        for k in range(self._ranked, len(self.births)):
+            for b in self.births[k]:
+                index.add(b)
+                round_of[b] = k
+        self._ranked = len(self.births)
+        t = next(index.below(s), None)
+        return INFINITY if t is None else round_of[t]
+
+    def bases(self) -> Iterator[Basis]:
+        """Each round's basis in turn, rebuilt from births and evictions."""
+        order, held = self.live.order, {}
+        for born, evicted in zip(self.births, self.evictions):
+            for t in evicted:
+                del held[order.key(t)]
+            held.update((order.key(b), b) for b in born)
+            yield Basis(order, tuple(held[x] for x in sorted(held)))
+
+
+def _rounds(ledger: _Ledger, step, max_iters: int):
+    """Yield (k, ledger, stable) for k = 0, 1, ..., extending the ledger by
+    `step` when k passes its last round, until `stable`: the first round
+    without fresh elements.  Raises SaturationExhausted past `max_iters`."""
+    for k in range(max(max_iters, 0) + 1):
+        if k == len(ledger.births):
+            ledger.extend(step)
+        stable = k > 0 and not ledger.births[k]
+        yield k, ledger, stable
         if stable:
             return
     raise SaturationExhausted("no fixed point within %d rounds" % max_iters)
 
 
 def _backward(safe: Basis, backend, max_iters: int):
-    return _saturation(safe, backend.pre_basis, backend.order, max_iters)
+    """The rounds from `safe` on the backend's ledger for it."""
+    ledgers = _LEDGERS.setdefault(backend, {})
+    key = tuple(map(backend.order.key, safe.elements))
+    ledger = ledgers.get(key) or ledgers.setdefault(key, _Ledger(safe))
+    return _rounds(ledger, backend.pre_basis, max_iters)
 
 
 def _cover(target_lists, rounds, trace: Optional[List[Basis]] = None):
@@ -126,18 +168,24 @@ def _cover(target_lists, rounds, trace: Optional[List[Basis]] = None):
     exception, else None.  `trace` collects every round's basis.
     """
     found: List[Optional[int]] = [None] * len(target_lists)
-    k = 0
+    k, error, ranks = 0, None, {}
     try:
-        for k, live, stable in rounds:
-            if trace is not None:
-                trace.append(live.basis())
+        for k, ledger, stable in rounds:
+            if k == len(ledger.births) - 1:
+                inside = ledger.live.covers
+            else:  # behind the ledger: the rank index answers
+                ranks = ranks or {id(t): ledger.rank(t) for ts in target_lists for t in ts}
+                inside = lambda t, k=k: ranks[id(t)] <= k
             for i, targets in enumerate(target_lists):
-                if found[i] is None and all(map(live.covers, targets)):
+                if found[i] is None and all(map(inside, targets)):
                     found[i] = k
             if stable or None not in found:
-                return found, k, None
+                break
     except (SaturationExhausted, GuardExceeded) as exc:
-        return found, k, exc
+        error = exc
+    if trace is not None:
+        trace.extend(itertools.islice(ledger.bases(), k + 1))
+    return found, k, error
 
 
 def min_recovery(inst: ResilienceInstance, keep_trace: bool = False) -> Verdict:
@@ -166,12 +214,11 @@ def pre_star(safe: Basis, backend, max_iters: int = DEFAULT_LIMITS.max_iters,
     sequence of ideals is stationary; with keep_trace also the list of
     per-round bases.
     """
-    trace: List[Basis] = []
-    for k, live, stable in _backward(safe, backend, max_iters):
-        if keep_trace:
-            trace.append(live.basis())
-        if stable:  # it kept no candidate, so it holds the previous basis
-            return (live.basis(), k - 1, trace) if keep_trace else (live.basis(), k - 1)
+    for k, ledger, _stable in _backward(safe, backend, max_iters):
+        pass
+    # the walk ends at the fixed point, which holds the previous basis
+    found = (ledger.live.basis(), k - 1)
+    return found + (list(ledger.bases()),) if keep_trace else found
 
 
 def _recovery_bounds(state_lists, bad, safe: Basis, backend, max_iters: int) -> list:
@@ -241,11 +288,10 @@ def approx_bounds(start, bad, safe: Basis, backend, depth: Optional[int] = None,
         asked.append(minimize([s for layer in layers for s in layer],
                               backend.order).elements)
     if over:
-        start_basis = minimize([start], backend.order)
-        for _k, closure, _stable in _saturation(start_basis, backend.post_basis,
-                                                backend.order, limits.max_iters):
+        closure = _Ledger(minimize([start], backend.order))
+        for _ in _rounds(closure, backend.post_basis, limits.max_iters):
             pass
-        asked.append(closure.basis().elements)
+        asked.append(closure.live.basis().elements)
     bounds = iter(_recovery_bounds(asked, bad, safe, backend, limits.max_iters))
     return (next(bounds) if depth is not None else None,
             next(bounds) if over else None)

@@ -572,7 +572,7 @@ def build(doc: ModelDocument) -> BuiltModel:
         klass = replace(flat.base_class,
                         control_labels=frozenset(flat.control_labels),
                         marker_labels=frozenset(flat.marker_labels))
-        backend = GraphBackend(list(flat.rules), klass, doc.limits)
+        backend = GraphBackend(flat.rules, klass, doc.limits)
         start = klass.admit(flat.gts_start)
         if start is None:
             raise ModelError([("/gts/start",

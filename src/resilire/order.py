@@ -37,8 +37,10 @@ class Wqo:
       for all of them;
     * ``antichain_index()`` -- optional: a fresh, empty index with
       ``add(s)``, ``remove(s)`` for a state added before, ``covers(s)``,
-      whether an added state lies below ``s``, and ``above(s)``, a list
-      of the added ``t`` with ``leq(s, t)``.  The default scans them.
+      whether an added state lies below ``s``, ``above(s)``, a list
+      of the added ``t`` with ``leq(s, t)``, and, for an index that never
+      removed one, ``below(s)``: an iterator over the added ``t`` with
+      ``leq(t, s)``, in the order added.  The default scans them.
     """
 
     def leq(self, a, b) -> bool:
@@ -73,6 +75,9 @@ class _ScanIndex:
 
     def above(self, s) -> list:
         return [t for t in self._items.values() if self._order.leq(s, t)]
+
+    def below(self, s) -> Iterator:
+        return (t for t in self._items.values() if self._order.leq(t, s))
 
 
 class FeatureMasks:
@@ -166,11 +171,12 @@ class Antichain:
 
     The elements are kept by key and in one antichain index for the
     antichain's whole life: two of them are never compared with each
-    other, and none is keyed or indexed again.  `covers` asks the index.
+    other, and none is keyed or indexed again.  `covers` asks the index;
+    `evicted` lists the elements that the last merge evicted.
     """
 
     def __init__(self, order: Wqo, base: Iterable = ()):
-        self.order = order
+        self.order, self.evicted = order, []
         self._index = order.antichain_index()
         self._elements = {order.key(b): b for b in base}
         for b in self._elements.values():
@@ -193,12 +199,14 @@ class Antichain:
             if k not in elements:
                 new.setdefault(k, c)
         ordered = sorted(new.items())
+        evicted = self.evicted = []
         for k, c in ordered:
             if index.covers(c):
                 continue
             for t in index.above(c):
                 index.remove(t)
                 del elements[order.key(t)]
+                evicted.append(t)
             index.add(c)
             elements[k] = c
         return [c for k, c in ordered if elements.get(k) is c]

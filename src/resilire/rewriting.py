@@ -394,20 +394,19 @@ class SubgraphOrder(Wqo):
         return a.key()
 
     def any_below(self, elements, s: Graph) -> bool:
-        return _embeds_any((t for t in elements if counts_fit(t, s)), s)
+        return next(_embedded((t for t in elements if counts_fit(t, s)), s), None) is not None
 
     def antichain_index(self) -> "_LabelMasks":
         return _LabelMasks()
 
 
-def _embeds_any(patterns, host: Graph) -> bool:
-    """Whether a pattern embeds into `host`, prepared once for all (`host_plan`)."""
+def _embedded(patterns, host: Graph) -> Iterator[Graph]:
+    """The patterns that embed into `host`, prepared once for all (`host_plan`)."""
     plan = None
     for t in patterns:
         plan = plan or host_plan(host)
         if next(embeddings(t, host, nodes_only=True, plan=plan), None) is not None:
-            return True
-    return False
+            yield t
 
 
 class _LabelMasks(FeatureMasks):
@@ -426,7 +425,10 @@ class _LabelMasks(FeatureMasks):
         self.hold(g, self._counts(g))
 
     def covers(self, s: Graph) -> bool:
-        return _embeds_any(self.elements(self.at_most(s.label_counts())), s)
+        return next(self.below(s), None) is not None
+
+    def below(self, s: Graph) -> Iterator[Graph]:
+        return _embedded(self.elements(self.at_most(s.label_counts())), s)
 
     def above(self, s: Graph) -> List[Graph]:
         return [t for t in self.elements(self.at_least(self._counts(s)))
@@ -436,11 +438,11 @@ class _LabelMasks(FeatureMasks):
 class GraphBackend:
     """State space of a graph transition system: a rule set acting on a
     class of graphs, with forward steps and one-step ideal steps in both
-    directions.
-    """
+    directions.  It does not change once built, since the engine's
+    saturation ledgers outlive each query: `rules` is a tuple."""
 
     def __init__(self, rules, klass: GraphClass, limits: Limits = DEFAULT_LIMITS):
-        self.rules = list(rules)
+        self.rules = tuple(rules)
         self.klass = klass
         self.limits = limits
         self.order = SubgraphOrder()

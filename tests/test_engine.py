@@ -1,6 +1,8 @@
 """Engine behavior: saturation, verdicts, indices, approximations."""
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from resilire import engine, model, petri
 from resilire.constraints import BadSet
 from resilire.control import make_automaton
 from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
-                             ResilienceInstance, _saturation,
+                             ResilienceInstance, _Ledger, _rounds,
                              approx_bounds, backward_step, forward_states,
                              min_recovery, overapprox_bound, pre_star,
                              recovery_bound, underapprox_bound)
@@ -76,12 +78,12 @@ def assert_frontier_rounds_match(seed, step, order, one_round):
     """Frontier-only saturation yields the reference's bases, round by
     round, and flags exactly its last round as stable."""
     want = full_rounds(seed, one_round)
-    got = [(k, live.basis(), stable)
-           for k, live, stable in _saturation(seed, step, order, len(want) + 5)]
-    assert [k for k, _, _ in got] == list(range(len(want)))
-    assert [[order.key(b) for b in basis] for _, basis, _ in got] == \
+    ledger = _Ledger(seed)
+    got = [(k, stable) for k, _, stable in _rounds(ledger, step, len(want) + 5)]
+    assert [k for k, _ in got] == list(range(len(want)))
+    assert [[order.key(b) for b in basis] for basis in ledger.bases()] == \
         [[order.key(b) for b in basis] for basis in want]
-    assert [stable for _, _, stable in got] == [False] * (len(want) - 1) + [True]
+    assert [stable for _, stable in got] == [False] * (len(want) - 1) + [True]
     return len(want)
 
 
@@ -417,11 +419,109 @@ def test_saturation_indexes_each_kept_marking_once(monkeypatch):
 
 
 def test_approx_bounds_guard_trip_raises():
+    """Also when asked again: a trip leaves no error in the ledger."""
     doc = model.load(fixture_path("pathgame.json"))
     built = model.build(replace(doc, limits=replace(doc.limits, overlap_count=1)))
-    with pytest.raises(GuardExceeded):
-        approx_bounds(built.start, built.bad, built.safe, built.backend, depth=1,
-                      limits=built.doc.limits)
+    for _ in range(2):
+        with pytest.raises(GuardExceeded):
+            approx_bounds(built.start, built.bad, built.safe, built.backend, depth=1,
+                          limits=built.doc.limits)
+
+
+def basis_keys(basis):
+    return [basis.order.key(b) for b in basis]
+
+
+def check_answer(built):
+    v = min_recovery(built.instance(), keep_trace=True)
+    return v.kind, v.k_min, v.iterations, v.reason, [basis_keys(b) for b in v.trace]
+
+
+def approx_answer(built):
+    return approx_bounds(built.start, built.bad, built.safe, built.backend, depth=8,
+                         over=True, limits=built.doc.limits)
+
+
+def prestar_answer(built):
+    basis, index, trace = pre_star(built.safe, built.backend,
+                                   built.doc.limits.max_iters, keep_trace=True)
+    return basis_keys(basis), index, [basis_keys(b) for b in trace]
+
+
+QUERIES = {"check": check_answer, "approx": approx_answer, "prestar": prestar_answer}
+
+
+@pytest.mark.parametrize("fixture", ["supplychain.json", "adverse_vs_error_petri.json",
+                                     "adverse_vs_error.json", "supply_n3c3.json",
+                                     "pathgame.json"])
+def test_queries_on_one_model_answer_as_on_fresh_models(fixture):
+    """`check`, `approx` and `prestar` share one backward saturation per
+    model; in several orders they answer as each does on a fresh model,
+    traces included."""
+    doc = model.load(fixture_path(fixture))
+    fresh = {name: ask(model.build(doc)) for name, ask in QUERIES.items()}
+    names = list(QUERIES)
+    orders = ([names[::-1]] if fixture == "pathgame.json"
+              else [names[i:] + names[:i] for i in range(3)] + [names[::-1]])
+    for order in orders:
+        built = model.build(doc)
+        assert {name: QUERIES[name](built) for name in order} == fresh, order
+
+
+def test_queries_on_one_model_share_their_rounds(monkeypatch):
+    """On the (3, 3) supply chain the three queries step 122 rounds on
+    one model, against 74 + 83 + 122 on fresh models."""
+    doc = model.load(fixture_path("supply_n3c3.json"))
+    steps, pre_basis = [], ProductBackend.pre_basis
+    monkeypatch.setattr(ProductBackend, "pre_basis",
+                        lambda backend, frontier: steps.append(backend) or
+                        pre_basis(backend, frontier))
+    queries = [
+        lambda built: (lambda v: (v.kind, v.k_min))(min_recovery(built.instance())),
+        lambda built: approx_bounds(built.start, built.bad, built.safe, built.backend,
+                                    depth=12, over=True, limits=built.doc.limits),
+        lambda built: pre_star(built.safe, built.backend)[1],
+    ]
+    built = model.build(doc)
+    assert [ask(built) for ask in queries] == [(FOUND, 74), (80, 83), 121]
+    assert len(steps) == 122
+    separate = []
+    for ask in queries:
+        steps.clear()
+        ask(model.build(doc))
+        separate.append(len(steps))
+    assert separate == [74, 83, 122]
+
+
+def test_tiny_guard_after_the_fixed_point_is_exhausted_as_on_a_fresh_model():
+    doc = model.load(fixture_path("supplychain.json"))
+    fresh, built = model.build(doc), model.build(doc)
+    pre_star(built.safe, built.backend)
+    verdicts = [min_recovery(replace(b.instance(), max_iters=3)) for b in (fresh, built)]
+    assert verdicts[0] == verdicts[1]
+    assert (verdicts[1].kind, verdicts[1].iterations) == (EXHAUSTED, 3)
+
+
+def test_one_ledger_per_safety_basis():
+    """Queries with another safety basis on the same backend saturate
+    from that basis."""
+    doc = model.load(fixture_path("supplychain.json"))
+    built = model.build(doc)
+    safes = [built.safe, Basis(built.safe.order, built.safe.elements[:1])]
+    fresh = [pre_star(safe, model.build(doc).backend) for safe in safes]
+    got = [pre_star(safe, built.backend) for safe in safes]
+    answers = [[(basis_keys(b), i) for b, i in results] for results in (fresh, got)]
+    assert answers[0] == answers[1] and answers[0][0] != answers[0][1]
+
+
+def test_dropping_a_model_frees_its_backend_and_ledgers():
+    built = model.build(model.load(fixture_path("supplychain.json")))
+    min_recovery(built.instance())
+    [ledger] = engine._LEDGERS[built.backend].values()
+    refs = [weakref.ref(built.backend), weakref.ref(ledger)]
+    del built, ledger
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_overapprox_on_graph_model(triangle_doc):

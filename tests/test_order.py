@@ -323,6 +323,35 @@ def test_token_trie_matches_quadratic_reference():
     assert 0.2 < sum(map(bool, tops)) / len(tops) < 0.8 and max(tops) >= 3
 
 
+def test_index_below_filters_the_added_states_in_the_order_added():
+    """`below` of an index that never removed a state gives the added
+    states under the query in the order they came, as a filter over
+    them does: on product markings (`_TokenMasks`), on graphs
+    (`_LabelMasks`) and on the default scanning index."""
+    rng = rng_for("index-below")
+    graph_order = SubgraphOrder()
+    multiple = {"markings": 0, "graphs": 0, "scan": 0}
+    for trial in range(90):
+        kind = ("markings", "graphs", "scan")[trial % 3]
+        if kind == "graphs":
+            hosts = [random_graph(rng, ["a", "b"], ["x", "y"], 5, 6) for _ in range(6)]
+            added = [random_subgraph(rng, rng.choice(hosts)) for _ in range(12)]
+            queries = hosts + [random_subgraph(rng, h) for h in hosts]
+            order, index = graph_order, graph_order.antichain_index()
+        else:
+            added = random_product_markings(rng, 30)
+            queries = added[:10] + one_token_off(added[:6]) + random_product_markings(rng, 10)
+            order = V3
+            index = V3.antichain_index() if kind == "markings" else Wqo.antichain_index(V3)
+        for t in added:
+            index.add(t)
+        for s in queries:
+            want = [id(t) for t in added if order.leq(t, s)]
+            assert [id(t) for t in index.below(s)] == want
+            multiple[kind] += len(want) >= 2
+    assert min(multiple.values()) >= 20, multiple
+
+
 def test_token_trie_refuses_markings_of_another_shape():
     for order, good, odd in (
             (V3, Marking((1, 2, 3), "p", "sys"), Marking((1, 2, 3), "p")),

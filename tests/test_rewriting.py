@@ -672,7 +672,7 @@ def test_created_items_get_ids_the_host_lacks():
                             "new:e1": ("h", "new:n1", "r")}
 
 
-def step_rounds(step, seed, order, rounds):
+def step_rounds(step, seed, rounds):
     """The frontiers that the first `rounds` saturation rounds step."""
     frontiers = []
 
@@ -680,7 +680,7 @@ def step_rounds(step, seed, order, rounds):
         frontiers.append(list(frontier))
         return step(frontier)
 
-    for k, _live, _stable in engine._saturation(seed, recording, order, rounds):
+    for k, _ledger, _stable in engine._rounds(engine._Ledger(seed), recording, rounds):
         if k == rounds:
             break
     return frontiers
@@ -720,8 +720,8 @@ def assert_batched_step(step, frontier, monkeypatch, walks_all=False):
 def test_batched_steps_on_the_path_game_rounds(monkeypatch):
     built = model.build(model.load(fixture_path("pathgame.json")))
     backend, order = built.backend, built.backend.order
-    backward = step_rounds(backend.pre_basis, built.safe, order, 4)
-    forward = step_rounds(backend.post_basis, minimize([built.start], order), order, 4)
+    backward = step_rounds(backend.pre_basis, built.safe, 4)
+    forward = step_rounds(backend.post_basis, minimize([built.start], order), 4)
     repeats = [assert_batched_step(backend.pre_basis, f, monkeypatch, walks_all=True)
                for f in backward]
     repeats += [assert_batched_step(backend.post_basis, f, monkeypatch) for f in forward]
