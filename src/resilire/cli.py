@@ -11,6 +11,7 @@ first (from `check`, an `exhausted` verdict).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,7 +29,12 @@ EXIT_EXHAUSTED = 3
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Write `obj` as indented JSON with sorted keys, in batches of
+    encoder chunks, so that a long trace is never one string."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 65536)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _load(path: str) -> model.BuiltModel:

@@ -17,8 +17,11 @@ may prepare a host once for many embedding searches (`host_plan`).
 Candidates are filtered by class membership, an isomorphism invariant,
 before they are canonicalized (`GraphClass.admit`); a caller that knows
 a candidate's simple paths to be a member's skips the path walk.  A
-caller that steps a batch of states passes the keys it has produced, so
-that repeats are keyed and dropped before the path walk and the copy.
+caller that steps a batch of states passes one `seen` set: the labelled
+forms (node ids with labels, edge triples: 2-tuples) of the graphs given
+and the keys (4-tuples) of their quotients within the count bounds.  An
+identical repeat is dropped before it is quotiented and keyed, an
+isomorphic one before the path walk and the copy.
 A state's control state and owner marker are one node each (`with_control`).
 """
 
@@ -522,9 +525,18 @@ class GraphClass:
               seen: Optional[set] = None) -> Optional[Graph]:
         """The canonical quotient of g if `contains(g, subgraph, paths)`
         holds for it, else None.  Membership is an isomorphism invariant,
-        so it is decided before canonicalizing.  With `seen`, the keys of
-        earlier quotients within the count bounds, a repeat is refused on
-        its key, which is added: only a class's first gets the path walk."""
+        so it is decided before canonicalizing.  With `seen`, the
+        labelled forms of earlier graphs and the keys of earlier
+        quotients within the count bounds, a repeat is refused, first on
+        its labelled form (node ids with labels, edge triples: a 2-tuple,
+        never equal to a 4-tuple key), then on its key.  Both are added:
+        an identical graph is never quotiented or keyed, and only a
+        class's first gets the path walk."""
+        if seen is not None:
+            form = (tuple(sorted(g.nodes.items())), tuple(sorted(g.edges.values())))
+            if form in seen:
+                return None
+            seen.add(form)
         g = quotient_isolated(g, self.quotient_labels)
         if seen is not None:
             if not self._counts_hold(g, subgraph) or g.key() in seen:

@@ -466,7 +466,7 @@ def test_keys_of_the_first_backward_rounds_equal_reference_keys(monkeypatch):
 
 
 def test_keys_of_the_forward_layers_equal_reference_keys(monkeypatch):
-    """Every graph the path game's forward layers to depth 13 canonicalize."""
+    """Every graph the path game's forward layers to depth 14 canonicalize."""
     built = model.build(model.load(fixture_path("pathgame.json")))
     keyed = []
 
@@ -475,9 +475,10 @@ def test_keys_of_the_forward_layers_equal_reference_keys(monkeypatch):
         return _canonical_key(g)
 
     monkeypatch.setattr(graphs, "_canonical_key", recording)
-    layers = engine.forward_states(built.start, built.backend, 13)
+    layers = engine.forward_states(built.start, built.backend, 14)
     monkeypatch.undo()
-    assert [len(layer) for layer in layers] == [1, 1, 1, 3, 3, 9, 5, 19, 12, 46, 21, 82, 48, 169]
+    assert [len(layer) for layer in layers] == [1, 1, 1, 3, 3, 9, 5, 19, 12, 46, 21, 82, 48,
+                                                169, 84]
     assert len(keyed) > 1000
     for g in keyed:
         assert _canonical_key(g) == reference_key(g), g

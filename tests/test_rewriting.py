@@ -745,6 +745,76 @@ def test_batched_steps_on_random_frontiers(klass, monkeypatch):
     assert repeated > 20, repeated
 
 
+# ---------------------------------------------------------------------------
+# labelled repeats are dropped before they are quotiented and keyed
+# ---------------------------------------------------------------------------
+
+
+def keying_admit(self, g, subgraph=False, paths=True, seen=None):
+    """`GraphClass.admit` without the labelled-form test: with `seen`,
+    every candidate is quotiented and, within the count bounds, keyed."""
+    g = graphs.quotient_isolated(g, self.quotient_labels)
+    if seen is not None:
+        if not self._counts_hold(g, subgraph) or g.key() in seen:
+            return None
+        seen.add(g.key())
+    return g.canonical() if self.contains(g, subgraph, paths) else None
+
+
+def assert_keys_as_keying_every_candidate(step, inputs, monkeypatch):
+    """`step(x)` gives for each x the keys that it gives with
+    `keying_admit`, in the same order; returns how many it gave, and
+    how many graphs each way canonicalized."""
+    keyed = Counter()
+
+    def keys(mode):
+        def recording(g, real=graphs._canonical_key):
+            keyed[mode] += 1
+            return real(g)
+
+        monkeypatch.setattr(graphs, "_canonical_key", recording)
+        out = [[h.key() for h in step(x)] for x in inputs]
+        monkeypatch.undo()
+        return out
+
+    got = keys("labelled")
+    monkeypatch.setattr(GraphClass, "admit", keying_admit)
+    want = keys("keying")
+    assert got == want
+    return sum(map(len, got)), keyed["labelled"], keyed["keying"]
+
+
+def test_pre_basis_on_the_path_game_check_rounds_keys_as_keying_every_candidate(
+        monkeypatch):
+    """The check's 13 rounds: 4,299 graphs given, 8,023 canonicalized
+    where keying every candidate canonicalizes 18,716."""
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    frontiers = step_rounds(built.backend.pre_basis, built.safe, 13)
+    assert len(frontiers) == 13
+    assert assert_keys_as_keying_every_candidate(
+        built.backend.pre_basis, frontiers, monkeypatch) == (4299, 8023, 18716)
+
+
+def test_post_basis_on_the_path_game_over_rounds_keys_as_keying_every_candidate(
+        monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    backend = built.backend
+    frontiers = step_rounds(backend.post_basis, minimize([built.start], backend.order),
+                            built.doc.limits.max_iters)
+    given = assert_keys_as_keying_every_candidate(backend.post_basis, frontiers, monkeypatch)
+    assert (len(frontiers),) + given == (2, 8, 10, 23)
+
+
+def test_successors_on_the_path_game_forward_layers_key_as_keying_every_candidate(
+        monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    layers = engine.forward_states(built.start, built.backend, 8)
+    states = [g for layer in layers[:-1] for g in layer]
+    given = assert_keys_as_keying_every_candidate(built.backend.post_step, states,
+                                                  monkeypatch)
+    assert (len(states),) + given == (42, 105, 109, 117)
+
+
 def test_inverse_rule_swaps_deleted_and_created_items():
     rng = rng_for("inverse-rule")
     for _ in range(60):
