@@ -22,9 +22,11 @@ without fresh elements has the previous round's ideal: the fixed point.
 One backward saturation serves all queries on a backend and safety
 basis: its ledger records each round's births and evictions, and grows
 only when a query walks past its last round.  A query at that round
-asks the live antichain, one behind it a rank index: a state's rank,
-the first round whose ideal holds it, is the birth round of the first
-element kept below it.  A model keeps all it kept until it is dropped.
+asks the live antichain.  Round k's ideal is the upward closure of the
+births of rounds 0..k, so a query behind it indexes its own targets
+once and streams each round's births through that index, marking the
+targets above them as reached.  A model keeps all it kept until it is
+dropped.
 
 Recovery bounds: the minimal-step search returns the least k such that
 every bad state that the system can reach lies within k backward steps
@@ -105,25 +107,11 @@ class _Ledger:
     def __init__(self, seed: Basis):
         self.live = Antichain(seed.order, seed)
         self.births, self.evictions = [seed.elements], [[]]
-        self._ranks, self._ranked = None, 0
 
     def extend(self, step) -> None:
         """Merge `step` of the last births into a new round; a trip adds none."""
         self.births.append(self.live.merge(step(self.births[-1])))
         self.evictions.append(self.live.evicted)
-
-    def rank(self, s):
-        """The first round so far whose ideal holds `s`, else INFINITY: the
-        birth round of the first element kept below `s` in a rank index."""
-        index, round_of = self._ranks = self._ranks or (
-            self.live.order.antichain_index(), {})
-        for k in range(self._ranked, len(self.births)):
-            for b in self.births[k]:
-                index.add(b)
-                round_of[b] = k
-        self._ranked = len(self.births)
-        t = next(index.below(s), None)
-        return INFINITY if t is None else round_of[t]
 
     def bases(self) -> Iterator[Basis]:
         """Each round's basis in turn, rebuilt from births and evictions."""
@@ -168,14 +156,21 @@ def _cover(target_lists, rounds, trace: Optional[List[Basis]] = None):
     exception, else None.  `trace` collects every round's basis.
     """
     found: List[Optional[int]] = [None] * len(target_lists)
-    k, error, ranks = 0, None, {}
+    k, error, index, reached = 0, None, None, set()
     try:
         for k, ledger, stable in rounds:
             if k == len(ledger.births) - 1:
                 inside = ledger.live.covers
-            else:  # behind the ledger: the rank index answers
-                ranks = ranks or {id(t): ledger.rank(t) for ts in target_lists for t in ts}
-                inside = lambda t, k=k: ranks[id(t)] <= k
+            else:  # behind the ledger: round k's births reach the targets above them
+                if index is None:
+                    index = ledger.live.order.antichain_index()
+                    for t in {id(t): t for ts in target_lists for t in ts}.values():
+                        index.add(t)
+                for b in ledger.births[k]:
+                    for t in index.above(b):
+                        index.remove(t)
+                        reached.add(id(t))
+                inside = lambda t: id(t) in reached
             for i, targets in enumerate(target_lists):
                 if found[i] is None and all(map(inside, targets)):
                     found[i] = k

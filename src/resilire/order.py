@@ -11,8 +11,10 @@ index (`Wqo.antichain_index`) that lives as long as the antichain, so a
 saturation never rebuilds its previous basis.  An index answers
 `covers`, is a state in the ideal, and `above`, which of its states lie
 above a state: a merge asks `covers` of each candidate and evicts what
-`above` gives for each one it keeps.  The default index scans with the
-order; markings and graphs answer from `FeatureMasks` instead.
+`above` gives for each one it keeps.  A query behind a saturation's
+last round indexes its own targets and asks `above` of each birth.  The
+default index scans with the order; markings and graphs answer from
+`FeatureMasks` instead.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ class Wqo:
     * ``any_below(elements, s)`` -- optional: whether some given
       element ``t`` has ``leq(t, s)``.  An order may prepare ``s`` once
       for all of them;
-    * ``antichain_index()`` -- optional: a fresh, empty index with
-      ``add(s)``, ``remove(s)`` for a state added before, ``covers(s)``,
-      whether an added state lies below ``s``, ``above(s)``, a list
-      of the added ``t`` with ``leq(s, t)``, and, for an index that never
-      removed one, ``below(s)``: an iterator over the added ``t`` with
-      ``leq(t, s)``, in the order added.  The default scans them.
+    * ``antichain_index()`` -- optional: a fresh, empty index of a set
+      of states, with ``add(s)``, ``remove(s)`` for a state added
+      before, ``covers(s)``, whether an added state lies below ``s``,
+      and ``above(s)``, a list of the added ``t`` with ``leq(s, t)``.
+      The default scans them.
     """
 
     def leq(self, a, b) -> bool:
@@ -75,9 +76,6 @@ class _ScanIndex:
 
     def above(self, s) -> list:
         return [t for t in self._items.values() if self._order.leq(s, t)]
-
-    def below(self, s) -> Iterator:
-        return (t for t in self._items.values() if self._order.leq(t, s))
 
 
 class FeatureMasks:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BackendMismatch
 from .order import FeatureMasks, Wqo
@@ -204,10 +204,6 @@ class _TokenMasks:
     def above(self, m: Marking) -> List[Marking]:
         group = self._group(m)
         return [] if group is None else list(group.elements(group.at_least(m.tokens)))
-
-    def below(self, m: Marking) -> Iterator[Marking]:
-        group = self._group(m)
-        return iter(()) if group is None else group.elements(group.at_most(m.tokens))
 
 
 class PetriBackend:

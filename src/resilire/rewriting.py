@@ -425,10 +425,8 @@ class _LabelMasks(FeatureMasks):
         self.hold(g, self._counts(g))
 
     def covers(self, s: Graph) -> bool:
-        return next(self.below(s), None) is not None
-
-    def below(self, s: Graph) -> Iterator[Graph]:
-        return _embedded(self.elements(self.at_most(s.label_counts())), s)
+        return next(_embedded(self.elements(self.at_most(s.label_counts())), s),
+                    None) is not None
 
     def above(self, s: Graph) -> List[Graph]:
         return [t for t in self.elements(self.at_least(self._counts(s)))

@@ -16,6 +16,7 @@ from resilire.engine import (EXHAUSTED, FOUND, INFINITY, UNBOUNDED,
                              min_recovery, overapprox_bound, pre_star,
                              recovery_bound, underapprox_bound)
 from resilire.errors import GuardExceeded, ModelError, SaturationExhausted
+from resilire.graphs import Graph
 from resilire.limits import Limits
 from resilire.order import Antichain, Basis, basis_subset, covers, minimize
 from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
@@ -23,6 +24,7 @@ from resilire.petri import (ENVIRONMENT, MARKERS, START_MARKER, SYSTEM, Marking,
                             make_net)
 
 from conftest import explore, fixture_path, recovery_oracle, rng_for
+from test_graphs import shuffled_copy
 
 EVERYTHING = BadSet(lambda s: True)
 
@@ -416,6 +418,81 @@ def test_saturation_indexes_each_kept_marking_once(monkeypatch):
     [saturation] = adds.values()
     assert sorted(map(order.key, saturation)) == sorted(map(order.key, kept))
     assert len(set(map(order.key, kept))) == len(kept) > 1000
+
+
+def test_a_query_behind_the_ledger_indexes_only_its_own_targets(monkeypatch):
+    """After `check` of the (3, 3) supply chain the ledger ends at round
+    74, behind which `approx --under 12` starts.  No birth of rounds
+    0..74 goes into an index again: each antichain's index gets just its
+    merges' fresh elements, and the one other index, the query's own,
+    its distinct targets."""
+    built = model.build(model.load(fixture_path("supply_n3c3.json")))
+    assert min_recovery(built.instance()).k_min == 74
+    [ledger] = engine._LEDGERS[built.backend].values()
+    assert len(ledger.births) == 75
+    births = {id(b) for born in ledger.births for b in born}
+    order, adds, merged = built.backend.order, {}, {}
+    add, merge = petri._TokenMasks.add, Antichain.merge
+
+    def recording_merge(live, candidates):
+        fresh = merge(live, candidates)
+        merged.setdefault(id(live._index), (live, []))[1].extend(fresh)
+        return fresh
+
+    # each record holds its index or antichain, so no id is reused
+    monkeypatch.setattr(petri._TokenMasks, "add", lambda index, m: (
+        adds.setdefault(id(index), (index, []))[1].append(m) or add(index, m)))
+    monkeypatch.setattr(Antichain, "merge", recording_merge)
+    assert approx_bounds(built.start, built.bad, built.safe, built.backend, depth=12,
+                         limits=built.doc.limits) == (80, None)
+    monkeypatch.undo()
+    added = {i: ms for i, (_, ms) in adds.items()}
+    assert not births & {id(m) for ms in added.values() for m in ms}
+    for i, (_, fresh) in merged.items():
+        assert sorted(map(order.key, added.pop(i, []))) == sorted(map(order.key, fresh))
+    assert merged[id(ledger.live._index)][1]
+    layers = forward_states(built.start, built.backend, 12, built.doc.limits)
+    targets = [s for s in minimize([s for layer in layers for s in layer], order)
+               if built.bad.contains(s)]
+    [own] = added.values()
+    assert sorted(map(order.key, own)) == sorted(map(order.key, targets))
+    assert len(own) == len(targets) > 1
+
+
+@pytest.mark.parametrize("fixture", ["supply_n3c3.json", "adverse_vs_error.json"])
+def test_queries_behind_the_ledger_find_the_first_round_holding_each_target(fixture):
+    """A query behind the ledger's last round answers each target with
+    the first round whose basis covers it, or None at the fixed point,
+    as `covers` over the ledger's bases says: after `check`, whose
+    ledger the query outruns, and again from the fixed point.  Targets
+    come from the forward layers and the births; one object is in two
+    lists, two objects share a key and some target is never covered."""
+    rng = rng_for("behind-the-ledger:" + fixture)
+    built = model.build(model.load(fixture_path(fixture)))
+    backend = built.backend
+    min_recovery(built.instance())
+    [ledger] = engine._LEDGERS[backend].values()
+    layers = forward_states(built.start, backend, 6, built.doc.limits)
+    drawn = (rng.sample([s for layer in layers for s in layer], 20)
+             + rng.sample([b for born in ledger.births for b in born],
+                          min(20, sum(map(len, ledger.births)))))
+    s = drawn[1]
+    if isinstance(s, Marking):
+        twin, empty = Marking(s.tokens, s.state, s.marker), Marking((0,) * len(s.tokens))
+    else:
+        twin, empty = shuffled_copy(s, rng), Graph({}, {})
+    assert twin is not s and backend.order.key(twin) == backend.order.key(s)
+    targets = drawn + [drawn[0], twin] + backend.complete(empty)
+    for _ in range(2):
+        behind = len(ledger.births) - 1
+        found, k, error = engine._cover([[t] for t in targets], engine._backward(
+            built.safe, backend, built.doc.limits.max_iters))
+        bases = list(ledger.bases())
+        want = [next((j for j, basis in enumerate(bases) if covers(basis, t)), None)
+                for t in targets]
+        assert (found, k, error) == (want, len(bases) - 1, None)
+        assert None in found and any(j is not None and j < behind for j in found)
+        assert any(ledger.evictions[:k + 1])
 
 
 def test_approx_bounds_guard_trip_raises():
