@@ -8,12 +8,14 @@ pruning.  Graphs are immutable once constructed; equality and hashing
 are by canonical form, i.e. up to isomorphism.
 
 The canonical search runs on node indices with per-node (label, index)
-edge lists, leaves a coloring that starts discrete unrefined, and prunes
-twins (nodes an automorphism swaps), which keeps symmetric states such
-as stars cheap without changing any key; given the host's twins, the
-embedding search prunes them and parallel host edges the same way, for
-callers that need morphisms only up to host automorphisms.  A caller
-may prepare a host once for many embedding searches (`host_plan`).
+edge lists, leaves a coloring that starts discrete unrefined, refines
+only the nodes that share their color, and prunes twins (nodes an
+automorphism swaps) without changing any key; where every ambiguous
+cell is one twin class, as in token graphs and stars, it lists the
+cells without searching.  Given the host's twins, the embedding search
+prunes them and parallel host edges the same way, for callers that
+need morphisms only up to host automorphisms.  A caller may prepare a
+host once for many embedding searches (`host_plan`).
 Candidates are filtered by class membership, an isomorphism invariant,
 before they are canonicalized (`GraphClass.admit`); a caller that knows
 a candidate's simple paths to be a member's skips the path walk.  A
@@ -31,7 +33,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 from typing import Dict, Iterator, Optional, Tuple
 
 # Above this many candidate orderings the canonical search individualizes
@@ -158,11 +160,14 @@ def _ranks(sigs: list) -> list:
 
 
 def _refine(adj, colors: list) -> list:
-    """Iterated neighborhood color refinement (1-WL with edge labels)."""
+    """Iterated neighborhood color refinement (1-WL with edge labels);
+    a singleton cannot split, so its node is signed by its color alone."""
     n, k = len(colors), len(set(colors))
     while True:
+        size = Counter(colors)
         colors = _ranks([(c, tuple(sorted([(l, colors[t]) for l, t in out])),
                           tuple(sorted([(l, colors[s]) for l, s in inn])))
+                         if size[c] > 1 else (c,)
                          for c, out, inn in zip(colors, *adj)])
         was, k = k, max(colors) + 1
         if k in (was, n):
@@ -206,20 +211,32 @@ def _twin_orderings(cell, twins) -> Iterator[tuple]:
 
 def _min_encoding(kernel, colors: list, twins) -> tuple:
     """The least encoding over the orderings that list the color cells
-    in color order; `kernel` is (labels, triples, adj) by node index."""
+    in color order; `kernel` is (labels, triples, adj) by node index,
+    `colors` a stable coloring and `twins` holds the twin signatures of
+    the nodes of its ambiguous cells.
+
+    Where every ambiguous cell is one twin class there is no search:
+    swapping twins is an automorphism, so all orderings it compares
+    encode alike, and individualizing a twin moves it behind every cell
+    and splits nothing else, as each node meets a class's twins alike.
+    The result lists the cells in color order, then the nodes the search
+    individualizes: one of the first ambiguous cell at a time while the
+    cells allow more than `_BRUTE_ORDERINGS` orderings."""
     labels, triples, adj = kernel
     cells = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
-    if len(cells) == len(colors):  # discrete: a single ordering
-        return _encode(labels, triples, [v for v, in cells])
+    ambiguous = [c for c in cells if len(c) > 1]
     # The brute-force/individualize choice and the target cell ignore
     # twins: keys must not depend on how much of the search is pruned.
-    cost = 1
-    for cell in cells:
-        cost *= factorial(len(cell))
-        if cost > _BRUTE_ORDERINGS:
-            break
+    cost = prod(factorial(len(cell)) for cell in ambiguous)
+    if all(len({twins[v] for v in cell}) == 1 for cell in ambiguous):
+        moved = []
+        for cell in ambiguous:
+            while cost > _BRUTE_ORDERINGS and len(cell) > 1:
+                cost //= len(cell)
+                moved.append(cell.pop())
+        return _encode(labels, triples, [v for cell in cells for v in cell] + moved)
     if cost <= _BRUTE_ORDERINGS:
         cell_orderings = [_twin_orderings(c, twins) for c in cells]
         return min(_encode(labels, triples, sum(parts, ()))
@@ -227,7 +244,7 @@ def _min_encoding(kernel, colors: list, twins) -> tuple:
     # Individualize one node of the first ambiguous cell and recurse;
     # the minimum over all choices is an isomorphism invariant, and
     # twins give equal branches, so one per twin class suffices.
-    target = next(c for c in cells if len(c) > 1)
+    target = ambiguous[0]
     fresh = [len(cells)]
     return min(_min_encoding(kernel, _refine(adj, colors[:v] + fresh + colors[v + 1:]), twins)
                for v in {twins[u]: u for u in target}.values())
@@ -255,10 +272,12 @@ def _canonical_key(g: Graph) -> tuple:
         labels = tuple(lab for _c, lab in sorted(zip(colors, labels)))
         triples = tuple(sorted([(colors[s], colors[t], l) for s, t, l in triples]))
         return (n, len(triples), labels, triples)
-    # Twins as `twin_signatures` has them, with a loop's far end as -1.
+    # Twins as `twin_signatures` has them, with a loop's far end as -1,
+    # for the nodes of ambiguous cells: the only ones the search orders.
+    size = Counter(colors)
     twins = [(lab, tuple(sorted([(l, -1 if t == v else t) for l, t in o])),
-              tuple(sorted([e for e in i if e[1] != v])))
-             for v, (lab, o, i) in enumerate(zip(labels, out, inn))]
+              tuple(sorted([e for e in i if e[1] != v]))) if size[c] > 1 else None
+             for v, (c, lab, o, i) in enumerate(zip(colors, labels, out, inn))]
     labels, triples = _min_encoding((labels, triples, (out, inn)), colors, twins)
     return (n, len(triples), labels, triples)
 

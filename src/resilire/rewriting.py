@@ -18,7 +18,11 @@ closures, which the forward step also tests against the class.
 Matches and overlaps are enumerated once per orbit of two cheap
 symmetries of the host graph: swaps of twin nodes and of parallel
 edges.  Copies in one orbit give isomorphic results, so every step
-still yields each result up to isomorphism.  Both graph steps prune
+still yields each result up to isomorphism.  Label counts gate both
+searches: a rule whose left side has more nodes or edges of some label
+than the host is not matched (`counts_fit`), and an overlap search ends
+at once when the two graphs cannot pair enough nodes for a window
+(`_windows_fit`).  Both graph steps prune
 overlaps by the class's node-count maxima, and the backward one by the
 dangling condition, on the node correspondence, before its edges are
 paired.  Their results are ideal generators: they are filtered
@@ -130,7 +134,10 @@ def matches(rule: Rule, g: Graph, twins=None, plan=None) -> Iterator[dict]:
     `twin_signatures` and `plan` its `host_plan`, each computed unless
     given.  Matches in one orbit give isomorphic results, so these give
     every result up to isomorphism; `graphs.embeddings` without `twins`
-    yields every match."""
+    yields every match.  A left side whose label counts exceed g's
+    (`counts_fit`) is not searched."""
+    if not counts_fit(rule.left, g):
+        return iter(())
     if twins is None:
         twins = twin_signatures(g)
     return embeddings(rule.left, g, twins=twins, plan=plan)
@@ -219,7 +226,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
 
     Two prunings skip correspondences before their edges are paired:
     `windows` holds (labels, least) pairs, and only correspondences
-    pairing at least `least` nodes with a label in `labels` are kept;
+    pairing at least `least` nodes with a label in `labels` are kept
+    (none is sought when the label counts of `a` and `b` allow fewer);
     `fresh` names nodes of `a` on which U may gain no edge of `b`, so a
     node of `b` paired with one must have all its edges merged (the
     dangling condition of deleting the fresh nodes from U).  Without
@@ -227,6 +235,8 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
     computed unless given.
     """
     out: List[Tuple[dict, dict]] = []
+    if not _windows_fit(a, b, windows):
+        return out
     node_cap = limits.overlap_nodes
     if node_cap is None:
         node_cap = len(a.nodes) + len(b.nodes)
@@ -306,9 +316,17 @@ def overlaps(a: Graph, b: Graph, limits: Limits = DEFAULT_LIMITS,
             del node_pairs[aid]
             used_b.discard(bid)
 
-    if fits(range(len(windows))):
-        choose(0, {}, set())
+    choose(0, {}, set())
     return out
+
+
+def _windows_fit(a: Graph, b: Graph, windows) -> bool:
+    """Whether a correspondence of `a` with `b` can pair `least` nodes in
+    each window: it pairs at most min(#l in a, #l in b) nodes of a label l."""
+    have_a, have_b = a.label_counts(), b.label_counts()
+    return all(least <= sum(min(n, have_b.get(l, 0))
+                            for l, n in have_a.items() if l in labels)
+               for labels, least in windows)
 
 
 def _pair_windows(bounds, *graphs) -> list:

@@ -3,16 +3,20 @@
 import itertools
 import time
 from collections import Counter, defaultdict
-from math import factorial
+from math import factorial, prod
 from typing import Dict
 
 from resilire import engine, graphs, model, rewriting
 from resilire.graphs import (_BRUTE_ORDERINGS, Graph, GraphClass, _canonical_key,
-                             counts_fit, embeddings, exists_embedding, graph_of,
-                             path_length_within, quotient_isolated, single_node)
+                             _ranks, _twin_orderings, counts_fit, embeddings,
+                             exists_embedding, graph_of, path_length_within,
+                             quotient_isolated, single_node)
+from resilire.graphs import _encode as _index_encode
 from resilire.order import Antichain, Wqo, covers, minimize
+from resilire.petri import Marking
 from resilire.rewriting import SubgraphOrder
 
+import petri_graphs
 from conftest import fixture_path, random_graph, rng_for
 
 
@@ -482,6 +486,167 @@ def test_keys_of_the_forward_layers_equal_reference_keys(monkeypatch):
     assert len(keyed) > 1000
     for g in keyed:
         assert _canonical_key(g) == reference_key(g), g
+
+
+# The twin-pruned search as it stood before the twin-cell shortcut, kept
+# verbatim but for its names: a second reference, which stays fast on
+# twin classes far past the size `reference_key` can afford.
+
+
+def _pruned_refine(adj, colors: list) -> list:
+    """Iterated neighborhood color refinement (1-WL with edge labels)."""
+    n, k = len(colors), len(set(colors))
+    while True:
+        colors = _ranks([(c, tuple(sorted([(l, colors[t]) for l, t in out])),
+                          tuple(sorted([(l, colors[s]) for l, s in inn])))
+                         for c, out, inn in zip(colors, *adj)])
+        was, k = k, max(colors) + 1
+        if k in (was, n):
+            return colors
+
+
+def _pruned_min_encoding(kernel, colors: list, twins) -> tuple:
+    """The least encoding over the orderings that list the color cells
+    in color order; `kernel` is (labels, triples, adj) by node index."""
+    labels, triples, adj = kernel
+    cells = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    if len(cells) == len(colors):  # discrete: a single ordering
+        return _index_encode(labels, triples, [v for v, in cells])
+    # The brute-force/individualize choice and the target cell ignore
+    # twins: keys must not depend on how much of the search is pruned.
+    cost = 1
+    for cell in cells:
+        cost *= factorial(len(cell))
+        if cost > _BRUTE_ORDERINGS:
+            break
+    if cost <= _BRUTE_ORDERINGS:
+        cell_orderings = [_twin_orderings(c, twins) for c in cells]
+        return min(_index_encode(labels, triples, sum(parts, ()))
+                   for parts in itertools.product(*cell_orderings))
+    # Individualize one node of the first ambiguous cell and recurse;
+    # the minimum over all choices is an isomorphism invariant, and
+    # twins give equal branches, so one per twin class suffices.
+    target = next(c for c in cells if len(c) > 1)
+    fresh = [len(cells)]
+    return min(_pruned_min_encoding(kernel, _pruned_refine(adj, colors[:v] + fresh + colors[v + 1:]),
+                                    twins)
+               for v in {twins[u]: u for u in target}.values())
+
+
+def pruned_reference_key(g: Graph) -> tuple:
+    """The least encoding of g, searched over node indices 0..n-1 with
+    per-node (label, index) lists of out- and in-edges."""
+    n = len(g.nodes)
+    if not n:
+        return (0, 0, (), ())
+    index = {v: i for i, v in enumerate(g.nodes)}
+    labels = list(g.nodes.values())
+    triples, out, inn = [], [[] for _ in labels], [[] for _ in labels]
+    for s, t, l in g.edges.values():
+        s, t = index[s], index[t]
+        triples.append((s, t, l))
+        out[s].append((l, t))
+        inn[t].append((l, s))
+    colors = _ranks([(lab, len(o), len(i)) for lab, o, i in zip(labels, out, inn)])
+    # A discrete coloring is stable: refining it would rank it again.
+    if max(colors) + 1 < n:
+        colors = _pruned_refine((out, inn), colors)
+    if max(colors) + 1 == n:  # discrete: the coloring is the ordering
+        labels = tuple(lab for _c, lab in sorted(zip(colors, labels)))
+        triples = tuple(sorted([(colors[s], colors[t], l) for s, t, l in triples]))
+        return (n, len(triples), labels, triples)
+    # Twins as `twin_signatures` has them, with a loop's far end as -1.
+    twins = [(lab, tuple(sorted([(l, -1 if t == v else t) for l, t in o])),
+              tuple(sorted([e for e in i if e[1] != v])))
+             for v, (lab, o, i) in enumerate(zip(labels, out, inn))]
+    labels, triples = _pruned_min_encoding((labels, triples, (out, inn)), colors, twins)
+    return (n, len(triples), labels, triples)
+
+
+def twin_runs(rng):
+    """A small random core with up to three runs of 2 to 20 like nodes,
+    each isolated, hung on a core node, or repeated on one to three
+    fresh hubs, a run's members alike in direction, loops and parallel
+    edges.  A repeated run is a cell of several twin classes."""
+    core = random_graph(rng, ["a", "b"], ["x", "y"], 4, 4)
+    nodes, edges = dict(core.nodes), dict(core.edges)
+    for r in range(rng.randint(1, 3)):
+        label, size = rng.choice("abc"), rng.randint(2, 20)
+        inward, loop, parallel = (rng.random() < p for p in (0.5, 0.2, 0.2))
+        hubs = rng.choice([[None], [rng.choice(sorted(core.nodes) or [None])],
+                           ["h%d_%d" % (r, j) for j in range(rng.randint(1, 3))]])
+        for j, hub in enumerate(hubs):
+            if hub is not None:
+                nodes.setdefault(hub, "h")
+            for i in range(size):
+                v = "r%d_%d_%d" % (r, j, i)
+                nodes[v] = label
+                if hub is not None:
+                    edges[v + "_x"] = (v, hub, "x") if inward else (hub, v, "x")
+                    if parallel:
+                        edges[v + "_p"] = edges[v + "_x"]
+                if loop:
+                    edges[v + "_l"] = (v, v, "y")
+    return Graph(nodes, edges)
+
+
+def token_graph(rng):
+    """A marking of up to 20 tokens per place in either encoding of
+    `petri_graphs`, in one of two control states or none."""
+    places = ["p%d" % i for i in range(rng.randint(1, 3))]
+    m = Marking(tuple(rng.randint(0, 20) for _ in places), rng.choice(["q0", "q1", None]))
+    return petri_graphs.encode(m, places, star=rng.random() < 0.5)
+
+
+def one_class_cells(g):
+    """Whether every ambiguous cell of g's stable coloring is one twin
+    class, and whether those cells allow more than `_BRUTE_ORDERINGS`
+    orderings."""
+    cells = [c for c in _cells(g, _refine(g, _initial_colors(g))) if len(c) > 1]
+    twins = graphs.twin_signatures(g)
+    return (all(len({twins[v] for v in c}) == 1 for c in cells),
+            prod(factorial(len(c)) for c in cells) > _BRUTE_ORDERINGS)
+
+
+def test_keys_of_twin_classes_equal_the_twin_pruned_search():
+    rng = rng_for("twin-classes")
+    seen = Counter()
+    made = [twin_runs, token_graph]
+    for i in range(400):
+        g = made[i % 2](rng)
+        key = pruned_reference_key(g)
+        assert _canonical_key(g) == key, g
+        assert _canonical_key(shuffled_copy(g, rng)) == key, g
+        one_class, large = one_class_cells(g)
+        seen["one class, past brute" if one_class and large else
+             "one class" if one_class else "mixed"] += 1
+        seen["loops"] += any(s == t for s, t, _l in g.edges.values())
+        seen["parallel"] += len(set(g.edges.values())) < len(g.edges)
+    for g in (hubs(3, 5), hubs(2, 9), star(12, hub="l"), cycles(3, 3, 3)):
+        assert _canonical_key(g) == pruned_reference_key(g), g
+    assert min(seen.values()) >= 30, seen
+
+
+def test_keys_of_large_twin_classes_are_found_without_search(monkeypatch):
+    """A star's leaves and an isolated run are each one twin class: the
+    key takes the one refinement that makes the coloring stable."""
+    rng = rng_for("large-twins")
+    refined = []
+
+    def counting(adj, colors, real=graphs._refine):
+        refined.append(True)
+        return real(adj, colors)
+
+    monkeypatch.setattr(graphs, "_refine", counting)
+    for g in (star(60), isolated(60)):
+        refined.clear()
+        start = time.perf_counter()
+        key = _canonical_key(g)
+        assert time.perf_counter() - start < 0.1
+        assert len(refined) <= 1
+        assert _canonical_key(shuffled_copy(g, rng)) == key == pruned_reference_key(g)
 
 
 def test_canonical_copy_carries_its_key():

@@ -815,6 +815,76 @@ def test_successors_on_the_path_game_forward_layers_key_as_keying_every_candidat
     assert (len(states),) + given == (42, 105, 109, 117)
 
 
+# ---------------------------------------------------------------------------
+# label-count gates in front of rule matches and overlaps
+# ---------------------------------------------------------------------------
+
+
+def ungated_matches(rule, g, twins=None, plan=None):
+    """`matches` without its `counts_fit` gate."""
+    if twins is None:
+        twins = graphs.twin_signatures(g)
+    return embeddings(rule.left, g, twins=twins, plan=plan)
+
+
+def reach_fits(a, b, windows):
+    """The test `overlaps` makes before its search without the count
+    gate: a window pairs at most as many nodes as `a` has in it."""
+    have = Counter(a.nodes.values())
+    return all(least <= sum(have[l] for l in labels) for labels, least in windows)
+
+
+def assert_gates_keep_the_results(step, inputs, monkeypatch):
+    """`step(x)` gives for each x the keys that it gives with the gates
+    monkeypatched away, in the same order; returns how often each gate
+    was asked and refused."""
+    asked = Counter()
+
+    def counting(name, real):
+        def gate(*args):
+            fit = real(*args)
+            asked[name] += 1
+            asked[name + " refused"] += not fit
+            return fit
+        return gate
+
+    monkeypatch.setattr(rewriting, "_windows_fit", counting("overlaps", rewriting._windows_fit))
+    monkeypatch.setattr(rewriting, "counts_fit", counting("matches", rewriting.counts_fit))
+    got = [[h.key() for h in step(x)] for x in inputs]
+    monkeypatch.undo()
+    monkeypatch.setattr(rewriting, "_windows_fit", reach_fits)
+    monkeypatch.setattr(rewriting, "matches", ungated_matches)
+    want = [[h.key() for h in step(x)] for x in inputs]
+    monkeypatch.undo()
+    assert got == want
+    return dict(asked)
+
+
+def test_gated_pre_basis_on_the_path_game_check_rounds(monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    frontiers = step_rounds(built.backend.pre_basis, built.safe, 13)
+    assert assert_gates_keep_the_results(built.backend.pre_basis, frontiers, monkeypatch) == {
+        "overlaps": 3913, "overlaps refused": 1445}
+
+
+def test_gated_post_basis_on_the_path_game_over_rounds(monkeypatch):
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    backend = built.backend
+    frontiers = step_rounds(backend.post_basis, minimize([built.start], backend.order),
+                            built.doc.limits.max_iters)
+    assert assert_gates_keep_the_results(backend.post_basis, frontiers, monkeypatch) == {
+        "overlaps": 21, "overlaps refused": 12}
+
+
+def test_gated_successors_on_the_path_game_forward_layers(monkeypatch):
+    """The layers to depth 17, as the `pathgame-forward` workload walks them."""
+    built = model.build(model.load(fixture_path("pathgame.json")))
+    layers = engine.forward_states(built.start, built.backend, 17)
+    states = [g for layer in layers[:-1] for g in layer]
+    assert assert_gates_keep_the_results(built.backend.post_step, states, monkeypatch) == {
+        "matches": 6860, "matches refused": 4466}
+
+
 def test_inverse_rule_swaps_deleted_and_created_items():
     rng = rng_for("inverse-rule")
     for _ in range(60):
